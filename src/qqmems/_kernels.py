@@ -1,8 +1,10 @@
-"""Hot numeric kernels, numba-compiled unless QQMEMS_NO_NUMBA is set.
+"""Hot numeric kernels.
 
-Every public name ``foo`` also exists as ``foo_py`` (the un-jitted twin) so the
-two paths can be benchmarked against each other.  All kernels work on raw
-float arrays; validation lives in the caller modules.
+The X-state and assignment-scan kernels are numba-compiled unless
+QQMEMS_NO_NUMBA is set; each such ``foo`` also exists as ``foo_py`` (the
+un-jitted twin) so the two paths can be benchmarked against each other.  The
+TGX formulas are plain numpy and take scalars or equal-shape arrays alike.
+All kernels work on raw floats; validation lives in the caller modules.
 
 X-state parameter layout used throughout: a flat vector
 ``(a1, a2, a3, b1, b2, b3, r1, r2, r3)``; phases are omitted because neither
@@ -83,8 +85,15 @@ def best_pair_scan_py(lams):
     return out
 
 
-def tgx2_negativity_kernel_py(theta1, theta2, p1, p2):
-    """Printed negativity formula for the rank-2 TGX family."""
+def tgx2_negativity_kernel(theta1, theta2, p1, p2):
+    """Printed negativity formula for the rank-2 TGX family.
+
+    Powers go through ``np.float_power`` (libm ``pow`` for scalars and
+    arrays alike) rather than ``**``, which on float64 arrays takes numpy's
+    SIMD power loop or an ``x * x`` fast path, both of which round
+    differently from the libm ``pow`` it uses on scalars; array and scalar
+    evaluations would then differ in the last bit.
+    """
     c1 = np.cos(theta1)
     s1 = np.sin(theta1)
     c2 = np.cos(theta2)
@@ -94,16 +103,17 @@ def tgx2_negativity_kernel_py(theta1, theta2, p1, p2):
     return (
         -p1 * c1 * c1
         - p2 * s2 * s2
-        + np.sqrt(p1 * p1 * c1 ** 4 + p2 * p2 * s2t2 * s2t2)
-        + np.sqrt(p2 * p2 * s2 ** 4 + p1 * p1 * s2t1 * s2t1)
+        + np.sqrt(p1 * p1 * np.float_power(c1, 4) + p2 * p2 * s2t2 * s2t2)
+        + np.sqrt(p2 * p2 * np.float_power(s2, 4) + p1 * p1 * s2t1 * s2t1)
     )
 
 
-def tgx3_negativity_kernel_py(theta1, theta2, theta3, p1, p2, p3):
+def tgx3_negativity_kernel(theta1, theta2, theta3, p1, p2, p3):
     """Printed negativity formula for the rank-3 TGX family.
 
     Sums |sigma| - sigma over the three candidate-negative PT eigenvalues,
-    with (i, j, k) running over cyclic permutations of (1, 2, 3).
+    with (i, j, k) running over cyclic permutations of (1, 2, 3).  Squares
+    use ``np.float_power`` for the reason given in tgx2_negativity_kernel.
     """
     th = (theta1, theta2, theta3)
     p = (p1, p2, p3)
@@ -116,7 +126,7 @@ def tgx3_negativity_kernel_py(theta1, theta2, theta3, p1, p2, p3):
         u = p[i] * si * si
         v = p[j] * cj * cj
         s2k = np.sin(2.0 * th[k])
-        sigma = 0.5 * (u + v) - 0.5 * np.sqrt(p[k] * p[k] * s2k * s2k + (u - v) ** 2)
+        sigma = 0.5 * (u + v) - 0.5 * np.sqrt(p[k] * p[k] * s2k * s2k + np.float_power(u - v, 2))
         total += abs(sigma) - sigma
     return total
 
@@ -125,5 +135,3 @@ x_pt_minus_eigs = maybe_njit(x_pt_minus_eigs_py)
 x_negativity_batch = maybe_njit(x_negativity_batch_py)
 spectrum_pair_value = maybe_njit(spectrum_pair_value_py)
 best_pair_scan = maybe_njit(best_pair_scan_py)
-tgx2_negativity_kernel = maybe_njit(tgx2_negativity_kernel_py)
-tgx3_negativity_kernel = maybe_njit(tgx3_negativity_kernel_py)

@@ -148,6 +148,8 @@ def acs_run(P, rho0, max_rounds=200):
 
 @dataclass
 class AcsSummary:
+    """One sweep run; ``round_values`` is the run's AcsTrace.rounds."""
+
     P: float
     seed: int
     best_value: float
@@ -155,6 +157,7 @@ class AcsSummary:
     deviation: float
     rounds: int
     converged: bool
+    round_values: list
 
 
 def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
@@ -183,6 +186,7 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
                     deviation=float(trace.best_value - ref),
                     rounds=trace.rounds_used,
                     converged=trace.converged,
+                    round_values=trace.rounds,
                 )
             )
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .acs import acs_run, acs_sweep
-from .linalg import negativity, purity, random_density_fixed_purity
+from .linalg import negativity, purity
 from .purity_mems import (
     THEOREMS,
     construct_deg,
@@ -299,10 +299,8 @@ def cmd_acs(cfg):
     )
     if cfg.trace_output is not None:
         trace_rows = []
-        for idx, s in enumerate(summaries[: min(4, len(summaries))]):
-            rho0 = random_density_fixed_purity(s.P, np.random.default_rng(s.seed))
-            trace = acs_run(s.P, rho0)
-            for rnd, val in enumerate(trace.rounds):
+        for idx, s in enumerate(summaries[:4]):
+            for rnd, val in enumerate(s.round_values):
                 trace_rows.append((idx, s.P, rnd, val))
         _write_csv(cfg.trace_output, ["run_index", "P", "round", "value"], trace_rows)
     return EXIT_OK

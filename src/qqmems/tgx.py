@@ -10,9 +10,9 @@ rank-3 X ceiling.
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
+from ._nelder_mead import nelder_mead
 from .linalg import negativity
 from .purity_mems import P_MAX, rank3_spectrum
 
@@ -101,11 +101,21 @@ def tgx3_negativity(q):
 
 @dataclass
 class MaximizationResult:
+    """Best state found by a multistart search at purity P.
+
+    ``converged`` is the status of the winning Nelder-Mead run;
+    ``restarts_converged`` counts all runs (the ``restarts_used`` free starts
+    plus, at rank 3, the 12 structured ones) that met xatol/fatol, and
+    ``nfev`` sums their objective evaluations.
+    """
+
     P: float
     best_value: float
     best_params: object
     restarts_used: int
     converged: bool
+    nfev: int
+    restarts_converged: int
     formula_oracle_mismatches: int = 0
 
     def to_dict(self):
@@ -117,32 +127,36 @@ class MaximizationResult:
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000}
 
 
+def _check_restarts(restarts):
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def maximize_tgx2(P, restarts=32, rng=None):
     """Maximize rank-2 TGX negativity over (theta1, theta2) at fixed purity.
 
     The probabilities are pinned by P: p1 = (1 + f)/2, p2 = (1 - f)/2 with
     f = sqrt(2P - 1).  Derivative-free (the objective has |.|-type kinks),
-    with random multistart; deterministic under a fixed rng seed.
+    with random multistart run in lockstep; deterministic under a fixed rng
+    seed.
     """
     if not (0.5 <= P < 1.0):
         raise ValueError(f"purity {P} outside rank-2 domain [1/2, 1)")
+    _check_restarts(restarts)
     P = min(P, P_MAX)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     f = np.sqrt(2.0 * P - 1.0)
     p1, p2 = 0.5 * (1.0 + f), 0.5 * (1.0 - f)
 
-    def neg_obj(th):
-        return -_kernels.tgx2_negativity_kernel(th[0], th[1], p1, p2)
+    def neg_obj(th, members):
+        return -_kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p1, p2)
 
-    best_val, best_th, converged = -np.inf, None, False
-    for _ in range(restarts):
-        th0 = rng.uniform(0.0, np.pi, size=2)
-        res = minimize(neg_obj, th0, method="Nelder-Mead", options=_NM_OPTIONS)
-        if -res.fun > best_val:
-            best_val, best_th = -res.fun, res.x
-            converged = bool(res.success)
+    starts = np.array([rng.uniform(0.0, np.pi, size=2) for _ in range(restarts)])
+    res = nelder_mead(neg_obj, starts, **_NM_OPTIONS)
+    win = int(np.argmin(res.fun))  # first best, as a strict ">" scan picks
+    best_th = res.x[win]
     params = Tgx2Params(theta1=float(best_th[0]), theta2=float(best_th[1]), p1=p1, p2=p2)
-    return _finish(P, best_val, params, restarts, converged, tgx2_negativity, tgx2_matrix)
+    return _finish(P, params, restarts, [res], win, tgx2_negativity, tgx2_matrix)
 
 
 def maximize_tgx3(P, restarts=32, rng=None):
@@ -155,6 +169,7 @@ def maximize_tgx3(P, restarts=32, rng=None):
     """
     if not (1.0 / 3.0 <= P < 1.0):
         raise ValueError(f"purity {P} outside rank-3 domain [1/3, 1)")
+    _check_restarts(restarts)
     P = min(P, P_MAX)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     radius = np.sqrt(max(P - 1.0 / 3.0, 0.0))
@@ -163,45 +178,44 @@ def maximize_tgx3(P, restarts=32, rng=None):
     centroid = np.full(3, 1.0 / 3.0)
 
     def probs(t):
+        t = np.asarray(t)[..., None]
         return centroid + radius * (np.cos(t) * u + np.sin(t) * v)
 
-    def neg_obj(x):
-        p = probs(x[3])
-        if np.min(p) <= 0.0:
-            return 2.0  # infeasible; any feasible value beats this
-        return -_kernels.tgx3_negativity_kernel(x[0], x[1], x[2], p[0], p[1], p[2])
+    def neg_obj(x, members=None):
+        p = probs(x[:, 3])
+        val = -_kernels.tgx3_negativity_kernel(x[:, 0], x[:, 1], x[:, 2], p[:, 0], p[:, 1], p[:, 2])
+        return np.where(np.min(p, axis=1) <= 0.0, 2.0, val)  # infeasible loses to any feasible
 
-    best_val, best_x, converged = -np.inf, None, False
+    starts = []
     for _ in range(restarts):
         x0 = np.concatenate([rng.uniform(0.0, np.pi, size=3), rng.uniform(0.0, 2.0 * np.pi, size=1)])
         for _ in range(100):  # resample the circle angle until all p_i > 0
             if np.min(probs(x0[3])) > 0.0:
                 break
             x0[3] = rng.uniform(0.0, 2.0 * np.pi)
-        res = minimize(neg_obj, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-            converged = bool(res.success)
+        starts.append(x0)
+    free = nelder_mead(neg_obj, np.array(starts), **_NM_OPTIONS)
     # Structured passes: at high purity the full 4-variable search stalls in
     # the narrow feasible window, so additionally fix the circle angle at the
     # permutations of the two-fold-degenerate probability triple (where the
-    # feasible window pinches) and search the angles alone.
+    # feasible window pinches) and search the angles alone, 4 starts each.
     head = rank3_spectrum(P)[:3]
+    t_fixed = []
     for perm in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
         d = head[list(perm)] - 1.0 / 3.0
-        t_fixed = float(np.arctan2(d @ v, d @ u))
+        t_fixed += [float(np.arctan2(d @ v, d @ u))] * 4
+    t_fixed = np.array(t_fixed)
 
-        def theta_obj(th, t=t_fixed):
-            return neg_obj(np.array([th[0], th[1], th[2], t]))
+    def theta_obj(th, members):
+        return neg_obj(np.column_stack([th, t_fixed[members]]))
 
-        for _ in range(4):
-            res = minimize(
-                theta_obj, rng.uniform(0.0, np.pi, size=3), method="Nelder-Mead", options=_NM_OPTIONS
-            )
-            if -res.fun > best_val:
-                best_val = -res.fun
-                best_x = np.append(res.x, t_fixed)
-                converged = bool(res.success)
+    starts = np.array([rng.uniform(0.0, np.pi, size=3) for _ in t_fixed])
+    fixed = nelder_mead(theta_obj, starts, **_NM_OPTIONS)
+    win = int(np.argmin(np.concatenate([free.fun, fixed.fun])))  # first best
+    if win < restarts:
+        best_x = free.x[win]
+    else:
+        best_x = np.append(fixed.x[win - restarts], t_fixed[win - restarts])
     p = probs(best_x[3])
     params = Tgx3Params(
         theta1=float(best_x[0]),
@@ -211,12 +225,13 @@ def maximize_tgx3(P, restarts=32, rng=None):
         p2=float(p[1]),
         p3=float(p[2]),
     )
-    return _finish(P, best_val, params, restarts, converged, tgx3_negativity, tgx3_matrix)
+    return _finish(P, params, restarts, [free, fixed], win, tgx3_negativity, tgx3_matrix)
 
 
-def _finish(P, best_val, params, restarts, converged, formula, matrix, tol=1e-10):
-    """Re-evaluate the winner; the generic trace-norm value is authoritative
-    if the printed formula disagrees beyond tolerance."""
+def _finish(P, params, restarts, runs, win, formula, matrix, tol=1e-10):
+    """Re-evaluate the winner (index ``win`` into the concatenated ``runs``);
+    the generic trace-norm value is authoritative if the printed formula
+    disagrees beyond tolerance."""
     formula_val = formula(params)
     oracle_val = negativity(matrix(params))
     mismatches = 0
@@ -225,11 +240,14 @@ def _finish(P, best_val, params, restarts, converged, formula, matrix, tol=1e-10
         best_val = oracle_val
     else:
         best_val = formula_val
+    success = np.concatenate([r.success for r in runs])
     return MaximizationResult(
         P=float(P),
         best_value=float(best_val),
         best_params=params,
         restarts_used=restarts,
-        converged=converged,
+        converged=bool(success[win]),
+        nfev=int(sum(r.nfev.sum() for r in runs)),
+        restarts_converged=int(success.sum()),
         formula_oracle_mismatches=mismatches,
     )

@@ -134,3 +134,9 @@ class TestAcsSweep:
             assert s.converged
             assert s.deviation <= 1e-8
             assert abs(s.best_value - (s.reference + s.deviation)) < 1e-15
+
+    def test_round_values_are_the_runs_trace(self):
+        (s,) = acs_sweep([0.4], 1, np.random.default_rng(5))
+        trace = acs_run(s.P, random_density_fixed_purity(s.P, np.random.default_rng(s.seed)))
+        assert s.round_values == trace.rounds
+        assert len(s.round_values) == s.rounds + 1

@@ -39,16 +39,16 @@ def test_jitted_and_python_twins_agree(rng):
 
 
 def test_scalar_kernels_agree(rng):
-    for _ in range(200):
-        th = rng.uniform(0, np.pi, 3)
-        p = rng.dirichlet(np.ones(3))
+    # The TGX formulas evaluated on arrays equal their scalar calls elementwise.
+    th = rng.uniform(0, np.pi, (200, 3))
+    p = rng.dirichlet(np.ones(3), 200)
+    out3 = _kernels.tgx3_negativity_kernel(*th.T, *p.T)
+    out2 = _kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p[:, 0], 1 - p[:, 0])
+    for m in range(200):
+        assert abs(out3[m] - _kernels.tgx3_negativity_kernel(*th[m], *p[m])) <= 1e-15
         assert abs(
-            _kernels.tgx3_negativity_kernel(*th, *p) - _kernels.tgx3_negativity_kernel_py(*th, *p)
-        ) < 1e-14
-        assert abs(
-            _kernels.tgx2_negativity_kernel(th[0], th[1], p[0], 1 - p[0])
-            - _kernels.tgx2_negativity_kernel_py(th[0], th[1], p[0], 1 - p[0])
-        ) < 1e-14
+            out2[m] - _kernels.tgx2_negativity_kernel(th[m, 0], th[m, 1], p[m, 0], 1 - p[m, 0])
+        ) <= 1e-15
 
 
 def test_no_numba_env_flag_selects_python_path():

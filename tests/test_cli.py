@@ -113,6 +113,14 @@ class TestTgx:
         code, _, _ = run(["tgx2", "--p-min", "0.3", "--p-max", "0.6"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_nonpositive_restarts_is_usage_error(self, restarts, capsys):
+        code, out, err = run(["tgx2", "--p-steps", "1", "--p-min", "0.6", "--restarts", restarts],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert "restarts" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestAcs:
     def test_summary_and_trace(self, tmp_path, capsys):

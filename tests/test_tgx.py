@@ -77,6 +77,13 @@ class TestFormulas:
             assert abs(tgx3_negativity(q) - negativity(tgx3_matrix(q))) < 1e-10
 
 
+@pytest.mark.parametrize("maximize", [maximize_tgx2, maximize_tgx3])
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_rejects_nonpositive_restarts(maximize, restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        maximize(0.6, restarts=restarts, rng=0)
+
+
 class TestMaximizeTgx2:
     def test_domain(self):
         with pytest.raises(ValueError, match="domain"):
@@ -157,3 +164,6 @@ class TestMaximizeTgx3:
         d = maximize_tgx3(0.5, rng=0).to_dict()
         assert set(d["best_params"]) == {"theta1", "theta2", "theta3", "p1", "p2", "p3"}
         assert d["converged"] in (True, False)
+        # 32 free starts plus 12 structured ones, each at least its simplex
+        assert 0 <= d["restarts_converged"] <= 44
+        assert d["nfev"] >= 32 * 5 + 12 * 4
