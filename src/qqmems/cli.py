@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 usage error, 2 check failure, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -147,54 +148,87 @@ def _grid(cfg, lo, hi_default=0.999, name="purity"):
     return np.linspace(p_min, p_max, cfg.p_steps)
 
 
-def _open_output(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    try:
-        return open(path, "w", newline=""), True
-    except OSError as exc:
-        raise _IOFailure(str(exc))
-
-
 class _IOFailure(Exception):
     pass
 
 
-def _write_csv(path, header, rows):
-    fh, close = _open_output(path)
+@contextlib.contextmanager
+def _output(path):
+    """The artifact stream, stdout for "-"; any OSError becomes _IOFailure."""
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+        try:
+            yield fh
+        finally:
+            if fh is not sys.stdout:
+                fh.close()
     except OSError as exc:
         raise _IOFailure(str(exc))
-    finally:
-        if close:
-            fh.close()
+
+
+def _write_csv(path, header, rows):
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _write_json(path, obj):
-    fh, close = _open_output(path)
-    try:
+    with _output(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    except OSError as exc:
-        raise _IOFailure(str(exc))
-    finally:
-        if close:
-            fh.close()
 
 
-def _validated(value, state_matrix, tol, label):
-    """Gate an emitted negativity against the generic trace-norm value."""
-    oracle = negativity(state_matrix)
-    if abs(value - oracle) > tol:
+def _validated(values, matrices, tol, label):
+    """Gate emitted negativities (one, or an (m,) array) against the generic
+    trace-norm values of their states (one stacked eigh); the first row off by
+    more than `tol`, or NaN, raises CheckError named by `label(row)`."""
+    flat = np.ravel(values)
+    oracle = np.ravel(negativity(matrices))
+    ok = np.abs(flat - oracle) <= tol
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        value, ref = float(flat[i]), float(oracle[i])
         raise CheckError(
-            f"{label}: closed-form value {value!r} deviates from trace-norm "
-            f"value {oracle!r} by {abs(value - oracle):.3e} (> {tol:g})"
+            f"{label(i)}: closed-form value {value!r} deviates from trace-norm "
+            f"value {ref!r} by {abs(value - ref):.3e} (> {tol:g})"
         )
-    return value
+    return values
+
+
+# Rows per stacked evaluation in curves, gap and prop1; bounds peak memory.
+_BLOCK = 256
+
+
+def _blocks(values):
+    for start in range(0, len(values), _BLOCK):
+        yield values[start : start + _BLOCK]
+
+
+def _gated_curves(P, curves, tol):
+    """(len(P), len(curves)) table of _FAMILIES-style curves on purities P,
+    and its in-domain mask; in-domain cells are gated in emission order."""
+    inside = np.stack([in_domain(P) for *_, in_domain in curves], axis=1)
+    values = np.full(inside.shape, np.nan)
+    states = np.zeros(inside.shape + (6, 6), dtype=complex)
+    for col, (_, curve, construct, _, _) in enumerate(curves):
+        m = inside[:, col]
+        values[m, col] = curve(P[m])
+        states[m, col] = construct(P[m])
+    rows, cols = np.nonzero(inside)
+    _validated(
+        values[inside], states[inside], tol, lambda i: f"{curves[cols[i]][0]}@{P[rows[i]]}"
+    )
+    return values, inside
+
+
+# Fixed-purity families: curves column, curve, construction, spectrum and
+# domain test, for curves, gap and state.
+_FAMILIES = {
+    "rank2": ("N2", n_x_p_rank2, construct_rank2, rank2_spectrum, lambda P: P >= 0.5),
+    "rank3": ("N3", n_x_p_rank3, construct_rank3, rank3_spectrum, lambda P: P >= 1.0 / 3.0),
+    "deg": ("Ndeg", n_x_p_deg, construct_deg, deg_spectrum, lambda P: P > 0.2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +238,26 @@ def _validated(value, state_matrix, tol, label):
 
 def cmd_curves(cfg):
     rows = []
-    for P in _grid(cfg, 0.2 + 1e-9):
-        n2 = _validated(n_x_p_rank2(P), construct_rank2(P).to_matrix(), cfg.tolerance, f"N2@{P}") if P >= 0.5 else None
-        n3 = _validated(n_x_p_rank3(P), construct_rank3(P).to_matrix(), cfg.tolerance, f"N3@{P}") if P >= 1.0 / 3.0 else None
-        nd = _validated(n_x_p_deg(P), construct_deg(P).to_matrix(), cfg.tolerance, f"Ndeg@{P}") if P > 0.2 else None
-        rows.append((P, n2, n3, nd))
+    for P in _blocks(_grid(cfg, 0.2 + 1e-9)):
+        values, inside = _gated_curves(P, list(_FAMILIES.values()), cfg.tolerance)
+        for p, vals, ins in zip(P, values, inside):
+            rows.append((p, *(v if i else None for v, i in zip(vals, ins))))
     _write_csv(cfg.output, ["P", "N2", "N3", "Ndeg"], rows)
     return EXIT_OK
 
 
 def cmd_gap(cfg):
     rows = []
-    for P in _grid(cfg, 0.2 + 1e-9):
-        nd = _validated(n_x_p_deg(P), construct_deg(P).to_matrix(), cfg.tolerance, f"Ndeg@{P}")
-        nh = hedemann_negativity(P)
-        if nh is None:
-            rows.append((P, nd, None, None, "negative radicand"))
-        else:
-            rows.append((P, nd, nh, nd - nh, ""))
+    for P in _blocks(_grid(cfg, 0.2 + 1e-9)):
+        # Ndeg on every grid point: outside its domain is a usage error.
+        n_deg = _validated(
+            n_x_p_deg(P), construct_deg(P), cfg.tolerance, lambda i: f"Ndeg@{P[i]}"
+        )
+        for p, nd, nh in zip(P, n_deg, hedemann_negativity(P)):
+            if np.isnan(nh):
+                rows.append((p, nd, None, None, "negative radicand"))
+            else:
+                rows.append((p, nd, nh, nd - nh, ""))
     _write_csv(cfg.output, ["P", "Ndeg", "Nhed", "diff", "reason"], rows)
     return EXIT_OK
 
@@ -232,19 +268,13 @@ _CERT_DOMAINS = {"rank2": 0.5, "rank3": 1.0 / 3.0, "deg": 0.2 + 1e-9}
 def cmd_certify(cfg):
     if cfg.theorem is not None and cfg.theorem not in THEOREMS:
         raise UsageError(f"unknown theorem {cfg.theorem!r}; expected one of {THEOREMS}")
-    jobs = []
     if cfg.p is not None:
         if cfg.theorem is None:
             raise UsageError("--p requires --theorem")
-        lo = _CERT_DOMAINS[cfg.theorem]
-        if not (lo <= cfg.p < 1.0) and not (cfg.theorem == "deg" and 0.2 < cfg.p < 1.0):
-            raise UsageError(f"purity {cfg.p} outside the {cfg.theorem} domain")
-        jobs.append((cfg.theorem, cfg.p))
+        jobs = [(cfg.theorem, cfg.p)]
     else:
         theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
-        for th in theorems:
-            for P in _grid(cfg, _CERT_DOMAINS[th]):
-                jobs.append((th, float(P)))
+        jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, _CERT_DOMAINS[th])]
     reports = [verify_certificate(th, P, tol=cfg.tolerance, strict=False) for th, P in jobs]
     ok = all(r.verified for r in reports)
     _write_json(
@@ -263,7 +293,7 @@ def _cmd_tgx(cfg, lo, maximizer, matrix_fn, reference):
     for P in _grid(cfg, lo):
         result = maximizer(P, restarts=cfg.restarts, rng=np.random.default_rng(rng.integers(2**63)))
         best = _validated(
-            result.best_value, matrix_fn(result.best_params), cfg.tolerance, f"tgx@{P}"
+            result.best_value, matrix_fn(result.best_params), cfg.tolerance, lambda _: f"tgx@{P}"
         )
         ref = reference(P)
         rows.append((P, best, ref, best - ref))
@@ -312,42 +342,27 @@ def cmd_prop1(cfg):
     rng = np.random.default_rng(cfg.seed)
     violations = 0
     worst = 0.0
-    for _ in range(cfg.count):
-        lam = random_spectrum(rng)
-        _, brute = best_sequence_bruteforce(lam)
-        closed = s_value(lam, OPTIMAL_SEQUENCE)
-        dev = abs(brute - closed)
-        worst = max(worst, dev)
-        if dev > 1e-12:
-            violations += 1
-    fh, close = _open_output(cfg.output)
-    try:
+    for start in range(0, cfg.count, _BLOCK):
+        lams = random_spectrum(rng, count=min(_BLOCK, cfg.count - start))
+        _, brute = best_sequence_bruteforce(lams)
+        dev = np.abs(brute - s_value(lams, OPTIMAL_SEQUENCE))
+        worst = max(worst, float(dev.max()))
+        violations += int(np.sum(dev > 1e-12))
+    with _output(cfg.output) as fh:
         fh.write(f"spectra tested: {cfg.count}\n")
         fh.write(f"optimal assignment: {OPTIMAL_SEQUENCE}\n")
         fh.write(f"violations (|brute-force - closed form| > 1e-12): {violations}\n")
         fh.write(f"worst deviation: {_fmt(worst)}\n")
-    except OSError as exc:
-        raise _IOFailure(str(exc))
-    finally:
-        if close:
-            fh.close()
     if violations:
         raise CheckError(f"{violations} spectra violated the optimal-assignment rule")
     return EXIT_OK
-
-
-_FAMILIES = {
-    "rank2": (rank2_spectrum, construct_rank2, n_x_p_rank2, 0.5),
-    "rank3": (rank3_spectrum, construct_rank3, n_x_p_rank3, 1.0 / 3.0),
-    "deg": (deg_spectrum, construct_deg, n_x_p_deg, 0.2),
-}
 
 
 def cmd_state(cfg):
     if cfg.family in _FAMILIES:
         if cfg.p is None:
             raise UsageError(f"--family {cfg.family} requires --p")
-        spectrum_fn, construct, curve, lo = _FAMILIES[cfg.family]
+        _, curve, construct, spectrum_fn, _ = _FAMILIES[cfg.family]
         try:
             state = construct(cfg.p)
             lam = spectrum_fn(cfg.p)
@@ -366,7 +381,7 @@ def cmd_state(cfg):
     else:
         raise UsageError(f"unknown family {cfg.family!r}; expected rank2|rank3|deg|spectrum")
     rho = state.to_matrix()
-    value = _validated(expected, rho, cfg.tolerance, f"state {cfg.family}")
+    value = _validated(expected, rho, cfg.tolerance, lambda _: f"state {cfg.family}")
     _write_json(
         cfg.output,
         {

@@ -18,7 +18,6 @@ __all__ = [
     "trace_norm",
     "negativity",
     "purity",
-    "is_hermitian",
     "check_density_matrix",
     "haar_unitary",
     "random_density_fixed_purity",
@@ -38,47 +37,49 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def is_hermitian(H, tol=TOL.hermiticity):
-    H = np.asarray(H)
-    return bool(np.max(np.abs(H - H.conj().T)) <= tol)
-
-
 def eig_hermitian(H, tol=TOL.hermiticity):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises ValueError
-    if H is not Hermitian within `tol`.
+    if any matrix is not Hermitian within `tol`, with the first such matrix's
+    deviation.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not is_hermitian(H, tol):
-        dev = np.max(np.abs(H - H.conj().T))
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
+    dev = np.abs(H - H.conj().swapaxes(-1, -2))
+    if dev.size and not dev.max() <= tol:  # the worst entry of the stack; NaN fails too
+        per_matrix = np.ravel(dev.max(axis=(-2, -1)))
+        first = per_matrix[np.argmin(per_matrix <= tol)]
+        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {first:.3e}")
     w, v = np.linalg.eigh(H)
     return w, v
 
 
 def partial_transpose_qubit(rho):
-    """Partial transpose over the qubit subsystem of a 6x6 matrix.
+    """Partial transpose over the qubit subsystem of a 6x6 matrix or a
+    (..., 6, 6) stack.
 
     out[(a,b),(a',b')] = in[(a',b),(a,b')].  An involution; preserves trace
     and Hermiticity.
     """
     rho = np.asarray(rho)
-    if rho.shape != (6, 6):
+    if rho.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
-    return rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
+    return rho.reshape(-1, 2, 3, 2, 3).swapaxes(1, 3).reshape(rho.shape)
 
 
 def trace_norm(H, tol=TOL.hermiticity):
-    """Trace norm tr sqrt(H^dag H) of a Hermitian matrix: sum |eigenvalues|."""
+    """Trace norm tr sqrt(H^dag H) of a Hermitian matrix (or of each matrix
+    of a stack): sum |eigenvalues|."""
     w, _ = eig_hermitian(H, tol)
-    return float(np.sum(np.abs(w)))
+    norms = np.sum(np.abs(w), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def negativity(rho):
-    """Negativity of a 2x3 state: trace norm of the partial transpose, minus 1.
+    """Negativity of a 2x3 state (or of a (..., 6, 6) stack of states): trace
+    norm of the partial transpose, minus 1.
 
     Normalized so the value spans [0, 1]; zero exactly when the partial
     transpose is positive semidefinite (the PPT criterion, which is decisive
@@ -114,16 +115,18 @@ def haar_unitary(dim, rng):
     return q * (d / np.abs(d))
 
 
-def _simplex_sample(dim, rng):
-    """Uniform point on the probability simplex via exponential spacings."""
-    e = rng.exponential(size=dim)
-    return e / e.sum()
+def _simplex_sample(dim, rng, count=None):
+    """Uniform point on the probability simplex via exponential spacings; with
+    `count`, a (count, dim) stack drawn from the same stream, row by row."""
+    e = rng.exponential(size=dim if count is None else (count, dim))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def random_spectrum(rng, dim=6):
-    """Random descending spectrum (uniform on the simplex, then sorted)."""
-    w = _simplex_sample(dim, rng)
-    return np.sort(w)[::-1].copy()
+def random_spectrum(rng, dim=6, count=None):
+    """Random descending spectrum (uniform on the simplex, then sorted); with
+    `count`, a (count, dim) stack equal to `count` successive single draws."""
+    w = _simplex_sample(dim, rng, count)
+    return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
 def random_density_fixed_purity(P, rng):

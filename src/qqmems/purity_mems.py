@@ -8,6 +8,9 @@ Three closed-form curves and matching state constructions:
   P = 3/8; below it N = (5h - 1) / 3 with h = sqrt(6P/5 - 1/5), above it the
   rank-3 curve.
 
+Every curve, spectrum and construction takes a purity or an array of them;
+an array gives arrays (constructions: an (n, 6, 6) stack of density matrices).
+
 Optimality of each curve is certified numerically by explicit dual-feasible
 matrices for the corresponding semidefinite program (verify_certificate); at
 the domain endpoints P = 1/2 (rank 2) and P = 1/3 (rank 3) the dual matrix is
@@ -46,9 +49,26 @@ DEG_SPLIT = 3.0 / 8.0
 
 
 def _check_domain(P, lo, name, lo_open=False):
-    if (P < lo or (lo_open and P <= lo)) or P >= 1.0:
+    """P as a float (or float array) once every purity in it lies in the
+    family's domain; otherwise a ValueError naming the first one outside (NaN
+    included)."""
+    arr = np.asarray(P, dtype=float)
+    ok = ((lo < arr) if lo_open else (lo <= arr)) & (arr < 1.0)
+    if not ok.all():
+        bad = P if arr.ndim == 0 else np.ravel(arr)[np.argmin(np.ravel(ok))]
         bracket = "(" if lo_open else "["
-        raise ValueError(f"purity {P} outside {name} domain {bracket}{lo}, 1)")
+        raise ValueError(f"purity {bad} outside {name} domain {bracket}{lo}, 1)")
+    return arr if arr.ndim else float(arr)
+
+
+def _out(values):
+    """A float for a scalar purity, the array for an array of purities."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _spectra(*entries):
+    """Six per-purity entries (arrays or constants) as (..., 6) spectra."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
 def _f(P):
@@ -63,53 +83,48 @@ def _h(P):
     return np.sqrt(6.0 * P / 5.0 - 1.0 / 5.0)
 
 
+def _branches(P):
+    """(P < 3/8, h, g) on the degenerate domain; g is taken at max(P, 3/8),
+    its value wherever the upper branch uses it, so it is real everywhere."""
+    return P < DEG_SPLIT, _h(P), _g(np.maximum(P, DEG_SPLIT))
+
+
 def n_x_p_rank2(P):
     """Maximal negativity of rank-2 X states of purity P in [1/2, 1)."""
-    _check_domain(P, 0.5, "rank-2")
-    return float(0.5 * (1.0 + _f(P)))
+    P = _check_domain(P, 0.5, "rank-2")
+    return _out(0.5 * (1.0 + _f(P)))
 
 
 def n_x_p_rank3(P):
     """Maximal negativity of rank-3 X states of purity P in [1/3, 1)."""
-    _check_domain(P, 1.0 / 3.0, "rank-3")
-    return float((1.0 + _g(P)) / 3.0)
+    P = _check_domain(P, 1.0 / 3.0, "rank-3")
+    return _out((1.0 + _g(P)) / 3.0)
 
 
 def n_x_p_deg(P):
     """Maximal negativity of X states of purity P in (1/5, 1) whose smallest
     eigenvalue is triply degenerate.  Continuous at the branch point 3/8."""
-    _check_domain(P, 0.2, "degenerate", lo_open=True)
-    if P < DEG_SPLIT:
-        return float((-1.0 + 5.0 * _h(P)) / 3.0)
-    return float((1.0 + _g(P)) / 3.0)
+    below, h, g = _branches(_check_domain(P, 0.2, "degenerate", lo_open=True))
+    return _out(np.where(below, (-1.0 + 5.0 * h) / 3.0, (1.0 + g) / 3.0))
 
 
 def rank2_spectrum(P):
-    _check_domain(P, 0.5, "rank-2")
-    l1 = 0.5 * (1.0 + _f(P))
-    return np.array([l1, 1.0 - l1, 0.0, 0.0, 0.0, 0.0])
+    l1 = 0.5 * (1.0 + _f(_check_domain(P, 0.5, "rank-2")))
+    return _spectra(l1, 1.0 - l1, 0.0, 0.0, 0.0, 0.0)
 
 
 def rank3_spectrum(P):
-    _check_domain(P, 1.0 / 3.0, "rank-3")
-    l1 = (1.0 + _g(P)) / 3.0
-    l2 = (2.0 - _g(P)) / 6.0
-    return np.array([l1, l2, l2, 0.0, 0.0, 0.0])
+    g = _g(_check_domain(P, 1.0 / 3.0, "rank-3"))
+    l2 = (2.0 - g) / 6.0
+    return _spectra((1.0 + g) / 3.0, l2, l2, 0.0, 0.0, 0.0)
 
 
 def deg_spectrum(P):
-    _check_domain(P, 0.2, "degenerate", lo_open=True)
-    if P < DEG_SPLIT:
-        h = _h(P)
-        l1 = (1.0 + 4.0 * h) / 6.0
-        l2 = (1.0 + h) / 6.0
-        ld = (1.0 - 2.0 * h) / 6.0
-    else:
-        g = _g(P)
-        l1 = (1.0 + g) / 3.0
-        l2 = (2.0 - g) / 6.0
-        ld = 0.0
-    return np.array([l1, l2, l2, ld, ld, ld])
+    below, h, g = _branches(_check_domain(P, 0.2, "degenerate", lo_open=True))
+    l1 = np.where(below, (1.0 + 4.0 * h) / 6.0, (1.0 + g) / 3.0)
+    l2 = np.where(below, (1.0 + h) / 6.0, (2.0 - g) / 6.0)
+    ld = np.where(below, (1.0 - 2.0 * h) / 6.0, 0.0)
+    return _spectra(l1, l2, l2, ld, ld, ld)
 
 
 def construct_rank2(P):
@@ -133,16 +148,15 @@ def hedemann_negativity(P):
     On [3/8, 1) it coincides with n_x_p_deg.  On (1/5, 3/8) the printed
     expression involves sqrt((-1+e)^2 - 25 e^2 / 4) with e = sqrt(40P/7 - 8/7),
     whose radicand is negative for P above roughly 3/14; None is returned
-    there instead of a non-real value.
+    there instead of a non-real value (NaN in the entries of an array result).
     """
-    _check_domain(P, 0.2, "comparison-curve", lo_open=True)
-    if P >= DEG_SPLIT:
-        return float((1.0 + _g(P)) / 3.0)
+    P = _check_domain(P, 0.2, "comparison-curve", lo_open=True)
+    below, _, g = _branches(P)
     e = np.sqrt(40.0 * P / 7.0 - 8.0 / 7.0)
-    radicand = (-1.0 + e) ** 2 - 6.25 * e * e
-    if radicand < 0.0:
-        return None
-    return float(0.2 * (-1.0 + e + np.sqrt(radicand)))
+    radicand = np.float_power(-1.0 + e, 2) - 6.25 * e * e
+    low = 0.2 * (-1.0 + e + np.sqrt(np.where(radicand < 0.0, np.nan, radicand)))
+    values = np.where(below, low, (1.0 + g) / 3.0)
+    return None if values.ndim == 0 and np.isnan(values) else _out(values)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +170,12 @@ def _primal_data(theorem_id, P):
     """Constraint matrices F_i, linear objective c, optimal variables, and the
     negativity value of the corresponding SDP formulation."""
     if theorem_id == "rank2":
-        _check_domain(P, 0.5, "rank-2")
+        lam = rank2_spectrum(P)
         F0 = np.diag([1.0, 0.5, P - 1.0])
         F1 = np.array([[-1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 2.0]])
-        l1 = 0.5 * (1.0 + _f(P))
-        return [F0, F1], np.array([-1.0]), np.array([l1]), n_x_p_rank2(P)
+        return [F0, F1], np.array([-1.0]), lam[:1], n_x_p_rank2(P)
     if theorem_id == "rank3":
-        _check_domain(P, 1.0 / 3.0, "rank-3")
+        lam = rank3_spectrum(P)
         F0 = np.zeros((4, 4))
         F0[0, 0] = 1.0
         F0[1:3, 1:3] = [[2.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 2.0 / 3.0]]
@@ -175,11 +188,9 @@ def _primal_data(theorem_id, P):
         F2[0, 0] = -1.0
         F2[2, 3] = F2[3, 2] = 1.0
         F2[3, 3] = 2.0
-        l1 = (1.0 + _g(P)) / 3.0
-        l2 = (2.0 - _g(P)) / 6.0
-        return [F0, F1, F2], np.array([-1.0, 0.0]), np.array([l1, l2]), n_x_p_rank3(P)
+        return [F0, F1, F2], np.array([-1.0, 0.0]), lam[:2], n_x_p_rank3(P)
     if theorem_id == "deg":
-        _check_domain(P, 0.2, "degenerate", lo_open=True)
+        lam = deg_spectrum(P)
         F0 = np.zeros((5, 5))
         F0[0, 0] = 1.0
         F0[1:4, 1:4] = -1.0 / 6.0
@@ -192,7 +203,6 @@ def _primal_data(theorem_id, P):
             Fi[1 + i, 4] = Fi[4, 1 + i] = 1.0
             Fi[4, 4] = 2.0 / 3.0
             Fs.append(Fi)
-        lam = deg_spectrum(P)
         return Fs, np.array([-2.0, -1.0, -1.0]), lam[:3], n_x_p_deg(P)
     raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
 
@@ -331,7 +341,9 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
     trace conditions, (c) positive semidefiniteness of the dual matrix (or its
     asymptotic limit for the two boundary purities), and (d) a vanishing gap
     between primal and dual objective values.  With strict=True an AssertionError
-    is raised if any check fails; either way the full report is returned.
+    is raised if any check fails; either way the full report is returned.  A
+    primal objective that does not reproduce the curve value (a transcription
+    error in the certificate data) raises RuntimeError.
     """
     Fs, c, x, value = _primal_data(theorem_id, P)
     Fx = Fs[0] + sum(xi * Fi for xi, Fi in zip(x, Fs[1:]))
@@ -387,5 +399,10 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
         )
     # The dual objective equals the primal one, which maps back to the curve
     # value: a transcription bug in the fixture matrices would surface here.
-    assert abs(abs(primal_obj) - (value if theorem_id != "deg" else value + 1.0)) <= 1e-9
+    expected = value if theorem_id != "deg" else value + 1.0
+    if not abs(abs(primal_obj) - expected) <= 1e-9:
+        raise RuntimeError(
+            f"certificate data for {theorem_id} at P={P} do not reproduce the curve: "
+            f"primal objective {primal_obj!r}, expected {expected!r} up to sign"
+        )
     return report

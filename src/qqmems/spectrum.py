@@ -10,13 +10,11 @@ index-pair enumeration used as an independent oracle for that assignment, and
 the three scalar inequalities underpinning it.
 """
 
-import itertools
-
 import numpy as np
 
 from . import _kernels
 from .linalg import TOL, random_spectrum
-from .xstate import XState
+from .xstate import XState, validate_x_params, x_matrices
 
 __all__ = [
     "validate_spectrum",
@@ -32,39 +30,42 @@ OPTIMAL_SEQUENCE = (4, 6, 1, 5)
 
 
 def validate_spectrum(lam):
-    """Check a 6-vector is a descending probability spectrum; return it."""
+    """Check a 6-vector, or each row of an (n, 6) stack, is a descending
+    probability spectrum; return it."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (6,):
-        raise ValueError(f"spectrum must have shape (6,), got {lam.shape}")
+    if lam.ndim not in (1, 2) or lam.shape[-1] != 6:
+        raise ValueError(f"spectrum must have shape (6,) or (n, 6), got {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum entries must be finite")
     if np.any(lam < -TOL.psd_slack):
         raise ValueError("spectrum entries must be nonnegative")
-    if np.any(np.diff(lam) > TOL.psd_slack):
+    if np.any(np.diff(lam, axis=-1) > TOL.psd_slack):
         raise ValueError("spectrum must be descending")
-    if abs(lam.sum() - 1.0) > TOL.trace:
-        raise ValueError(f"spectrum sums to {lam.sum()}, expected 1")
+    sums = lam.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > TOL.trace
+    if np.any(bad):
+        raise ValueError(f"spectrum sums to {np.ravel(sums)[np.ravel(bad)][0]}, expected 1")
     return lam
 
 
 def s_value(lam, seq):
     """-(lam_i + lam_j) + sqrt((lam_i - lam_j)^2 + (lam_k - lam_l)^2).
 
-    seq is a 1-based index quadruple (i, j, k, l) with disjoint pairs.
+    seq is a 1-based index quadruple (i, j, k, l) with disjoint pairs; lam is
+    one spectrum or an (n, 6) stack.
     """
     lam = validate_spectrum(lam)
     i, j, k, el = seq
     if len({i, j, k, el}) != 4:
         raise ValueError(f"indices must be distinct, got {seq}")
-    return float(_kernels.spectrum_pair_value(lam, i - 1, j - 1, k - 1, el - 1))
+    values = _kernels.pair_table(np.atleast_2d(lam), np.array([seq]) - 1)[:, 0]
+    return float(values[0]) if lam.ndim == 1 else values
 
 
 def all_sequences():
-    """All 90 quadruples (i, j, k, l), 1-based, i<j, k<l, pairs disjoint."""
-    out = []
-    for i, j in itertools.combinations(range(1, 7), 2):
-        rest = [m for m in range(1, 7) if m not in (i, j)]
-        for k, el in itertools.combinations(rest, 2):
-            out.append((i, j, k, el))
-    return out
+    """All 90 quadruples (i, j, k, l), 1-based, i<j, k<l, pairs disjoint, in
+    lexicographic order."""
+    return [tuple(int(m) + 1 for m in quad) for quad in _kernels.PAIR_QUADRUPLES]
 
 
 def best_sequence_bruteforce(lam):
@@ -72,15 +73,16 @@ def best_sequence_bruteforce(lam):
 
     Returns (sequence, value); ties resolve to the lexicographically smallest
     sequence.  For any spectrum the winning value equals s_value at (4,6,1,5).
+    For an (n, 6) stack the sequences come back as an (n, 4) array and the
+    values as an (n,) array.
     """
     lam = validate_spectrum(lam)
-    best_seq, best_val = None, -np.inf
-    for seq in all_sequences():
-        i, j, k, el = seq
-        v = float(_kernels.spectrum_pair_value(lam, i - 1, j - 1, k - 1, el - 1))
-        if v > best_val:
-            best_seq, best_val = seq, v
-    return best_seq, best_val
+    table = _kernels.pair_table(np.atleast_2d(lam))
+    cols = np.argmax(table, axis=1)  # first maximum: the lexicographic tie rule
+    best = table[np.arange(len(cols)), cols]
+    if lam.ndim == 1:
+        return all_sequences()[cols[0]], float(best[0])
+    return _kernels.PAIR_QUADRUPLES[cols] + 1, best
 
 
 def n_x_lambda(lam):
@@ -98,13 +100,20 @@ def construct_spectrum_xmems(lam):
     """Explicit X state of spectrum lam attaining max(0, n_x_lambda(lam)).
 
     Block 1 carries (lam_4, lam_6) diagonally, block 2 carries (lam_2, lam_3),
-    and block 3 mixes (lam_1, lam_5) maximally on the anti-diagonal.
+    and block 3 mixes (lam_1, lam_5) maximally on the anti-diagonal.  For an
+    (n, 6) stack of spectra the n states come back as validated (n, 6, 6)
+    density matrices.
     """
     lam = validate_spectrum(lam)
-    a = np.array([lam[3], lam[1], 0.5 * (lam[0] + lam[4])])
-    b = np.array([lam[5], lam[2], 0.5 * (lam[0] + lam[4])])
-    r = np.array([0.0, 0.0, 0.5 * (lam[0] - lam[4])])
-    return XState(a=a, b=b, r=r)
+    mid = 0.5 * (lam[..., 0] + lam[..., 4])
+    zero = np.zeros_like(mid)
+    a = np.stack([lam[..., 3], lam[..., 1], mid], axis=-1)
+    b = np.stack([lam[..., 5], lam[..., 2], mid], axis=-1)
+    r = np.stack([zero, zero, 0.5 * (lam[..., 0] - lam[..., 4])], axis=-1)
+    if lam.ndim == 1:
+        return XState(a=a, b=b, r=r)
+    validate_x_params(a, b, r)
+    return x_matrices(a, b, r, np.zeros_like(a))
 
 
 def lemma1_check(a, b, c, slack=1e-12):

@@ -21,6 +21,8 @@ __all__ = [
     "XStateError",
     "XSpectra",
     "from_matrix",
+    "validate_x_params",
+    "x_matrices",
     "x_spectra",
     "x_negativity",
     "count_negative_pt_eigs",
@@ -49,34 +51,17 @@ class XState:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (3,):
                 raise XStateError(f"{name} must have shape (3,), got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise XStateError(f"{name} must be finite, got {arr}")
             object.__setattr__(self, name, arr)
         self.validate()
 
     def validate(self, tol=TOL.psd_slack):
-        if np.any(self.a < -tol) or np.any(self.b < -tol) or np.any(self.r < -tol):
-            raise XStateError("a, b, r must be nonnegative")
-        total = float(np.sum(self.a) + np.sum(self.b))
-        if abs(total - 1.0) > TOL.trace:
-            raise XStateError(f"normalization sum(a) + sum(b) = {total}, expected 1")
-        bound = np.sqrt(self.a * self.b)
-        for k in range(3):
-            if self.r[k] > bound[k] + tol:
-                raise XStateError(
-                    f"positivity violated in block {k + 1}: "
-                    f"r = {self.r[k]} > sqrt(a*b) = {bound[k]}"
-                )
+        validate_x_params(self.a, self.b, self.r, tol)
 
     def to_matrix(self):
         """Dense 6x6 density matrix with the X sparsity pattern."""
-        rho = np.zeros((6, 6), dtype=complex)
-        for k in range(3):
-            i, j = _OFFDIAG[k]
-            rho[i, i] = self.a[k]
-            rho[j, j] = self.b[k]
-            off = self.r[k] * np.exp(-1j * self.phi[k])
-            rho[i, j] = off
-            rho[j, i] = np.conj(off)
-        return rho
+        return x_matrices(self.a, self.b, self.r, self.phi)
 
     def params9(self):
         """Flat (a1..a3, b1..b3, r1..r3) vector for the numeric kernels."""
@@ -97,6 +82,38 @@ class XState:
             for name in ("a", "b", "r", "phi")
         }
         return cls(**vals)
+
+
+def validate_x_params(a, b, r, tol=TOL.psd_slack):
+    """XState.validate for (..., 3) arrays a, b, r, one state or a stack:
+    raises XStateError naming the first offending state; NaN fails."""
+    if not (np.all(a >= -tol) and np.all(b >= -tol) and np.all(r >= -tol)):
+        raise XStateError("a, b, r must be nonnegative")
+    total = np.sum(a, axis=-1) + np.sum(b, axis=-1)
+    bad = ~(np.abs(total - 1.0) <= TOL.trace)
+    if np.any(bad):
+        total = float(np.ravel(total)[np.ravel(bad)][0])
+        raise XStateError(f"normalization sum(a) + sum(b) = {total}, expected 1")
+    bound = np.sqrt(a * b)
+    over = ~(r <= bound + tol)
+    if np.any(over):
+        first = np.unravel_index(np.argmax(over), over.shape)
+        raise XStateError(
+            f"positivity violated in block {first[-1] + 1}: "
+            f"r = {r[first]} > sqrt(a*b) = {bound[first]}"
+        )
+
+
+def x_matrices(a, b, r, phi):
+    """Dense (..., 6, 6) density matrices of X states given as (..., 3) arrays."""
+    off = r * np.exp(-1j * phi)
+    rho = np.zeros(np.shape(a)[:-1] + (6, 6), dtype=complex)
+    for k, (i, j) in enumerate(_OFFDIAG):
+        rho[..., i, i] = a[..., k]
+        rho[..., j, j] = b[..., k]
+        rho[..., i, j] = off[..., k]
+        rho[..., j, i] = np.conj(off[..., k])
+    return rho
 
 
 def from_matrix(rho, tol=1e-12):
@@ -165,20 +182,21 @@ def x_negativity(x):
     and at most one of them is, so the negativity reduces to
     2 * max(0, -lam'_1-, -lam'_3-).
     """
-    vals = _kernels.x_negativity_batch(x.params9()[None, :])
-    return float(vals[0])
+    eigs = _kernels.x_pt_minus_eigs(x.params9()[None, :])[0]
+    return float(2.0 * max(0.0, -eigs.min()))
 
 
 def count_negative_pt_eigs(x, threshold=-1e-12):
     """Number of negative partial-transpose eigenvalues (always 0 or 1).
 
     Two simultaneous negatives would contradict the positivity constraints
-    r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); an internal assertion guards
-    against that.
+    r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
+    that.
     """
     eigs = _kernels.x_pt_minus_eigs(x.params9()[None, :])[0]
     count = int(np.sum(eigs < threshold))
-    assert count <= 1, f"two negative PT eigenvalues {eigs} for a valid X state"
+    if count > 1:
+        raise RuntimeError(f"two negative PT eigenvalues {eigs} for a valid X state")
     return count
 
 

@@ -1,17 +1,28 @@
-import os
-import subprocess
-import sys
+"""Equivalence of the array kernels with the scalar closed forms.
+
+The kernels in qqmems._kernels evaluate whole batches; each test compares a
+batch against the textbook formula evaluated one scalar row at a time, and
+against the independent oracles where one applies.
+"""
 
 import numpy as np
 
 from qqmems import _kernels
-from qqmems._backend import NUMBA_ENABLED
+from qqmems.cli import _BLOCK, main
+from qqmems.linalg import partial_transpose_qubit, random_spectrum
+from qqmems.purity_mems import (
+    deg_spectrum,
+    hedemann_negativity,
+    n_x_p_deg,
+    n_x_p_rank2,
+    n_x_p_rank3,
+    rank2_spectrum,
+    rank3_spectrum,
+)
+from qqmems.spectrum import OPTIMAL_SEQUENCE, all_sequences, best_sequence_bruteforce, s_value
+from qqmems.xstate import XState
 
-KERNELS = [
-    "x_pt_minus_eigs",
-    "x_negativity_batch",
-    "best_pair_scan",
-]
+from oracles import negativity_neg_eigs
 
 
 def _random_params(rng, n):
@@ -24,18 +35,111 @@ def _random_params(rng, n):
     return params
 
 
-def test_jitted_and_python_twins_agree(rng):
-    params = _random_params(rng, 500)
-    spectra = np.sort(params[:, :6] / params[:, :6].sum(axis=1, keepdims=True), axis=1)[:, ::-1].copy()
-    args = {
-        "x_pt_minus_eigs": (params,),
-        "x_negativity_batch": (params,),
-        "best_pair_scan": (spectra,),
-    }
-    for name in KERNELS:
-        out_jit = getattr(_kernels, name)(*args[name])
-        out_py = getattr(_kernels, name + "_py")(*args[name])
-        np.testing.assert_allclose(out_jit, out_py, rtol=0, atol=1e-15)
+def _pair_value(lam, i, j, k, el):
+    """The fixed-spectrum pair value for one spectrum, in float64 scalars."""
+    return -(lam[i] + lam[j]) + np.sqrt((lam[i] - lam[j]) ** 2 + (lam[k] - lam[el]) ** 2)
+
+
+def _scan_loop(lam):
+    """First strict maximum over the 90 sequences in enumeration order."""
+    best_seq, best = None, -np.inf
+    for seq in all_sequences():
+        v = _pair_value(lam, *(m - 1 for m in seq))
+        if v > best:
+            best_seq, best = seq, v
+    return best_seq, best
+
+
+def test_x_pt_minus_eigs_matches_scalar_closed_form_and_oracle(rng):
+    params = _random_params(rng, 600)
+    eigs = _kernels.x_pt_minus_eigs(params)
+    assert eigs.shape == (600, 2)
+    for m, (a1, _, a3, b1, _, b3, r1, _, r3) in enumerate(params):
+        lam1 = 0.5 * (a1 + b1) - np.sqrt(r3 * r3 + (0.5 * (b1 - a1)) ** 2)
+        lam3 = 0.5 * (a3 + b3) - np.sqrt(r1 * r1 + (0.5 * (b3 - a3)) ** 2)
+        assert abs(eigs[m, 0] - lam1) <= 1e-15 and abs(eigs[m, 1] - lam3) <= 1e-15
+    for m in range(0, 600, 30):
+        p = params[m]
+        rho = XState(a=p[:3], b=p[3:6], r=p[6:]).to_matrix()
+        dense = np.linalg.eigvalsh(partial_transpose_qubit(rho))
+        # both candidates are eigenvalues of the dense partial transpose
+        assert np.min(np.abs(dense[:, None] - eigs[m][None, :]), axis=0).max() <= 1e-14
+        closed = 2.0 * max(0.0, -eigs[m].min())
+        assert abs(closed - negativity_neg_eigs(rho)) <= 1e-12
+
+
+def test_pair_table_equals_scalar_formula_bitwise(rng):
+    spectra = random_spectrum(rng, count=2 * _BLOCK + 3)
+    table = _kernels.pair_table(spectra)
+    assert table.shape == (len(spectra), 90)
+    quads = [tuple(s - 1 for s in seq) for seq in all_sequences()]
+    expected = [[_pair_value(lam, *quad) for quad in quads] for lam in spectra]
+    assert np.array_equal(table, expected)
+    np.testing.assert_array_equal(_kernels.best_pair_scan(spectra), table.max(axis=1))
+
+
+def test_argmax_keeps_lexicographic_tie_rule(rng):
+    tied = np.array(
+        [
+            np.full(6, 1.0 / 6.0),
+            [0.4, 0.2, 0.2, 0.1, 0.1, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    spectra = np.vstack([tied, random_spectrum(rng, count=40)])
+    seqs, values = best_sequence_bruteforce(spectra)
+    for m, lam in enumerate(spectra):
+        seq, value = _scan_loop(lam)
+        assert tuple(seqs[m]) == seq and values[m] == value
+        assert best_sequence_bruteforce(lam) == (seq, value)
+    assert best_sequence_bruteforce(tied[0])[0] == (1, 2, 3, 4)
+
+
+def test_stacked_spectrum_draws_equal_single_draws():
+    a = random_spectrum(np.random.default_rng(3), count=2 * _BLOCK + 1)
+    rng = np.random.default_rng(3)
+    b = np.array([random_spectrum(rng) for _ in range(2 * _BLOCK + 1)])
+    assert np.array_equal(a, b)
+
+
+def test_prop1_blocks_equal_one_spectrum_at_a_time(tmp_path, capsys):
+    count = 2 * _BLOCK + 1
+    rng = np.random.default_rng(4)
+    worst, violations = 0.0, 0
+    for _ in range(count):
+        lam = random_spectrum(rng)
+        dev = abs(_scan_loop(lam)[1] - s_value(lam, OPTIMAL_SEQUENCE))
+        worst = max(worst, dev)
+        violations += dev > 1e-12
+    out = tmp_path / "prop1.txt"
+    assert main(["prop1", "--count", str(count), "--seed", "4", "-o", str(out)]) == 0
+    text = out.read_text()
+    assert f"spectra tested: {count}\n" in text
+    assert f"violations (|brute-force - closed form| > 1e-12): {violations}\n" in text
+    assert f"worst deviation: {float(worst):.17g}\n" in text
+
+
+def test_batched_purity_curves_equal_scalar_calls():
+    P = np.linspace(0.2 + 1e-9, 0.999, 1001)
+    for fn, inside in (
+        (n_x_p_rank2, P >= 0.5),
+        (n_x_p_rank3, P >= 1.0 / 3.0),
+        (n_x_p_deg, P > 0.2),
+        (hedemann_negativity, P > 0.2),
+    ):
+        batch = fn(P[inside])
+        scalar = [fn(float(p)) for p in P[inside]]
+        assert all(isinstance(v, float) or v is None for v in scalar)
+        scalar = np.array([np.nan if v is None else v for v in scalar])
+        assert np.array_equal(batch, scalar, equal_nan=True), fn.__name__
+    assert np.isnan(hedemann_negativity(P[P < 0.3])).any()
+    for fn, inside in (
+        (rank2_spectrum, P >= 0.5),
+        (rank3_spectrum, P >= 1.0 / 3.0),
+        (deg_spectrum, P > 0.2),
+    ):
+        assert np.array_equal(fn(P[inside]), np.array([fn(float(p)) for p in P[inside]]))
 
 
 def test_scalar_kernels_agree(rng):
@@ -49,29 +153,3 @@ def test_scalar_kernels_agree(rng):
         assert abs(
             out2[m] - _kernels.tgx2_negativity_kernel(th[m, 0], th[m, 1], p[m, 0], 1 - p[m, 0])
         ) <= 1e-15
-
-
-def test_no_numba_env_flag_selects_python_path():
-    code = (
-        "from qqmems._backend import NUMBA_ENABLED\n"
-        "from qqmems import _kernels\n"
-        "import numpy as np\n"
-        "assert not NUMBA_ENABLED\n"
-        "assert _kernels.x_negativity_batch is _kernels.x_negativity_batch_py\n"
-        "out = _kernels.x_negativity_batch(np.array([[0.5, 0, 0, 0.5, 0, 0, 0.5, 0, 0]]))\n"
-        "assert abs(out[0] - 1.0) < 1e-12\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, QQMEMS_NO_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_default_backend_is_jitted_here():
-    # The test environment runs with numba available and the flag unset.
-    if os.environ.get("QQMEMS_NO_NUMBA"):
-        assert not NUMBA_ENABLED
-    else:
-        assert NUMBA_ENABLED
-        assert _kernels.x_negativity_batch is not _kernels.x_negativity_batch_py

@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qqmems.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(args, capsys):
@@ -29,6 +32,25 @@ class TestCurves:
         assert header == ["P", "N2", "N3", "Ndeg"]
         assert rows[0][1] == "" and rows[0][2] == ""
         assert abs(float(rows[0][3]) - 0.19371294336139652) < 1e-12
+
+    def test_grid_below_fifth_gives_blank_rows(self, capsys):
+        code, out, _ = run(["curves", "--p-min", "0.1", "--p-max", "0.15", "--p-steps", "3"],
+                           capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["0.10000000000000001,,,", "0.125,,,",
+                                        "0.14999999999999999,,,"]
+
+    def test_first_block_entirely_below_fifth(self, capsys):
+        # 700 points on [0, 0.5]: the first evaluation block (P <= 0.183) lies
+        # outside every domain and gates no cell.
+        code, out, _ = run(["curves", "--p-min", "0", "--p-max", "0.5", "--p-steps", "700"],
+                           capsys)
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 700
+        for row in rows:
+            assert (row[3] != "") == (float(row[0]) > 0.2)
+        assert rows[-1][1] != "" and rows[-1][2] != ""
 
     def test_anchor_row_at_half(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"
@@ -61,6 +83,38 @@ class TestGap:
         assert header == ["P", "Ndeg", "Nhed", "diff", "reason"]
         assert rows[0][2] == "" and rows[0][4] == "negative radicand"
         assert float(rows[1][3]) == 0.0
+
+
+class TestBatchedGate:
+    @pytest.mark.parametrize("command", ["curves", "gap"])
+    def test_unachievable_tolerance_is_check_failure_naming_a_purity(self, command, capsys):
+        code, out, err = run([command, "--p-steps", "50", "--tolerance", "1e-30"], capsys)
+        assert code == EXIT_CHECK
+        assert "check failure" in err
+        # the first gated cell of the grid, by name and purity
+        assert "Ndeg@0.200000001: closed-form value" in err
+        assert out == ""
+
+    def test_first_failing_row_in_emission_order(self, capsys):
+        code, _, err = run(["curves", "--p-min", "0.6", "--p-max", "0.9", "--p-steps", "7",
+                            "--tolerance", "1e-17"], capsys)
+        assert code == EXIT_CHECK
+        assert err.startswith("check failure: N2@0.6: closed-form value ")
+
+    @pytest.mark.parametrize(
+        "args,fixture",
+        [
+            (["curves", "--p-steps", "260"], "curves_steps260_seed5.csv"),
+            (["gap", "--p-steps", "260"], "gap_steps260_seed5.csv"),
+            (["prop1", "--count", "600"], "prop1_count600_seed5.txt"),
+        ],
+    )
+    def test_stdout_matches_recorded_bytes(self, args, fixture, capsys):
+        # Recorded from the one-row-at-a-time implementation; 260 rows span
+        # two evaluation blocks.
+        code, out, _ = run(args + ["--seed", "5"], capsys)
+        assert code == EXIT_OK
+        assert out == (FIXTURES / fixture).read_text()
 
 
 class TestCertify:

@@ -56,6 +56,37 @@ class TestEigHermitian:
             eig_hermitian(np.zeros((2, 3)))
 
 
+class TestStacks:
+    def test_stacked_calls_equal_per_matrix_calls_bitwise(self, rng):
+        stack = np.array([random_density_fixed_purity(P, rng) for P in np.linspace(0.2, 0.9, 40)])
+        w, v = eig_hermitian(stack)
+        pt = partial_transpose_qubit(stack)
+        norms = trace_norm(stack)
+        negs = negativity(stack)
+        assert w.shape == (40, 6) and v.shape == (40, 6, 6) and negs.shape == (40,)
+        for m, rho in enumerate(stack):
+            wm, vm = eig_hermitian(rho)
+            assert np.array_equal(w[m], wm) and np.array_equal(v[m], vm)
+            assert np.array_equal(pt[m], partial_transpose_qubit(rho))
+            assert norms[m] == trace_norm(rho) and negs[m] == negativity(rho)
+
+    def test_hermiticity_is_checked_per_matrix(self, rng):
+        stack = np.array([random_hermitian(rng, scale=1e3) for _ in range(5)])
+        eig_hermitian(stack)  # each within tolerance of its own conjugate transpose
+        stack[3, 0, 1] += 1e-9
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="= 1.000e-09"):  # the first offending matrix
+            eig_hermitian(stack)
+        stack[3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="= nan"):
+            eig_hermitian(stack)
+
+    def test_empty_stack(self):
+        w, v = eig_hermitian(np.zeros((0, 6, 6)))
+        assert w.shape == (0, 6) and v.shape == (0, 6, 6)
+        assert negativity(np.zeros((0, 6, 6))).shape == (0,)
+
+
 class TestPartialTranspose:
     def test_x_state_pattern(self, rng):
         # On an X state the partial transpose swaps blocks 1 and 3 of the

@@ -1,0 +1,142 @@
+"""Non-finite and out-of-domain input, and internal checks under ``python -O``."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qqmems
+from qqmems.cli import CheckError, EXIT_USAGE, _validated, main
+from qqmems.linalg import negativity
+from qqmems.purity_mems import (
+    construct_deg,
+    construct_rank2,
+    construct_rank3,
+    deg_spectrum,
+    hedemann_negativity,
+    n_x_p_deg,
+    n_x_p_rank2,
+    n_x_p_rank3,
+    rank2_spectrum,
+    rank3_spectrum,
+)
+from qqmems.spectrum import validate_spectrum
+from qqmems.xstate import XState, XStateError
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+PURITY_FUNCTIONS = [
+    n_x_p_rank2,
+    n_x_p_rank3,
+    n_x_p_deg,
+    hedemann_negativity,
+    rank2_spectrum,
+    rank3_spectrum,
+    deg_spectrum,
+    construct_rank2,
+    construct_rank3,
+    construct_deg,
+]
+LOWER_ENDS = {n_x_p_rank2: (0.5, False), n_x_p_rank3: (1.0 / 3.0, False), n_x_p_deg: (0.2, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(fn=st.sampled_from(PURITY_FUNCTIONS), bad=NON_FINITE, as_array=st.booleans())
+def test_non_finite_purity_is_rejected_naming_the_purity(fn, bad, as_array):
+    P = np.array([0.7, bad, 0.8]) if as_array else bad
+    with pytest.raises(ValueError, match=rf"purity {bad} outside .* domain"):
+        fn(P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=st.sampled_from(sorted(LOWER_ENDS, key=lambda f: f.__name__)), P=st.floats())
+def test_curves_return_a_value_exactly_on_their_domain(fn, P):
+    lo, lo_open = LOWER_ENDS[fn]
+    if (lo < P if lo_open else lo <= P) and P < 1.0:
+        value = fn(P)
+        assert isinstance(value, float) and 0.0 <= value <= 1.0
+    else:
+        with pytest.raises(ValueError, match="purity .* outside"):
+            fn(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(["a", "b", "r", "phi"]), k=st.integers(0, 2), bad=NON_FINITE)
+def test_xstate_rejects_non_finite_parameters(field, k, bad):
+    params = {name: np.array([0.2, 0.1, 0.2]) for name in ("a", "b")}
+    params["r"] = np.zeros(3)
+    params["phi"] = np.zeros(3)
+    params[field][k] = bad
+    with pytest.raises(XStateError, match=f"{field} must be finite"):
+        XState(**params)
+
+
+@given(k=st.integers(0, 5), bad=NON_FINITE)
+def test_spectrum_rejects_non_finite_entries(k, bad):
+    lam = np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0])
+    lam[k] = bad
+    with pytest.raises(ValueError, match="finite"):
+        validate_spectrum(lam)
+
+
+@given(bad=NON_FINITE)
+def test_gate_rejects_a_non_finite_closed_form_value(bad):
+    rho = construct_rank2(0.7).to_matrix()
+    with pytest.raises(CheckError, match="state: closed-form value"):
+        _validated(bad, rho, 1e-10, lambda _: "state")
+    stack = construct_rank2(np.array([0.6, 0.7, 0.8]))
+    values = np.array([n_x_p_rank2(0.6), bad, n_x_p_rank2(0.8)])
+    with pytest.raises(CheckError, match="row 1: "):
+        _validated(values, stack, 1e-10, lambda i: f"row {i}")
+    assert _validated(values[0], stack[0], 1e-10, lambda _: "ok") == values[0]
+    assert abs(negativity(stack[0]) - values[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["rank2", "rank3", "deg"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_state_non_finite_purity_is_a_domain_error(family, value, capsys):
+    code = main(["state", "--family", family, f"--p={value}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"purity {float(value)} outside" in err
+    assert "Hermitian" not in err
+
+
+def test_internal_checks_survive_optimize_flag():
+    # Both invariants are raised explicitly, so `python -O` cannot strip them.
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from qqmems import purity_mems
+        from qqmems.xstate import XState, count_negative_pt_eigs
+
+        print("optimize", sys.flags.optimize)
+        x = object.__new__(XState)  # bypasses validation: two negative PT eigenvalues
+        for name, val in (("a", 0), ("b", 0), ("r", [1, 0, 1]), ("phi", 0)):
+            object.__setattr__(x, name, np.broadcast_to(np.asarray(val, dtype=float), 3))
+        try:
+            count_negative_pt_eigs(x)
+        except RuntimeError as exc:
+            print("count:", exc)
+        purity_mems.n_x_p_rank2 = lambda P: 0.25  # a transcription error in the curve
+        try:
+            purity_mems.verify_certificate("rank2", 0.7, strict=False)
+        except RuntimeError as exc:
+            print("certificate:", exc)
+        """
+    )
+    path = [str(Path(qqmems.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("count: two negative PT eigenvalues")
+    assert lines[2].startswith("certificate: certificate data for rank2 at P=0.7")

@@ -87,6 +87,21 @@ class TestConstruction:
         x = construct_spectrum_xmems(np.full(6, 1.0 / 6.0))
         assert negativity(x.to_matrix()) == pytest.approx(0.0, abs=1e-12)
 
+    def test_stack_gives_the_single_states_matrices(self, rng):
+        lams = random_spectrum(rng, count=25)
+        stack = construct_spectrum_xmems(lams)
+        assert stack.shape == (25, 6, 6)
+        for m, lam in enumerate(lams):
+            assert np.array_equal(stack[m], construct_spectrum_xmems(lam).to_matrix())
+        values = s_value(lams, OPTIMAL_SEQUENCE)
+        assert np.array_equal(values, [s_value(lam, OPTIMAL_SEQUENCE) for lam in lams])
+
+    def test_stack_validation_names_the_offending_row(self, rng):
+        lams = random_spectrum(rng, count=4)
+        lams[2] *= 1.5
+        with pytest.raises(ValueError, match=f"sums to {lams[2].sum()}"):
+            construct_spectrum_xmems(lams)
+
 
 class TestLemma1:
     @settings(max_examples=300, deadline=None)

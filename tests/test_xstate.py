@@ -9,6 +9,8 @@ from qqmems.xstate import (
     count_negative_pt_eigs,
     from_matrix,
     random_xstate,
+    validate_x_params,
+    x_matrices,
     x_negativity,
     x_spectra,
 )
@@ -57,6 +59,33 @@ class TestValidation:
         a = np.array([0.2, 0.1, 0.2])
         b = np.array([0.2, 0.1, 0.2])
         XState(a=a, b=b, r=np.sqrt(a * b))
+
+
+class TestStackedStates:
+    def test_matrices_equal_per_state_matrices(self, rng):
+        states = [random_xstate(rng) for _ in range(30)]
+        a, b, r, phi = (np.array([getattr(x, f) for x in states]) for f in ("a", "b", "r", "phi"))
+        validate_x_params(a, b, r)
+        stack = x_matrices(a, b, r, phi)
+        assert stack.shape == (30, 6, 6)
+        for m, x in enumerate(states):
+            assert np.array_equal(stack[m], x.to_matrix())
+
+    @pytest.mark.parametrize(
+        "row,msg",
+        [
+            (([-0.1, 0.3, 0.3], [0.2, 0.2, 0.1], [0, 0, 0]), "nonnegative"),
+            (([0.2, 0.2, 0.2], [0.2, 0.2, 0.2], [0, 0, 0]), "normalization"),
+            (([0.1, 0.2, 0.2], [0.1, 0.2, 0.2], [0, 0.21, 0]), "block 2: r = 0.21"),
+        ],
+    )
+    def test_validator_rejects_what_xstate_rejects(self, row, msg):
+        good = ([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0])
+        a, b, r = (np.array([g, bad, g]) for g, bad in zip(good, row))
+        with pytest.raises(XStateError, match=msg):
+            validate_x_params(a, b, r)
+        with pytest.raises(XStateError, match=msg):
+            XState(*row)
 
 
 class TestRoundTrips:
