@@ -20,17 +20,24 @@ import itertools
 import numpy as np
 
 
-def x_pt_minus_eigs(params):
-    """Possibly-negative partial-transpose eigenvalues of a batch of X states.
-
-    params : (n, 9) float array.  Returns (n, 2) array with the two candidate
-    negative eigenvalues (blocks k=1 and k=3); all other PT eigenvalues are
-    provably nonnegative.
-    """
-    # blocks 1 and 3; the partial transpose swaps r_1 and r_3
-    a, b, r = params[:, 0:3:2], params[:, 3:6:2], params[:, 8:5:-2]
+def x_block_eigs(params, transpose=False):
+    """(n, 3, 2) eigenvalues (minus, plus) of the 2x2 blocks of (n, 9) X states,
+    or of their partial transposes: (a_k + b_k)/2 -+ sqrt(r^2 + d_k^2) with
+    d_k = (b_k - a_k)/2 and r = r_k, or r = r_{4-k} with transpose=True (the
+    partial transpose swaps r_1 and r_3).  Phases drop out."""
+    a, b, r = params[:, 0:3], params[:, 3:6], params[:, 6:9]
+    if transpose:
+        r = r[:, ::-1]
     d = 0.5 * (b - a)
-    return 0.5 * (a + b) - np.sqrt(r * r + d * d)
+    mean = 0.5 * (a + b)
+    half = np.sqrt(r * r + d * d)
+    return np.stack([mean - half, mean + half], axis=-1)
+
+
+def x_pt_minus_eigs(params):
+    """(n, 2) possibly-negative PT eigenvalues of (n, 9) X states, the minus
+    branches of blocks 1 and 3; all other PT eigenvalues are nonnegative."""
+    return x_block_eigs(params, transpose=True)[:, ::2, 0]
 
 
 # All 90 quadruples (i, j, k, l), 0-based, i<j, k<l, pairs disjoint, in

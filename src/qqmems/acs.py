@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eig_hermitian, partial_transpose_qubit, purity
+from .purity_mems import FAMILIES
 
 __all__ = [
     "pi_step",
@@ -93,8 +94,7 @@ def rho_step(pi, P):
     Diagonalize Pi^Gamma with descending eigenvalues a and eigenvectors V;
     the optimal rho is V diag(lam) V^dag with lam = vector_subproblem(a, P).
     """
-    if not (0.2 < P < 1.0):
-        raise ValueError(f"purity {P} outside (1/5, 1)")
+    FAMILIES["deg"].check(P, "ACS")
     w, v = eig_hermitian(partial_transpose_qubit(pi))
     a = w[::-1]
     v = v[:, ::-1]
@@ -167,7 +167,6 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     the triply-degenerate X-state ceiling at the same purity.
     """
     from .linalg import random_density_fixed_purity
-    from .purity_mems import n_x_p_deg
 
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     out = []
@@ -176,7 +175,7 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
             seed = int(rng.integers(0, 2**31 - 1))
             rho0 = random_density_fixed_purity(P, np.random.default_rng(seed))
             trace = acs_run(P, rho0, max_rounds=max_rounds)
-            ref = n_x_p_deg(P)
+            ref = FAMILIES["deg"].curve(P)
             out.append(
                 AcsSummary(
                     P=float(P),

@@ -16,7 +16,8 @@ variables > built-in defaults; `--print-config` shows the resolved values.
 Numbers are written with 17 significant digits, comma-separated, LF line
 endings; undefined values become empty cells with a populated reason column.
 
-Exit codes: 0 success, 1 usage error, 2 check failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error (rejected caller input, such as a purity
+outside a domain), 2 check failure, 3 I/O error; any other exception is a bug.
 """
 
 import argparse
@@ -25,24 +26,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .acs import acs_run, acs_sweep
 from .linalg import negativity, purity
 from .purity_mems import (
+    FAMILIES,
     THEOREMS,
+    DomainError,
     construct_deg,
-    construct_rank2,
-    construct_rank3,
-    deg_spectrum,
     hedemann_negativity,
     n_x_p_deg,
-    n_x_p_rank2,
-    n_x_p_rank3,
-    rank2_spectrum,
-    rank3_spectrum,
     verify_certificate,
 )
 from .spectrum import (
@@ -65,21 +61,6 @@ EXIT_IO = 3
 
 ENV_PREFIX = "QQMEMS_"
 
-# (field, type, default) triples; environment variables are the upper-cased
-# field names with the QQMEMS_ prefix, e.g. QQMEMS_SEED.
-_CONFIG_FIELDS = (
-    ("p_min", float, None),
-    ("p_max", float, None),
-    ("p_steps", int, 50),
-    ("seed", int, 0),
-    ("restarts", int, 32),
-    ("runs", int, 100),
-    ("count", int, 10_000),
-    ("tolerance", float, 1e-10),
-    ("output", str, "-"),
-    ("trace_output", str, None),
-)
-
 
 @dataclass
 class RunConfig:
@@ -98,6 +79,15 @@ class RunConfig:
     family: str = None
     p: float = None
     spectrum: str = None
+
+
+# Flags of single subcommands.  Every other field after `command` is a flag of
+# every subcommand and an environment variable, the upper-cased field name
+# with the QQMEMS_ prefix (e.g. QQMEMS_SEED): (field, type, default) triples.
+_EXTRAS = ("theorem", "family", "p", "spectrum")
+_CONFIG_FIELDS = [
+    (f.name, f.type, f.default) for f in fields(RunConfig)[1:] if f.name not in _EXTRAS
+]
 
 
 class UsageError(Exception):
@@ -205,30 +195,21 @@ def _blocks(values):
         yield values[start : start + _BLOCK]
 
 
-def _gated_curves(P, curves, tol):
-    """(len(P), len(curves)) table of _FAMILIES-style curves on purities P,
+def _gated_curves(P, families, tol):
+    """(len(P), len(families)) table of the families' curves on purities P,
     and its in-domain mask; in-domain cells are gated in emission order."""
-    inside = np.stack([in_domain(P) for *_, in_domain in curves], axis=1)
+    inside = np.stack([fam.contains(P) for fam in families], axis=1)
     values = np.full(inside.shape, np.nan)
     states = np.zeros(inside.shape + (6, 6), dtype=complex)
-    for col, (_, curve, construct, _, _) in enumerate(curves):
+    for col, fam in enumerate(families):
         m = inside[:, col]
-        values[m, col] = curve(P[m])
-        states[m, col] = construct(P[m])
+        values[m, col] = fam.curve(P[m])
+        states[m, col] = fam.construct(P[m])
     rows, cols = np.nonzero(inside)
     _validated(
-        values[inside], states[inside], tol, lambda i: f"{curves[cols[i]][0]}@{P[rows[i]]}"
+        values[inside], states[inside], tol, lambda i: f"{families[cols[i]].column}@{P[rows[i]]}"
     )
     return values, inside
-
-
-# Fixed-purity families: curves column, curve, construction, spectrum and
-# domain test, for curves, gap and state.
-_FAMILIES = {
-    "rank2": ("N2", n_x_p_rank2, construct_rank2, rank2_spectrum, lambda P: P >= 0.5),
-    "rank3": ("N3", n_x_p_rank3, construct_rank3, rank3_spectrum, lambda P: P >= 1.0 / 3.0),
-    "deg": ("Ndeg", n_x_p_deg, construct_deg, deg_spectrum, lambda P: P > 0.2),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +218,19 @@ _FAMILIES = {
 
 
 def cmd_curves(cfg):
+    families = list(FAMILIES.values())
     rows = []
-    for P in _blocks(_grid(cfg, 0.2 + 1e-9)):
-        values, inside = _gated_curves(P, list(_FAMILIES.values()), cfg.tolerance)
+    for P in _blocks(_grid(cfg, FAMILIES["deg"].start)):
+        values, inside = _gated_curves(P, families, cfg.tolerance)
         for p, vals, ins in zip(P, values, inside):
             rows.append((p, *(v if i else None for v, i in zip(vals, ins))))
-    _write_csv(cfg.output, ["P", "N2", "N3", "Ndeg"], rows)
+    _write_csv(cfg.output, ["P", *(fam.column for fam in families)], rows)
     return EXIT_OK
 
 
 def cmd_gap(cfg):
     rows = []
-    for P in _blocks(_grid(cfg, 0.2 + 1e-9)):
+    for P in _blocks(_grid(cfg, FAMILIES["deg"].start)):
         # Ndeg on every grid point: outside its domain is a usage error.
         n_deg = _validated(
             n_x_p_deg(P), construct_deg(P), cfg.tolerance, lambda i: f"Ndeg@{P[i]}"
@@ -262,19 +244,14 @@ def cmd_gap(cfg):
     return EXIT_OK
 
 
-_CERT_DOMAINS = {"rank2": 0.5, "rank3": 1.0 / 3.0, "deg": 0.2 + 1e-9}
-
-
 def cmd_certify(cfg):
-    if cfg.theorem is not None and cfg.theorem not in THEOREMS:
-        raise UsageError(f"unknown theorem {cfg.theorem!r}; expected one of {THEOREMS}")
     if cfg.p is not None:
         if cfg.theorem is None:
             raise UsageError("--p requires --theorem")
         jobs = [(cfg.theorem, cfg.p)]
     else:
         theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
-        jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, _CERT_DOMAINS[th])]
+        jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, FAMILIES[th].start)]
     reports = [verify_certificate(th, P, tol=cfg.tolerance, strict=False) for th, P in jobs]
     ok = all(r.verified for r in reports)
     _write_json(
@@ -287,33 +264,35 @@ def cmd_certify(cfg):
     return EXIT_OK
 
 
-def _cmd_tgx(cfg, lo, maximizer, matrix_fn, reference):
+def _cmd_tgx(cfg, family, maximizer, matrix_fn):
+    fam = FAMILIES[family]
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for P in _grid(cfg, lo):
+    for P in _grid(cfg, fam.start):
         result = maximizer(P, restarts=cfg.restarts, rng=np.random.default_rng(rng.integers(2**63)))
         best = _validated(
             result.best_value, matrix_fn(result.best_params), cfg.tolerance, lambda _: f"tgx@{P}"
         )
-        ref = reference(P)
+        ref = fam.curve(P)
         rows.append((P, best, ref, best - ref))
     _write_csv(cfg.output, ["P", "tgx_max", "x_reference", "gap"], rows)
     return EXIT_OK
 
 
 def cmd_tgx2(cfg):
-    return _cmd_tgx(cfg, 0.5, maximize_tgx2, tgx2_matrix, n_x_p_rank2)
+    return _cmd_tgx(cfg, "rank2", maximize_tgx2, tgx2_matrix)
 
 
 def cmd_tgx3(cfg):
-    return _cmd_tgx(cfg, 1.0 / 3.0, maximize_tgx3, tgx3_matrix, n_x_p_rank3)
+    return _cmd_tgx(cfg, "rank3", maximize_tgx3, tgx3_matrix)
 
 
 def cmd_acs(cfg):
     p_min = cfg.p_min if cfg.p_min is not None else 0.21
     p_max = cfg.p_max if cfg.p_max is not None else 0.99
-    if not (0.2 < p_min < p_max < 1.0):
-        raise UsageError(f"acs purity window [{p_min}, {p_max}] outside (1/5, 1)")
+    deg = FAMILIES["deg"]
+    if not (p_min < p_max and deg.contains(p_min) and deg.contains(p_max)):
+        raise UsageError(f"acs purity window [{p_min}, {p_max}] outside {deg.domain}")
     if cfg.runs < 0:
         raise UsageError(f"runs must be >= 0, got {cfg.runs}")
     rng = np.random.default_rng(cfg.seed)
@@ -359,16 +338,13 @@ def cmd_prop1(cfg):
 
 
 def cmd_state(cfg):
-    if cfg.family in _FAMILIES:
+    if cfg.family in FAMILIES:
         if cfg.p is None:
             raise UsageError(f"--family {cfg.family} requires --p")
-        _, curve, construct, spectrum_fn, _ = _FAMILIES[cfg.family]
-        try:
-            state = construct(cfg.p)
-            lam = spectrum_fn(cfg.p)
-            expected = max(0.0, curve(cfg.p))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        fam = FAMILIES[cfg.family]
+        state = fam.construct(cfg.p)
+        lam = fam.spectrum(cfg.p)
+        expected = max(0.0, fam.curve(cfg.p))
     elif cfg.family == "spectrum":
         if cfg.spectrum is None:
             raise UsageError("--family spectrum requires --spectrum l1,...,l6")
@@ -425,16 +401,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--p-min", type=float, default=None)
-        p.add_argument("--p-max", type=float, default=None)
-        p.add_argument("--p-steps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--output", "-o", default=None)
-        p.add_argument("--trace-output", default=None)
+        for field, typ, _ in _CONFIG_FIELDS:
+            short = ("-o",) if field == "output" else ()
+            p.add_argument("--" + field.replace("_", "-"), *short, type=typ, default=None)
         p.add_argument("--print-config", action="store_true")
         if name == "certify":
             p.add_argument("--theorem", choices=THEOREMS, default=None)
@@ -456,7 +425,9 @@ def resolve_config(argv):
         flag_value = getattr(args, name, None)
         value = flag_value if flag_value is not None else _env_default(name, typ, default)
         setattr(cfg, name, value)
-    for extra in ("theorem", "family", "p", "spectrum"):
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+    for extra in _EXTRAS:
         if hasattr(args, extra):
             setattr(cfg, extra, getattr(args, extra))
     return cfg, args.print_config
@@ -470,8 +441,7 @@ def main(argv=None):
             print(json.dumps(asdict(cfg), indent=2))
             return EXIT_OK
         return _COMMANDS[cfg.command](cfg)
-    except (UsageError, ValueError) as exc:
-        # Library-level domain rejections surface as usage errors.
+    except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckError as exc:

@@ -10,6 +10,8 @@ Three closed-form curves and matching state constructions:
 
 Every curve, spectrum and construction takes a purity or an array of them;
 an array gives arrays (constructions: an (n, 6, 6) stack of density matrices).
+FAMILIES holds one Family record per curve, keyed by theorem id: its domain,
+public functions and certificate data, for the library and the CLI alike.
 
 Optimality of each curve is certified numerically by explicit dual-feasible
 matrices for the corresponding semidefinite program (verify_certificate); at
@@ -31,6 +33,8 @@ from .spectrum import construct_spectrum_xmems
 
 __all__ = [
     "P_MAX",
+    "DomainError",
+    "FAMILIES",
     "n_x_p_rank2",
     "n_x_p_rank3",
     "n_x_p_deg",
@@ -48,17 +52,54 @@ P_MAX = 1.0 - 1e-9
 DEG_SPLIT = 3.0 / 8.0
 
 
-def _check_domain(P, lo, name, lo_open=False):
-    """P as a float (or float array) once every purity in it lies in the
-    family's domain; otherwise a ValueError naming the first one outside (NaN
-    included)."""
-    arr = np.asarray(P, dtype=float)
-    ok = ((lo < arr) if lo_open else (lo <= arr)) & (arr < 1.0)
-    if not ok.all():
-        bad = P if arr.ndim == 0 else np.ravel(arr)[np.argmin(np.ravel(ok))]
-        bracket = "(" if lo_open else "["
-        raise ValueError(f"purity {bad} outside {name} domain {bracket}{lo}, 1)")
-    return arr if arr.ndim else float(arr)
+class DomainError(ValueError):
+    """Caller input outside its domain (a purity, a restart count)."""
+
+
+@dataclass(frozen=True)
+class Family:
+    """One fixed-purity family: purity domain [lo, 1), or (lo, 1) if lo_open;
+    label in domain errors; `curves` column; public curve, spectrum and
+    construction; SDP certificate.  primal(P) gives the constraint matrices
+    F_0..F_m, objective c, optimal variables and the |c . x| the curve
+    predicts, dual(P) a dual-feasible matrix.  At a closed lower end the dual
+    is PSD only as z -> infinity along boundary_dual(z), whose two nonzero
+    eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
+
+    lo: float
+    lo_open: bool
+    label: str
+    column: str
+    curve: object
+    spectrum: object
+    construct: object
+    primal: object
+    dual: object
+    boundary_dual: object = None
+    boundary_eigs: object = None
+
+    @property
+    def domain(self):
+        return f"{'(' if self.lo_open else '['}{self.lo}, 1)"
+
+    @property
+    def start(self):
+        """Default first grid purity: lo, or 1e-9 above an open lo."""
+        return self.lo + 1e-9 if self.lo_open else self.lo
+
+    def contains(self, P):
+        """Elementwise domain membership of P; False for NaN."""
+        return ((self.lo < P) if self.lo_open else (self.lo <= P)) & (P < 1.0)
+
+    def check(self, P, label=None):
+        """P as a float (or float array) if all of it lies in the domain, else
+        a DomainError naming the first purity outside (NaN included)."""
+        arr = np.asarray(P, dtype=float)
+        ok = self.contains(arr)
+        if not ok.all():
+            bad = P if arr.ndim == 0 else np.ravel(arr)[np.argmin(np.ravel(ok))]
+            raise DomainError(f"purity {bad} outside {label or self.label} domain {self.domain}")
+        return arr if arr.ndim else float(arr)
 
 
 def _out(values):
@@ -83,46 +124,55 @@ def _h(P):
     return np.sqrt(6.0 * P / 5.0 - 1.0 / 5.0)
 
 
+# The rank-3 expressions, reused by the degenerate family's upper branch:
+# (1 + g)/3 is the ceiling and top eigenvalue, (2 - g)/6 the doubly degenerate one.
+def _top3(g):
+    return (1.0 + g) / 3.0
+
+
+def _pair3(g):
+    return (2.0 - g) / 6.0
+
+
 def _branches(P):
     """(P < 3/8, h, g) on the degenerate domain; g is taken at max(P, 3/8),
-    its value wherever the upper branch uses it, so it is real everywhere."""
+    its value wherever the upper (rank-3) branch uses it, so it is real
+    everywhere."""
     return P < DEG_SPLIT, _h(P), _g(np.maximum(P, DEG_SPLIT))
 
 
 def n_x_p_rank2(P):
     """Maximal negativity of rank-2 X states of purity P in [1/2, 1)."""
-    P = _check_domain(P, 0.5, "rank-2")
-    return _out(0.5 * (1.0 + _f(P)))
+    return _out(0.5 * (1.0 + _f(FAMILIES["rank2"].check(P))))
 
 
 def n_x_p_rank3(P):
     """Maximal negativity of rank-3 X states of purity P in [1/3, 1)."""
-    P = _check_domain(P, 1.0 / 3.0, "rank-3")
-    return _out((1.0 + _g(P)) / 3.0)
+    return _out(_top3(_g(FAMILIES["rank3"].check(P))))
 
 
 def n_x_p_deg(P):
     """Maximal negativity of X states of purity P in (1/5, 1) whose smallest
     eigenvalue is triply degenerate.  Continuous at the branch point 3/8."""
-    below, h, g = _branches(_check_domain(P, 0.2, "degenerate", lo_open=True))
-    return _out(np.where(below, (-1.0 + 5.0 * h) / 3.0, (1.0 + g) / 3.0))
+    below, h, g = _branches(FAMILIES["deg"].check(P))
+    return _out(np.where(below, (-1.0 + 5.0 * h) / 3.0, _top3(g)))
 
 
 def rank2_spectrum(P):
-    l1 = 0.5 * (1.0 + _f(_check_domain(P, 0.5, "rank-2")))
+    l1 = 0.5 * (1.0 + _f(FAMILIES["rank2"].check(P)))
     return _spectra(l1, 1.0 - l1, 0.0, 0.0, 0.0, 0.0)
 
 
 def rank3_spectrum(P):
-    g = _g(_check_domain(P, 1.0 / 3.0, "rank-3"))
-    l2 = (2.0 - g) / 6.0
-    return _spectra((1.0 + g) / 3.0, l2, l2, 0.0, 0.0, 0.0)
+    g = _g(FAMILIES["rank3"].check(P))
+    l2 = _pair3(g)
+    return _spectra(_top3(g), l2, l2, 0.0, 0.0, 0.0)
 
 
 def deg_spectrum(P):
-    below, h, g = _branches(_check_domain(P, 0.2, "degenerate", lo_open=True))
-    l1 = np.where(below, (1.0 + 4.0 * h) / 6.0, (1.0 + g) / 3.0)
-    l2 = np.where(below, (1.0 + h) / 6.0, (2.0 - g) / 6.0)
+    below, h, g = _branches(FAMILIES["deg"].check(P))
+    l1 = np.where(below, (1.0 + 4.0 * h) / 6.0, _top3(g))
+    l2 = np.where(below, (1.0 + h) / 6.0, _pair3(g))
     ld = np.where(below, (1.0 - 2.0 * h) / 6.0, 0.0)
     return _spectra(l1, l2, l2, ld, ld, ld)
 
@@ -150,169 +200,145 @@ def hedemann_negativity(P):
     whose radicand is negative for P above roughly 3/14; None is returned
     there instead of a non-real value (NaN in the entries of an array result).
     """
-    P = _check_domain(P, 0.2, "comparison-curve", lo_open=True)
+    P = FAMILIES["deg"].check(P, "comparison-curve")
     below, _, g = _branches(P)
     e = np.sqrt(40.0 * P / 7.0 - 8.0 / 7.0)
     radicand = np.float_power(-1.0 + e, 2) - 6.25 * e * e
     low = 0.2 * (-1.0 + e + np.sqrt(np.where(radicand < 0.0, np.nan, radicand)))
-    values = np.where(below, low, (1.0 + g) / 3.0)
+    values = np.where(below, low, _top3(g))
     return None if values.ndim == 0 and np.isnan(values) else _out(values)
 
 
 # ---------------------------------------------------------------------------
-# Dual-certificate verification
+# Dual-certificate data, one set per family
 # ---------------------------------------------------------------------------
 
-THEOREMS = ("rank2", "rank3", "deg")
+
+def _constraints(F0, corner):
+    """[F_0, F_1, ..., F_{n-2}] for n x n F_0: F_i has -1 at (0, 0), 1 at
+    (i, n-1) and (n-1, i), and `corner` at (n-1, n-1)."""
+    n = len(F0)
+    Fs = [F0]
+    for i in range(1, n - 1):
+        Fi = np.zeros((n, n))
+        Fi[0, 0] = -1.0
+        Fi[i, -1] = Fi[-1, i] = 1.0
+        Fi[-1, -1] = corner
+        Fs.append(Fi)
+    return Fs
 
 
-def _primal_data(theorem_id, P):
-    """Constraint matrices F_i, linear objective c, optimal variables, and the
-    negativity value of the corresponding SDP formulation."""
-    if theorem_id == "rank2":
-        lam = rank2_spectrum(P)
-        F0 = np.diag([1.0, 0.5, P - 1.0])
-        F1 = np.array([[-1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 2.0]])
-        return [F0, F1], np.array([-1.0]), lam[:1], n_x_p_rank2(P)
-    if theorem_id == "rank3":
-        lam = rank3_spectrum(P)
-        F0 = np.zeros((4, 4))
-        F0[0, 0] = 1.0
-        F0[1:3, 1:3] = [[2.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 2.0 / 3.0]]
-        F0[3, 3] = P - 1.0
-        F1 = np.zeros((4, 4))
-        F1[0, 0] = -1.0
-        F1[1, 3] = F1[3, 1] = 1.0
-        F1[3, 3] = 2.0
-        F2 = np.zeros((4, 4))
-        F2[0, 0] = -1.0
-        F2[2, 3] = F2[3, 2] = 1.0
-        F2[3, 3] = 2.0
-        return [F0, F1, F2], np.array([-1.0, 0.0]), lam[:2], n_x_p_rank3(P)
-    if theorem_id == "deg":
-        lam = deg_spectrum(P)
-        F0 = np.zeros((5, 5))
-        F0[0, 0] = 1.0
-        F0[1:4, 1:4] = -1.0 / 6.0
-        F0[1:4, 1:4] += np.eye(3)  # diagonal 5/6, off-diagonal -1/6
-        F0[4, 4] = P - 1.0 / 3.0
-        Fs = [F0]
-        for i in range(3):
-            Fi = np.zeros((5, 5))
-            Fi[0, 0] = -1.0
-            Fi[1 + i, 4] = Fi[4, 1 + i] = 1.0
-            Fi[4, 4] = 2.0 / 3.0
-            Fs.append(Fi)
-        return Fs, np.array([-2.0, -1.0, -1.0]), lam[:3], n_x_p_deg(P)
-    raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
+def _boundary_eigs(m, s, c):
+    """(m - s, m + s) as floats, where s^2 - m^2 = c > 0; the negative one is
+    rationalized as -c / (m + s), since the naive difference cancels."""
+    return float(-c / (m + s)), float(m + s)
 
 
-def _dual_matrix(theorem_id, P, z=None):
-    """Dual-feasible matrix for the given theorem and purity.
+def _rank2_primal(P):
+    lam = rank2_spectrum(P)
+    F0 = np.diag([1.0, 0.5, P - 1.0])
+    return _constraints(F0, 2.0), np.array([-1.0]), lam[:1], n_x_p_rank2(P)
 
-    For the boundary purities (rank2 at P = 1/2, rank3 at P = 1/3) the matrix
-    depends on a free parameter z and is PSD only in the z -> infinity limit;
-    pass z to evaluate a member of the family.
-    """
-    if theorem_id == "rank2":
-        if _is_boundary(theorem_id, P):
-            z = 1.0 if z is None else z
-            return np.array([[0, 0, 0], [0, z, 0.5 - z], [0, 0.5 - z, z - 1.0]])
-        f = _f(P)
+
+def _rank2_dual(P):
+    f = _f(P)
+    return np.array(
+        [
+            [0, 0, 0],
+            [0, 1.0 + f / 2.0 + 1.0 / (2.0 * f), -0.5 * (1.0 + 1.0 / f)],
+            [0, -0.5 * (1.0 + 1.0 / f), 1.0 / (2.0 * f)],
+        ]
+    )
+
+
+def _rank3_primal(P):
+    lam = rank3_spectrum(P)
+    F0 = np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, P - 1.0])
+    F0[1, 2] = F0[2, 1] = -1.0 / 3.0
+    return _constraints(F0, 2.0), np.array([-1.0, 0.0]), lam[:2], n_x_p_rank3(P)
+
+
+def _rank3_dual(P):
+    g = _g(P)
+    return np.array(
+        [
+            [0, 0, 0, 0],
+            [0, 1.0 + g / 4.0 + 1.0 / g, 0.5 + 1.0 / g, -0.5 - 1.0 / g],
+            [0, 0.5 + 1.0 / g, 1.0 / g, -1.0 / g],
+            [0, -0.5 - 1.0 / g, -1.0 / g, 1.0 / g],
+        ]
+    )
+
+
+def _deg_primal(P):
+    lam = deg_spectrum(P)
+    F0 = np.diag([1.0, 1.0, 1.0, 1.0, P - 1.0 / 3.0])
+    F0[1:4, 1:4] -= 1.0 / 6.0  # diagonal 5/6, off-diagonal -1/6
+    c = np.array([-2.0, -1.0, -1.0])
+    return _constraints(F0, 2.0 / 3.0), c, lam[:3], n_x_p_deg(P) + 1.0  # objective = curve + 1
+
+
+def _deg_dual(P):
+    if P < DEG_SPLIT:
+        h = _h(P)
+        w = 2.0 / 3.0 + h + 1.0 / (9.0 * h)
+        u = 0.5 + h / 2.0 + 1.0 / (9.0 * h)
+        v = 1.0 / 3.0 + h / 4.0 + 1.0 / (9.0 * h)
+        s = -1.0 - 1.0 / (3.0 * h)
+        t = -0.5 - 1.0 / (3.0 * h)
         return np.array(
             [
-                [0, 0, 0],
-                [0, 1.0 + f / 2.0 + 1.0 / (2.0 * f), -0.5 * (1.0 + 1.0 / f)],
-                [0, -0.5 * (1.0 + 1.0 / f), 1.0 / (2.0 * f)],
-            ]
-        )
-    if theorem_id == "rank3":
-        if _is_boundary(theorem_id, P):
-            z = 1.0 if z is None else z
-            return np.array(
-                [
-                    [0, 0, 0, 0],
-                    [0, z, z - 0.5, -z + 0.5],
-                    [0, z - 0.5, z - 1.0, -z + 1.0],
-                    [0, -z + 0.5, -z + 1.0, z - 1.0],
-                ]
-            )
-        g = _g(P)
-        return np.array(
-            [
-                [0, 0, 0, 0],
-                [0, 1.0 + g / 4.0 + 1.0 / g, 0.5 + 1.0 / g, -0.5 - 1.0 / g],
-                [0, 0.5 + 1.0 / g, 1.0 / g, -1.0 / g],
-                [0, -0.5 - 1.0 / g, -1.0 / g, 1.0 / g],
-            ]
-        )
-    if theorem_id == "deg":
-        if P < DEG_SPLIT:
-            h = _h(P)
-            w = 2.0 / 3.0 + h + 1.0 / (9.0 * h)
-            u = 0.5 + h / 2.0 + 1.0 / (9.0 * h)
-            v = 1.0 / 3.0 + h / 4.0 + 1.0 / (9.0 * h)
-            s = -1.0 - 1.0 / (3.0 * h)
-            t = -0.5 - 1.0 / (3.0 * h)
-            Z = np.array(
-                [
-                    [0, 0, 0, 0, 0],
-                    [0, w, u, u, s],
-                    [0, u, v, v, t],
-                    [0, u, v, v, t],
-                    [0, s, t, t, 1.0 / h],
-                ]
-            )
-            return Z
-        g = _g(P)
-        w = 4.0 / 9.0 + g / 9.0 + 4.0 / (9.0 * g)
-        u = 1.0 / 9.0 - g / 18.0 + 4.0 / (9.0 * g)
-        v = -2.0 / 9.0 + g / 36.0 + 4.0 / (9.0 * g)
-        s = -1.0 / 3.0 - 2.0 / (3.0 * g)
-        t = 1.0 / 6.0 - 2.0 / (3.0 * g)
-        Z = np.array(
-            [
-                [4.0 / 3.0 - 2.0 / (3.0 * g), 0, 0, 0, 0],
+                [0, 0, 0, 0, 0],
                 [0, w, u, u, s],
                 [0, u, v, v, t],
                 [0, u, v, v, t],
-                [0, s, t, t, 1.0 / g],
+                [0, s, t, t, 1.0 / h],
             ]
         )
-        return Z
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
-
-
-def _asymptotic_lambda_minus(theorem_id, z):
-    """Smaller nonzero eigenvalue of the boundary-case dual family at z.
-
-    rank2: z - 1/2 - sqrt(z^2 - z + 1/2)            = -(1/4) / (z - 1/2 + sqrt(...))
-    rank3: 3z/2 - 1 - (sqrt(3)/2) sqrt(3z^2 - 4z + 2) = -(1/2) / (3z/2 - 1 + ...)
-
-    Both are negative for all z and tend to 0 from below as z grows.
-    """
-    if theorem_id == "rank2":
-        root = np.sqrt(z * z - z + 0.5)
-        return float(-0.25 / (z - 0.5 + root))
-    if theorem_id == "rank3":
-        root = 0.5 * np.sqrt(3.0) * np.sqrt(3.0 * z * z - 4.0 * z + 2.0)
-        return float(-0.5 / (1.5 * z - 1.0 + root))
-    raise ValueError(f"no asymptotic certificate for theorem {theorem_id!r}")
-
-
-def asymptotic_lambda_plus(theorem_id, z):
-    """Larger nonzero eigenvalue of the boundary-case dual family at z."""
-    if theorem_id == "rank2":
-        return float(z - 0.5 + np.sqrt(z * z - z + 0.5))
-    if theorem_id == "rank3":
-        return float(1.5 * z - 1.0 + 0.5 * np.sqrt(3.0) * np.sqrt(3.0 * z * z - 4.0 * z + 2.0))
-    raise ValueError(f"no asymptotic certificate for theorem {theorem_id!r}")
-
-
-def _is_boundary(theorem_id, P, tol=1e-12):
-    return (theorem_id == "rank2" and abs(P - 0.5) <= tol) or (
-        theorem_id == "rank3" and abs(P - 1.0 / 3.0) <= tol
+    g = _g(P)
+    w = 4.0 / 9.0 + g / 9.0 + 4.0 / (9.0 * g)
+    u = 1.0 / 9.0 - g / 18.0 + 4.0 / (9.0 * g)
+    v = -2.0 / 9.0 + g / 36.0 + 4.0 / (9.0 * g)
+    s = -1.0 / 3.0 - 2.0 / (3.0 * g)
+    t = 1.0 / 6.0 - 2.0 / (3.0 * g)
+    return np.array(
+        [
+            [4.0 / 3.0 - 2.0 / (3.0 * g), 0, 0, 0, 0],
+            [0, w, u, u, s],
+            [0, u, v, v, t],
+            [0, u, v, v, t],
+            [0, s, t, t, 1.0 / g],
+        ]
     )
+
+
+# Family(lo, lo_open, label, column, curve, spectrum, construct, primal, dual, ...)
+FAMILIES = {
+    "rank2": Family(
+        0.5, False, "rank-2", "N2", n_x_p_rank2, rank2_spectrum, construct_rank2,
+        _rank2_primal, _rank2_dual,
+        boundary_dual=lambda z: np.array([[0, 0, 0], [0, z, 0.5 - z], [0, 0.5 - z, z - 1.0]]),
+        # z - 1/2 -+ sqrt(z^2 - z + 1/2)
+        boundary_eigs=lambda z: _boundary_eigs(z - 0.5, np.sqrt(z * z - z + 0.5), 0.25),
+    ),
+    "rank3": Family(
+        1.0 / 3.0, False, "rank-3", "N3", n_x_p_rank3, rank3_spectrum, construct_rank3,
+        _rank3_primal, _rank3_dual,
+        boundary_dual=lambda z: np.array(
+            [[0, 0, 0, 0], [0, z, z - 0.5, -z + 0.5],
+             [0, z - 0.5, z - 1.0, -z + 1.0], [0, -z + 0.5, -z + 1.0, z - 1.0]]
+        ),
+        # 3z/2 - 1 -+ (sqrt(3)/2) sqrt(3z^2 - 4z + 2)
+        boundary_eigs=lambda z: _boundary_eigs(
+            1.5 * z - 1.0, 0.5 * np.sqrt(3.0) * np.sqrt(3.0 * z * z - 4.0 * z + 2.0), 0.5
+        ),
+    ),
+    "deg": Family(
+        0.2, True, "degenerate", "Ndeg", n_x_p_deg, deg_spectrum, construct_deg,
+        _deg_primal, _deg_dual,
+    ),
+}
+THEOREMS = tuple(FAMILIES)
 
 
 @dataclass
@@ -345,15 +371,19 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
     primal objective that does not reproduce the curve value (a transcription
     error in the certificate data) raises RuntimeError.
     """
-    Fs, c, x, value = _primal_data(theorem_id, P)
+    if theorem_id not in FAMILIES:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
+    fam = FAMILIES[theorem_id]
+    Fs, c, x, expected = fam.primal(P)
     Fx = Fs[0] + sum(xi * Fi for xi, Fi in zip(x, Fs[1:]))
     w, _ = eig_hermitian(Fx)
     primal_min = float(w[0])
     primal_feasible = primal_min >= -tol
     primal_obj = float(c @ x)
 
-    asymptotic = _is_boundary(theorem_id, P)
-    Z = _dual_matrix(theorem_id, P)
+    # Closed lower ends (rank2 at 1/2, rank3 at 1/3) have asymptotic certificates.
+    asymptotic = not fam.lo_open and abs(P - fam.lo) <= 1e-12
+    Z = fam.boundary_dual(1.0) if asymptotic else fam.dual(P)
     residuals = [float(np.trace(Fi @ Z) - ci) for Fi, ci in zip(Fs[1:], c)]
     gap = abs(primal_obj - (-float(np.trace(Fs[0] @ Z))))
 
@@ -362,14 +392,14 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
         # PSD only in the limit: the lone negative eigenvalue must shrink to 0
         # monotonically along z, all others staying nonnegative.  Evaluated in
         # rationalized form; the naive difference cancels catastrophically.
-        for z in (1e3, 1e6, 1e9):
-            tail.append(_asymptotic_lambda_minus(theorem_id, z))
+        eigs = [fam.boundary_eigs(z) for z in (1e3, 1e6, 1e9)]
+        tail = [minus for minus, _ in eigs]
         margin = tail[-1]
         psd_ok = (
             all(t < 0.0 for t in tail)
             and tail[0] < tail[1] < tail[2]
             and tail[2] > -1e-6
-            and all(asymptotic_lambda_plus(theorem_id, z) >= 0.0 for z in (1e3, 1e6, 1e9))
+            and all(plus >= 0.0 for _, plus in eigs)
         )
     else:
         wz, _ = eig_hermitian(Z)
@@ -399,7 +429,6 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
         )
     # The dual objective equals the primal one, which maps back to the curve
     # value: a transcription bug in the fixture matrices would surface here.
-    expected = value if theorem_id != "deg" else value + 1.0
     if not abs(abs(primal_obj) - expected) <= 1e-9:
         raise RuntimeError(
             f"certificate data for {theorem_id} at P={P} do not reproduce the curve: "

@@ -7,14 +7,14 @@ a strict gap over the rank-2 X ceiling and numerical coincidence with the
 rank-3 X ceiling.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import _kernels
 from ._nelder_mead import nelder_mead
 from .linalg import negativity
-from .purity_mems import P_MAX, rank3_spectrum
+from .purity_mems import FAMILIES, P_MAX, DomainError, rank3_spectrum
 
 __all__ = [
     "Tgx2Params",
@@ -129,7 +129,7 @@ _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000}
 
 def _check_restarts(restarts):
     if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
 
 
 def maximize_tgx2(P, restarts=32, rng=None):
@@ -140,8 +140,7 @@ def maximize_tgx2(P, restarts=32, rng=None):
     with random multistart run in lockstep; deterministic under a fixed rng
     seed.
     """
-    if not (0.5 <= P < 1.0):
-        raise ValueError(f"purity {P} outside rank-2 domain [1/2, 1)")
+    FAMILIES["rank2"].check(P)
     _check_restarts(restarts)
     P = min(P, P_MAX)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
@@ -167,8 +166,7 @@ def maximize_tgx3(P, restarts=32, rng=None):
     parametrized by one angle, giving an unconstrained 4-variable problem over
     (theta1, theta2, theta3, t).  Points with any p_i <= 0 are rejected.
     """
-    if not (1.0 / 3.0 <= P < 1.0):
-        raise ValueError(f"purity {P} outside rank-3 domain [1/3, 1)")
+    FAMILIES["rank3"].check(P)
     _check_restarts(restarts)
     P = min(P, P_MAX)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng

@@ -160,19 +160,14 @@ class XSpectra:
 
 
 def x_spectra(x):
-    """Eigenvalues of an X state and its partial transpose, in closed form.
-
-    Block k of the state has eigenvalues (a_k + b_k)/2 +- sqrt(r_k^2 + d_k^2);
-    the partial transpose swaps r_1 and r_3, giving block-k eigenvalues
-    (a_k + b_k)/2 +- sqrt(r_{4-k}^2 + d_k^2).  Phases drop out entirely.
-    """
-    d = 0.5 * (x.b - x.a)
-    mean = 0.5 * (x.a + x.b)
-    half = np.sqrt(x.r**2 + d**2)
-    half_pt = np.sqrt(x.r[::-1] ** 2 + d**2)
-    state = np.stack([mean - half, mean + half], axis=1)
-    pt = np.stack([mean - half_pt, mean + half_pt], axis=1)
-    return XSpectra(state_eigs=state, pt_eigs=pt, d=d)
+    """Eigenvalues of an X state and its partial transpose, in closed form
+    (_kernels.x_block_eigs)."""
+    params = x.params9()[None, :]
+    return XSpectra(
+        state_eigs=_kernels.x_block_eigs(params)[0],
+        pt_eigs=_kernels.x_block_eigs(params, transpose=True)[0],
+        d=0.5 * (x.b - x.a),
+    )
 
 
 def x_negativity(x):

@@ -117,6 +117,24 @@ class TestBatchedGate:
         assert out == (FIXTURES / fixture).read_text()
 
 
+class TestRecordedFamilyArtifacts:
+    @pytest.mark.parametrize(
+        "args,fixture",
+        [
+            (["certify", "--p-steps", "20"], "certify_steps20.json"),
+            (["state", "--family", "rank2", "--p", "0.7"], "state_rank2_p0.7.json"),
+            (["state", "--family", "rank3", "--p", "0.45"], "state_rank3_p0.45.json"),
+            (["state", "--family", "deg", "--p", "0.3"], "state_deg_p0.3.json"),
+            (["state", "--family", "deg", "--p", "0.6"], "state_deg_p0.6.json"),
+        ],
+    )
+    def test_stdout_matches_recorded_bytes(self, args, fixture, capsys):
+        # Recorded before the family records replaced the per-command tables.
+        code, out, _ = run(args, capsys)
+        assert code == EXIT_OK
+        assert out == (FIXTURES / fixture).read_text()
+
+
 class TestCertify:
     def test_full_grid_passes(self, tmp_path, capsys):
         out = tmp_path / "certify.json"
@@ -247,6 +265,38 @@ class TestState:
 
 
 class TestConfigAndErrors:
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["tgx2", "--p-min", "0.3"], "purity 0.3 outside rank-2 domain"),
+            (["certify", "--theorem", "rank2", "--p", "0.4"], "purity 0.4 outside rank-2 domain"),
+            (["gap", "--p-min", "0.1"], "purity 0.1 outside degenerate domain"),
+            (["acs", "--p-min", "0.1"], "acs purity window [0.1, 0.99]"),
+            (["tgx2", "--restarts", "0"], "restarts must be >= 1"),
+            (["state", "--family", "deg", "--p", "0.2"], "purity 0.2 outside degenerate domain"),
+            (["prop1", "--seed", "-2"], "seed must be >= 0, got -2"),
+        ],
+    )
+    def test_rejected_input_is_usage_error_naming_it(self, args, named, capsys):
+        code, out, err = run(args, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ") and named in err
+        assert out == ""
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(_):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("qqmems.cli.negativity", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["curves", "--p-steps", "3"])
+        assert "usage error" not in capsys.readouterr().err
+
+    def test_negative_seed_from_environment_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QQMEMS_SEED", "-1")
+        code, _, err = run(["curves", "--print-config"], capsys)
+        assert code == EXIT_USAGE and "seed must be >= 0" in err
+
     def test_print_config_precedence(self, capsys, monkeypatch):
         monkeypatch.setenv("QQMEMS_SEED", "42")
         code, out, _ = run(["curves", "--print-config"], capsys)

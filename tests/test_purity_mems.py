@@ -4,13 +4,11 @@ import pytest
 from qqmems.linalg import eig_hermitian, negativity, purity
 from qqmems.purity_mems import (
     DEG_SPLIT,
+    FAMILIES,
     THEOREMS,
-    _asymptotic_lambda_minus,
-    _dual_matrix,
     _f,
     _g,
     _h,
-    asymptotic_lambda_plus,
     construct_deg,
     construct_rank2,
     construct_rank3,
@@ -222,19 +220,20 @@ class TestCertificates:
         # The dual objective of the boundary family is z-independent.
         F0 = np.diag([1.0, 0.5, -0.5])
         for z in (1.0, 10.0, 1e6):
-            Z = _dual_matrix("rank2", 0.5, z=z)
+            Z = FAMILIES["rank2"].boundary_dual(z)
             assert abs(np.trace(F0 @ Z) - 0.5) < 1e-9
 
     def test_rationalized_eigenvalues_match_direct_diagonalization(self):
         # At moderate z the closed forms must agree with a direct eigensolve
         # of the dual family; at z = 1e9 the naive difference would cancel.
         for theorem_id in ("rank2", "rank3"):
-            P = 0.5 if theorem_id == "rank2" else 1 / 3
+            fam = FAMILIES[theorem_id]
             for z in (1.0, 3.0, 50.0):
-                Z = _dual_matrix(theorem_id, P, z=z)
+                Z = fam.boundary_dual(z)
                 w, _ = eig_hermitian(Z)
-                assert abs(w[0] - _asymptotic_lambda_minus(theorem_id, z)) < 1e-10
-                assert abs(w[-1] - asymptotic_lambda_plus(theorem_id, z)) < 1e-8
+                lambda_minus, lambda_plus = fam.boundary_eigs(z)
+                assert abs(w[0] - lambda_minus) < 1e-10
+                assert abs(w[-1] - lambda_plus) < 1e-8
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem"):

@@ -11,9 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qqmems
-from qqmems.cli import CheckError, EXIT_USAGE, _validated, main
+from qqmems import purity_mems
+from qqmems.acs import rho_step
+from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
 from qqmems.linalg import negativity
 from qqmems.purity_mems import (
+    FAMILIES,
+    DomainError,
     construct_deg,
     construct_rank2,
     construct_rank3,
@@ -26,6 +30,7 @@ from qqmems.purity_mems import (
     rank3_spectrum,
 )
 from qqmems.spectrum import validate_spectrum
+from qqmems.tgx import maximize_tgx2, maximize_tgx3
 from qqmems.xstate import XState, XStateError
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -41,7 +46,14 @@ PURITY_FUNCTIONS = [
     construct_rank3,
     construct_deg,
 ]
-LOWER_ENDS = {n_x_p_rank2: (0.5, False), n_x_p_rank3: (1.0 / 3.0, False), n_x_p_deg: (0.2, True)}
+# Lower end of each family's purity domain and whether it is open, written out
+# here rather than read from purity_mems.FAMILIES; in `curves` column order.
+LOWER_ENDS = {"rank2": (0.5, False), "rank3": (1.0 / 3.0, False), "deg": (0.2, True)}
+
+
+def _in_domain(key, P):
+    lo, lo_open = LOWER_ENDS[key]
+    return bool((lo < P if lo_open else lo <= P) and P < 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,15 +65,61 @@ def test_non_finite_purity_is_rejected_naming_the_purity(fn, bad, as_array):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fn=st.sampled_from(sorted(LOWER_ENDS, key=lambda f: f.__name__)), P=st.floats())
-def test_curves_return_a_value_exactly_on_their_domain(fn, P):
-    lo, lo_open = LOWER_ENDS[fn]
-    if (lo < P if lo_open else lo <= P) and P < 1.0:
+@given(key=st.sampled_from(sorted(LOWER_ENDS)), P=st.floats())
+def test_curves_return_a_value_exactly_on_their_domain(key, P):
+    fn = getattr(purity_mems, f"n_x_p_{key}")
+    if _in_domain(key, P):
         value = fn(P)
         assert isinstance(value, float) and 0.0 <= value <= 1.0
     else:
         with pytest.raises(ValueError, match="purity .* outside"):
             fn(P)
+
+
+def _accepts(fn, *args, **kwargs):
+    """True if fn returns, False if it rejects its input with DomainError."""
+    try:
+        fn(*args, **kwargs)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", list(LOWER_ENDS))
+def test_every_consumer_agrees_on_the_domain(key, capsys):
+    lo, lo_open = LOWER_ENDS[key]
+    assert (FAMILIES[key].lo, FAMILIES[key].lo_open) == (lo, lo_open)
+    column = 1 + list(LOWER_ENDS).index(key)
+
+    def curves_cell(P):
+        code = main(["curves", f"--p-min={P!r}", f"--p-max={P!r}", "--p-steps", "1"])
+        out = capsys.readouterr().out
+        assert code in (EXIT_OK, EXIT_USAGE)  # P = 1 is no grid point
+        return code == EXIT_OK and out.splitlines()[1].split(",")[column] != ""
+
+    def certify(P):
+        code = main(["certify", "--theorem", key, f"--p={P!r}"])
+        capsys.readouterr()
+        return {EXIT_OK: True, EXIT_CHECK: True, EXIT_USAGE: False}[code]
+
+    def search(P):
+        if key == "deg":
+            return _accepts(rho_step, np.eye(6), P)
+        maximizer = {"rank2": maximize_tgx2, "rank3": maximize_tgx3}[key]
+        return _accepts(maximizer, P, restarts=1, rng=0)
+
+    consumers = {
+        "curve": lambda P: _accepts(getattr(purity_mems, f"n_x_p_{key}"), P),
+        "spectrum": lambda P: _accepts(getattr(purity_mems, f"{key}_spectrum"), P),
+        "construction": lambda P: _accepts(getattr(purity_mems, f"construct_{key}"), P),
+        "curves cell": curves_cell,
+        "certify --p": certify,
+        "search": search,
+    }
+    for P in (lo, np.nextafter(lo, 0), np.nextafter(lo, 1), np.nextafter(1, 0), 1.0, np.nan):
+        P = float(P)
+        got = {name: accepts(P) for name, accepts in consumers.items()}
+        assert got == dict.fromkeys(consumers, _in_domain(key, P)), P
 
 
 @settings(max_examples=60, deadline=None)
