@@ -42,21 +42,19 @@ def _sort(sim, fsim):
 def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
     """Minimize ``fun`` from every row of ``x0`` (shape (M, N)).
 
-    ``fun(points, members)`` receives a (K, N) array of points and the (K,)
-    indices of the starts they belong to (for per-start constants), and
-    returns the (K,) objective values.  It must be elementwise: a point's
-    value may not depend on the other points in the call.
+    ``fun(points)`` receives a (K, N) array of points and returns their (K,)
+    objective values.  It must be elementwise: a point's value may not depend
+    on the other points in the call.
     """
     x0 = np.asarray(x0, dtype=float)
     M, N = x0.shape
-    everyone = np.arange(M)
 
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     k = np.arange(N)
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
     fsim = np.full((M, N + 1), np.inf)
     n0 = min(N + 1, maxfev)
-    fsim[:, :n0] = fun(sim[:, :n0].reshape(-1, N), np.repeat(everyone, n0)).reshape(M, n0)
+    fsim[:, :n0] = fun(sim[:, :n0].reshape(-1, N)).reshape(M, n0)
     nfev = np.full(M, n0)
     # scipy sorts the initial simplex twice; with tied values an unstable
     # argsort may reorder the ties on the second pass, so do the same.
@@ -64,7 +62,7 @@ def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
 
     success = np.zeros(M, dtype=bool)
     # Working set: the live starts a, with their simplices, values, counts.
-    a, S, F, nf, it = everyone, sim, fsim, nfev, np.ones(M, dtype=int)
+    a, S, F, nf, it = np.arange(M), sim, fsim, nfev, np.ones(M, dtype=int)
     while a.size:
         live = (nf < maxfev) & (it < maxiter)
         done = live & (np.abs(S[:, 1:] - S[:, :1]).max(axis=(1, 2)) <= xatol)
@@ -85,7 +83,7 @@ def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
         # Reflection, expansion, outside and inside contraction, each as
         # A * xbar - B * worst with scipy's rounding (e.g. 0.5 * xbar + 0.5 * worst).
         pts = _TRIAL_A * xbar - _TRIAL_B * S[:, -1]
-        vals = fun(pts.reshape(-1, N), np.concatenate([a] * 4)).reshape(4, -1)
+        vals = fun(pts.reshape(-1, N)).reshape(4, -1)
         fxr, fxe, fxc, fxcc = vals
 
         expand = fxr < F[:, 0]
@@ -110,7 +108,7 @@ def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
         if shrink.any():
             s = np.flatnonzero(shrink)
             moved = S[s, :1] + SIGMA * (S[s, 1:] - S[s, :1])
-            fmoved = fun(moved.reshape(-1, N), np.repeat(a[s], N)).reshape(-1, N)
+            fmoved = fun(moved.reshape(-1, N)).reshape(-1, N)
             # With the budget running out mid-shrink, scipy has moved vertex
             # n_eval + 1 but not evaluated it, and left the rest untouched.
             n_eval = np.minimum(N, avail[s] - 2)

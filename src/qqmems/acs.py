@@ -168,7 +168,7 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     """
     from .linalg import random_density_fixed_purity
 
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     out = []
     for P in p_grid:
         for s in range(samples_per_p):

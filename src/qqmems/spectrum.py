@@ -86,14 +86,13 @@ def best_sequence_bruteforce(lam):
 
 
 def n_x_lambda(lam):
-    """Maximal negativity over X states of spectrum lam (may be negative).
+    """Maximal negativity over X states of spectrum lam (may be negative): the
+    pair formula at the optimal assignment (4, 6, 1, 5).  A float for one
+    spectrum, an (n,) array for an (n, 6) stack.
 
     A negative value means no X state with this spectrum is entangled.
     """
-    lam = validate_spectrum(lam)
-    return float(
-        -lam[3] - lam[5] + np.sqrt((lam[3] - lam[5]) ** 2 + (lam[0] - lam[4]) ** 2)
-    )
+    return s_value(lam, OPTIMAL_SEQUENCE)
 
 
 def construct_spectrum_xmems(lam):

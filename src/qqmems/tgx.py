@@ -13,8 +13,7 @@ import numpy as np
 
 from . import _kernels
 from ._nelder_mead import nelder_mead
-from .linalg import negativity
-from .purity_mems import FAMILIES, P_MAX, DomainError, rank3_spectrum
+from .purity_mems import FAMILIES, P_MAX, DomainError
 
 __all__ = [
     "Tgx2Params",
@@ -103,10 +102,11 @@ def tgx3_negativity(q):
 class MaximizationResult:
     """Best state found by a multistart search at purity P.
 
+    ``best_value`` is the printed formula at ``best_params``; callers that
+    need it checked compare it with the trace-norm negativity of the state.
     ``converged`` is the status of the winning Nelder-Mead run;
-    ``restarts_converged`` counts all runs (the ``restarts_used`` free starts
-    plus, at rank 3, the 12 structured ones) that met xatol/fatol, and
-    ``nfev`` sums their objective evaluations.
+    ``restarts_converged`` counts the ``restarts_used`` runs that met
+    xatol/fatol, and ``nfev`` sums their objective evaluations.
     """
 
     P: float
@@ -116,7 +116,6 @@ class MaximizationResult:
     converged: bool
     nfev: int
     restarts_converged: int
-    formula_oracle_mismatches: int = 0
 
     def to_dict(self):
         d = asdict(self)
@@ -125,6 +124,9 @@ class MaximizationResult:
 
 
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000}
+# Smallest probability on the searched rank-3 arc: Tgx3Params needs p_i > 0.
+_P_FLOOR = 1e-12
+_ARC_PHASES = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
 def _check_restarts(restarts):
@@ -143,11 +145,11 @@ def maximize_tgx2(P, restarts=32, rng=None):
     FAMILIES["rank2"].check(P)
     _check_restarts(restarts)
     P = min(P, P_MAX)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     f = np.sqrt(2.0 * P - 1.0)
     p1, p2 = 0.5 * (1.0 + f), 0.5 * (1.0 - f)
 
-    def neg_obj(th, members):
+    def neg_obj(th):
         return -_kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p1, p2)
 
     starts = np.array([rng.uniform(0.0, np.pi, size=2) for _ in range(restarts)])
@@ -155,65 +157,46 @@ def maximize_tgx2(P, restarts=32, rng=None):
     win = int(np.argmin(res.fun))  # first best, as a strict ">" scan picks
     best_th = res.x[win]
     params = Tgx2Params(theta1=float(best_th[0]), theta2=float(best_th[1]), p1=p1, p2=p2)
-    return _finish(P, params, restarts, [res], win, tgx2_negativity, tgx2_matrix)
+    return _finish(P, params, restarts, res, win, tgx2_negativity)
 
 
 def maximize_tgx3(P, restarts=32, rng=None):
     """Maximize rank-3 TGX negativity at fixed purity.
 
-    The feasible probability triple (simplex plane intersected with the purity
-    sphere) is a circle around (1/3, 1/3, 1/3) of radius sqrt(P - 1/3); it is
-    parametrized by one angle, giving an unconstrained 4-variable problem over
-    (theta1, theta2, theta3, t).  Points with any p_i <= 0 are rejected.
+    The probability triples of purity P form the circle
+    p_i = 1/3 + (g/3) cos(beta - 2 pi (i - 1)/3), g = sqrt(6P - 2).  The
+    negativity is invariant under a joint cyclic shift of (theta_k, p_k),
+    which turns that circle by 2 pi/3, so the arc |beta| <= alpha around the
+    p1 vertex holds every state up to symmetry.  alpha is pi/3, less where
+    the circle leaves the simplex (P > 1/2), and cut so that every p_i stays
+    >= 1e-12.  With beta = alpha sin(s) the search over
+    (theta1, theta2, theta3, s) is unconstrained; it runs from ``restarts``
+    random starts in lockstep and is deterministic under a fixed rng seed.
     """
     FAMILIES["rank3"].check(P)
     _check_restarts(restarts)
     P = min(P, P_MAX)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    radius = np.sqrt(max(P - 1.0 / 3.0, 0.0))
-    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    v = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    centroid = np.full(3, 1.0 / 3.0)
-
-    def probs(t):
-        t = np.asarray(t)[..., None]
-        return centroid + radius * (np.cos(t) * u + np.sin(t) * v)
-
-    def neg_obj(x, members=None):
-        p = probs(x[:, 3])
-        val = -_kernels.tgx3_negativity_kernel(x[:, 0], x[:, 1], x[:, 2], p[:, 0], p[:, 1], p[:, 2])
-        return np.where(np.min(p, axis=1) <= 0.0, 2.0, val)  # infeasible loses to any feasible
-
-    starts = []
-    for _ in range(restarts):
-        x0 = np.concatenate([rng.uniform(0.0, np.pi, size=3), rng.uniform(0.0, 2.0 * np.pi, size=1)])
-        for _ in range(100):  # resample the circle angle until all p_i > 0
-            if np.min(probs(x0[3])) > 0.0:
-                break
-            x0[3] = rng.uniform(0.0, 2.0 * np.pi)
-        starts.append(x0)
-    free = nelder_mead(neg_obj, np.array(starts), **_NM_OPTIONS)
-    # Structured passes: at high purity the full 4-variable search stalls in
-    # the narrow feasible window, so additionally fix the circle angle at the
-    # permutations of the two-fold-degenerate probability triple (where the
-    # feasible window pinches) and search the angles alone, 4 starts each.
-    head = rank3_spectrum(P)[:3]
-    t_fixed = []
-    for perm in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
-        d = head[list(perm)] - 1.0 / 3.0
-        t_fixed += [float(np.arctan2(d @ v, d @ u))] * 4
-    t_fixed = np.array(t_fixed)
-
-    def theta_obj(th, members):
-        return neg_obj(np.column_stack([th, t_fixed[members]]))
-
-    starts = np.array([rng.uniform(0.0, np.pi, size=3) for _ in t_fixed])
-    fixed = nelder_mead(theta_obj, starts, **_NM_OPTIONS)
-    win = int(np.argmin(np.concatenate([free.fun, fixed.fun])))  # first best
-    if win < restarts:
-        best_x = free.x[win]
+    rng = np.random.default_rng(rng)
+    g = np.sqrt(6.0 * P - 2.0)
+    # p2 and p3 are smallest at the arc ends: g cos(alpha + 2 pi/3) = 3 floor - 1.
+    if g <= 1.0 - 3.0 * _P_FLOOR:
+        alpha = np.pi / 3.0
     else:
-        best_x = np.append(fixed.x[win - restarts], t_fixed[win - restarts])
+        alpha = np.arccos((3.0 * _P_FLOOR - 1.0) / g) - 2.0 * np.pi / 3.0
+
+    def probs(s):
+        beta = alpha * np.sin(s)[..., None]
+        return 1.0 / 3.0 + g / 3.0 * np.cos(beta - _ARC_PHASES)
+
+    def neg_obj(x):
+        return -_kernels.tgx3_negativity_kernel(*x[:, :3].T, *probs(x[:, 3]).T)
+
+    starts = np.column_stack(
+        [rng.uniform(0.0, np.pi, size=(restarts, 3)), rng.uniform(-np.pi, np.pi, size=restarts)]
+    )
+    res = nelder_mead(neg_obj, starts, **_NM_OPTIONS)
+    win = int(np.argmin(res.fun))  # first best
+    best_x = res.x[win]
     p = probs(best_x[3])
     params = Tgx3Params(
         theta1=float(best_x[0]),
@@ -223,29 +206,17 @@ def maximize_tgx3(P, restarts=32, rng=None):
         p2=float(p[1]),
         p3=float(p[2]),
     )
-    return _finish(P, params, restarts, [free, fixed], win, tgx3_negativity, tgx3_matrix)
+    return _finish(P, params, restarts, res, win, tgx3_negativity)
 
 
-def _finish(P, params, restarts, runs, win, formula, matrix, tol=1e-10):
-    """Re-evaluate the winner (index ``win`` into the concatenated ``runs``);
-    the generic trace-norm value is authoritative if the printed formula
-    disagrees beyond tolerance."""
-    formula_val = formula(params)
-    oracle_val = negativity(matrix(params))
-    mismatches = 0
-    if abs(formula_val - oracle_val) > tol:
-        mismatches = 1
-        best_val = oracle_val
-    else:
-        best_val = formula_val
-    success = np.concatenate([r.success for r in runs])
+def _finish(P, params, restarts, res, win, formula):
+    """The result of run ``win`` of ``res``, valued by the printed formula."""
     return MaximizationResult(
         P=float(P),
-        best_value=float(best_val),
+        best_value=formula(params),
         best_params=params,
         restarts_used=restarts,
-        converged=bool(success[win]),
-        nfev=int(sum(r.nfev.sum() for r in runs)),
-        restarts_converged=int(success.sum()),
-        formula_oracle_mismatches=mismatches,
+        converged=bool(res.success[win]),
+        nfev=int(res.nfev.sum()),
+        restarts_converged=int(res.success.sum()),
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qqmems.tgx
 from qqmems.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -180,6 +181,15 @@ class TestTgx:
         header, rows = read_csv(out)
         assert header == ["P", "tgx_max", "x_reference", "gap"]
         assert all(abs(float(r[3])) < 1e-8 for r in rows)
+
+    def test_formula_off_the_trace_norm_is_check_failure(self, capsys, monkeypatch):
+        exact = qqmems.tgx.tgx3_negativity
+        monkeypatch.setattr(qqmems.tgx, "tgx3_negativity", lambda q: exact(q) + 1e-6)
+        code, out, err = run(["tgx3", "--p-min", "0.6", "--p-steps", "1", "--restarts", "4"],
+                             capsys)
+        assert code == EXIT_CHECK
+        assert "tgx@0.6: closed-form value" in err
+        assert out == ""
 
     def test_below_domain_is_usage_error(self, capsys):
         code, _, _ = run(["tgx2", "--p-min", "0.3", "--p-max", "0.6"], capsys)

@@ -25,18 +25,13 @@ def _starts(n):
     x0 = rng.uniform(-2.0, 2.0, (20, n))
     x0[0, 0] = 0.0  # a zero coordinate takes the absolute initial step
     x0[1] = 0.0
-    shifts = rng.uniform(-0.5, 0.5, (20, n))  # per-start constants
-    shifts[0] = 0.0
-    return x0, shifts
+    return x0
 
 
 def _run_both(n, options):
-    x0, shifts = _starts(n)
-    lock = nelder_mead(lambda x, m: rosen(x - shifts[m]), x0, **options)
-    seq = [
-        minimize(lambda x, c=c: rosen(x - c), x, method="Nelder-Mead", options=options)
-        for x, c in zip(x0, shifts)
-    ]
+    x0 = _starts(n)
+    lock = nelder_mead(rosen, x0, **options)
+    seq = [minimize(rosen, x, method="Nelder-Mead", options=options) for x in x0]
     return lock, seq
 
 
