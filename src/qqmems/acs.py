@@ -12,13 +12,32 @@ updates:
   intersected with a purity ball) solved exactly by KKT support enumeration.
 
 Each half-step is an exact maximization, so the round values never decrease.
+The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
+eigendecomposition per half-step for every live run, each run freezing once
+its round increment drops below STOP_INCREMENT.  `acs_sweep` feeds the loop
+blocks of at most SWEEP_BLOCK runs, which bounds its working set; `acs_run`
+is a block of one.
+
+At a PPT state (round value, the negativity, below STOP_INCREMENT) the
+projector is I, whose rho-step returns I/6: a trivial fixed point.  From a
+PPT state the rho-step therefore takes I - |v_min><v_min| instead, v_min the
+eigenvector of the smallest eigenvalue of rho^Gamma; the round values are
+still the negativities, so the trace stays monotone.  A run ends with status
+"converged", "stalled_ppt" (it stopped at a PPT state all the same) or
+"max_rounds".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, partial_transpose_qubit, purity
+from .linalg import (
+    check_density_matrix,
+    eig_hermitian,
+    partial_transpose_qubit,
+    purity,
+    random_density_fixed_purity,
+)
 from .purity_mems import FAMILIES
 
 __all__ = [
@@ -33,59 +52,102 @@ __all__ = [
 ]
 
 STOP_INCREMENT = 1e-12
+SWEEP_BLOCK = 32
+
+# Row m - 1 is the support {i : bit i of m is set}, m = 1..63, in the order
+# the KKT enumeration visits them.
+_SUPPORTS = np.array([[m >> i & 1 for i in range(6)] for m in range(1, 64)], dtype=bool)
+_SIZES = _SUPPORTS.sum(axis=1)
+
+
+def _herm(m):
+    return m.conj().swapaxes(-1, -2)
 
 
 def pi_step(rho, threshold=1e-12):
-    """Projector onto the strictly positive eigenspace of rho^Gamma.
+    """Projector onto the strictly positive eigenspace of rho^Gamma, for a
+    6x6 matrix or each of an (n, 6, 6) stack.
 
     Eigenvalues within [-threshold, threshold] are excluded; their inclusion
     would be objective-neutral.
     """
     w, v = eig_hermitian(partial_transpose_qubit(rho))
-    cols = v[:, w > threshold]
-    return cols @ cols.conj().T
+    cols = v * (w > threshold)[..., None, :]
+    return cols @ _herm(cols)
 
 
 def pi_objective(pi, rho):
-    """The ascent objective -2 + 2 tr[Pi rho^Gamma] (real part)."""
-    return float(-2.0 + 2.0 * np.real(np.trace(pi @ partial_transpose_qubit(rho))))
+    """The ascent objective -2 + 2 tr[Pi rho^Gamma] (real part): a float, or
+    an (n,) array for stacks."""
+    pt = partial_transpose_qubit(rho)
+    value = -2.0 + 2.0 * np.real(np.trace(pi @ pt, axis1=-2, axis2=-1))
+    return float(value) if value.ndim == 0 else value
 
 
 def vector_subproblem(a, P):
     """Maximize a . lam over lam >= 0, sum lam = 1, sum lam^2 <= P, exactly.
 
-    Enumerates all 63 nonempty support sets.  For each support S the KKT
-    candidates are the uniform point 1/|S| (purity constraint slack) and, when
-    P > 1/|S| and a is nonconstant on S, the purity-active point
+    `a` is a (6,) vector or an (n, 6) stack, P a bound or one per row.  Every
+    nonempty support S is a candidate set.  Its KKT points are the uniform
+    point 1/|S| (purity constraint slack) and, when P > 1/|S| and a is
+    nonconstant on S, the purity-active point
     lam_i = 1/|S| + (a_i - mean_S a) / mu with mu > 0 fixed by sum lam^2 = P.
-    The best feasible candidate over all supports is the exact optimum.
+    The best feasible candidate over all supports is the exact optimum; ties
+    within 1e-15 resolve to the least-pure candidate, then to the first in
+    support order.
     """
     a = np.asarray(a, dtype=float)
-    n = a.size
-    if not (1.0 / n - 1e-12 <= P < 1.0 + 1e-12):
-        raise ValueError(f"purity bound {P} outside [1/{n}, 1)")
-    best_val, best_pur, best_lam = -np.inf, np.inf, None
-    for mask in range(1, 2**n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        k = len(idx)
-        a_s = a[idx]
-        candidates = [np.full(k, 1.0 / k)]
-        centered = a_s - a_s.mean()
-        ssq = float(centered @ centered)
-        if P > 1.0 / k and ssq > 0.0:
-            scale = np.sqrt((P - 1.0 / k) / ssq)
-            candidates.append(1.0 / k + scale * centered)
-        for cand in candidates:
-            pur = float(cand @ cand)
-            if np.min(cand) < -1e-12 or pur > P + 1e-12:
-                continue
-            val = float(a_s @ cand)
-            # ties (e.g. constant a) resolve to the least-pure candidate
-            if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and pur < best_pur):
-                lam = np.zeros(n)
-                lam[idx] = np.clip(cand, 0.0, None)
-                best_val, best_pur, best_lam = val, pur, lam
-    return best_lam
+    if a.ndim not in (1, 2) or a.shape[-1] != 6:
+        raise ValueError(f"expected a (6,) vector or an (n, 6) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("objective coefficients must be finite")
+    a2 = a.reshape(-1, 6)
+    P = np.broadcast_to(np.asarray(P, dtype=float), a2.shape[:1])
+    ok = (1.0 / 6.0 - 1e-12 <= P) & (P < 1.0 + 1e-12)
+    if not ok.all():
+        raise ValueError(f"purity bound {P[np.argmin(ok)]} outside [1/6, 1)")
+    a_s = np.where(_SUPPORTS, a2[:, None, :], 0.0)
+    centered = np.where(_SUPPORTS, a_s - (a_s.sum(axis=-1) / _SIZES)[..., None], 0.0)
+    ssq = np.sum(centered * centered, axis=-1)
+    slack = P[:, None] - 1.0 / _SIZES
+    active = (slack > 0.0) & (ssq > 0.0)
+    scale = np.sqrt(np.divide(slack, ssq, out=np.zeros_like(ssq), where=active))
+    uniform = _SUPPORTS / _SIZES[:, None]
+    # (n, 63, 2, 6) -> (n, 126, 6): per support, uniform then purity-active
+    cand = np.stack(
+        [np.broadcast_to(uniform, centered.shape), uniform + scale[..., None] * centered], axis=2
+    ).reshape(len(a2), -1, 6)
+    exists = np.stack([np.ones_like(active), active], axis=2).reshape(len(a2), -1)
+    pur = np.sum(cand * cand, axis=-1)
+    val = np.sum(a2[:, None, :] * cand, axis=-1)
+    feasible = exists & (cand.min(axis=-1) >= -1e-12) & (pur <= P[:, None] + 1e-12)
+    # A row whose maximum has no other feasible candidate within 2e-15 picks
+    # it under the tie rule; rows with near-ties replay the rule in order.
+    best = np.max(val, axis=-1, where=feasible, initial=-np.inf)
+    near = feasible & (val >= best[:, None] - 2e-15)
+    pick = np.argmax(near, axis=-1)
+    tied = near.sum(axis=-1) > 1
+    if tied.any():
+        pick[tied] = _tie_scan(val[tied], pur[tied], feasible[tied])
+    lam = np.clip(cand[np.arange(len(a2)), pick], 0.0, None)
+    return lam.reshape(a.shape)
+
+
+def _tie_scan(val, pur, feasible):
+    """Index of the winning candidate per row, visiting candidates in order: a
+    feasible one replaces the incumbent when its value is higher by more than
+    1e-15, or within 1e-15 and less pure."""
+    best_val = np.full(len(val), -np.inf)
+    best_pur = np.full(len(val), np.inf)
+    pick = np.zeros(len(val), dtype=int)
+    for j in range(val.shape[1]):
+        v, p = val[:, j], pur[:, j]
+        tie = (np.abs(v - best_val) <= 1e-15) & (p < best_pur)
+        take = feasible[:, j] & ((v > best_val + 1e-15) | tie)
+        best_val = np.where(take, v, best_val)
+        best_pur = np.where(take, p, best_pur)
+        pick[take] = j
+    return pick
 
 
 def rho_step(pi, P):
@@ -93,55 +155,93 @@ def rho_step(pi, P):
 
     Diagonalize Pi^Gamma with descending eigenvalues a and eigenvectors V;
     the optimal rho is V diag(lam) V^dag with lam = vector_subproblem(a, P).
+    Takes a 6x6 Pi and a bound, or an (n, 6, 6) stack and one bound per Pi.
     """
-    FAMILIES["deg"].check(P, "ACS")
+    P = FAMILIES["deg"].check(P, "ACS")
     w, v = eig_hermitian(partial_transpose_qubit(pi))
-    a = w[::-1]
-    v = v[:, ::-1]
-    lam = vector_subproblem(a, P)
-    return (v * lam) @ v.conj().T
+    lam = vector_subproblem(w[..., ::-1], P)
+    v = v[..., ::-1]
+    return (v * lam[..., None, :]) @ _herm(v)
+
+
+def _escape(pi, rho, ppt):
+    """The projectors for the next rho-step: pi, except on the PPT rows,
+    which get I - |v><v| with v the eigenvector of the smallest eigenvalue of
+    rho^Gamma."""
+    if ppt.any():
+        pi = pi.copy()
+        _, v = eig_hermitian(partial_transpose_qubit(rho[ppt]))
+        v_min = v[..., :1]
+        pi[ppt] = np.eye(6) - v_min @ _herm(v_min)
+    return pi
+
+
+def _acs_lockstep(P, rho0, max_rounds):
+    """Run the ascent from every start of the (n, 6, 6) stack rho0 at the
+    bounds P (n,), all live runs advancing together.  A run freezes once its
+    round increment drops below STOP_INCREMENT.  Returns the per-run round
+    values, final states, final projectors and statuses."""
+    rho = np.array(rho0, dtype=complex)
+    pi = pi_step(rho)
+    last = pi_objective(pi, rho)
+    rounds = [[v] for v in last.tolist()]
+    status = ["max_rounds"] * len(P)
+    live = np.arange(len(P))
+    for _ in range(max_rounds):
+        step = _escape(pi[live], rho[live], last[live] < STOP_INCREMENT)
+        rho[live] = rho_step(step, P[live])
+        pi[live] = pi_step(rho[live])
+        value = pi_objective(pi[live], rho[live])
+        done = value - last[live] < STOP_INCREMENT
+        last[live] = value
+        for i, v in zip(live, value.tolist()):
+            rounds[i].append(v)
+        for i in live[done]:
+            status[i] = "stalled_ppt" if last[i] < STOP_INCREMENT else "converged"
+        live = live[~done]
+        if not live.size:
+            break
+    return rounds, rho, pi, status
 
 
 @dataclass
 class AcsTrace:
-    """One run of the scheme: round values, final iterates, convergence flag."""
+    """One run of the scheme: round values, final iterates, and why it
+    stopped ("converged", "stalled_ppt" or "max_rounds")."""
 
     P: float
     rounds: list
     final_state: np.ndarray
     final_projector: np.ndarray
-    converged: bool
+    status: str
     rounds_used: int
 
     @property
     def best_value(self):
         return float(self.rounds[-1])
 
+    @property
+    def converged(self):
+        return self.status == "converged"
+
 
 def acs_run(P, rho0, max_rounds=200):
-    """Iterate Pi- and rho-steps from rho0 until the round increment drops
-    below 1e-12 or max_rounds is hit."""
+    """Iterate Pi- and rho-steps from the density matrix rho0 until the round
+    increment drops below 1e-12 or max_rounds is hit."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    rho0 = check_density_matrix(rho0)
     if purity(rho0) > P + 1e-10:
         raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")
-    pi = pi_step(rho0)
-    rho = rho0
-    rounds = [pi_objective(pi, rho)]
-    converged = False
-    for _ in range(max_rounds):
-        rho = rho_step(pi, P)
-        pi = pi_step(rho)
-        rounds.append(pi_objective(pi, rho))
-        if rounds[-1] - rounds[-2] < STOP_INCREMENT:
-            converged = True
-            break
+    (rounds,), (rho,), (pi,), (status,) = _acs_lockstep(
+        np.array([P], dtype=float), rho0[None], max_rounds
+    )
     return AcsTrace(
         P=float(P),
         rounds=rounds,
         final_state=rho,
         final_projector=pi,
-        converged=converged,
+        status=status,
         rounds_used=len(rounds) - 1,
     )
 
@@ -156,36 +256,47 @@ class AcsSummary:
     reference: float
     deviation: float
     rounds: int
-    converged: bool
+    status: str
     round_values: list
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
 
 def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     """Run the scheme from random full-rank starts over a purity grid.
 
     Returns one AcsSummary per (P, sample), with the deviation taken against
-    the triply-degenerate X-state ceiling at the same purity.
+    the triply-degenerate X-state ceiling at the same purity.  The per-run
+    seeds are drawn from `rng` in (P, sample) order; the runs then go through
+    the lockstep loop in blocks of at most SWEEP_BLOCK.
     """
-    from .linalg import random_density_fixed_purity
-
+    p_grid = FAMILIES["deg"].check(np.ravel(np.asarray(p_grid, dtype=float)), "ACS")
+    if samples_per_p < 0:
+        raise ValueError(f"samples_per_p must be >= 0, got {samples_per_p}")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     rng = np.random.default_rng(rng)
+    runs = [(float(P), int(rng.integers(0, 2**31 - 1))) for P in p_grid for _ in range(samples_per_p)]
     out = []
-    for P in p_grid:
-        for s in range(samples_per_p):
-            seed = int(rng.integers(0, 2**31 - 1))
-            rho0 = random_density_fixed_purity(P, np.random.default_rng(seed))
-            trace = acs_run(P, rho0, max_rounds=max_rounds)
-            ref = FAMILIES["deg"].curve(P)
+    for start in range(0, len(runs), SWEEP_BLOCK):
+        block = runs[start : start + SWEEP_BLOCK]
+        P = np.array([p for p, _ in block])
+        rho0 = np.stack([random_density_fixed_purity(p, np.random.default_rng(s)) for p, s in block])
+        rounds, _, _, status = _acs_lockstep(P, rho0, max_rounds)
+        for (p, seed), values, st in zip(block, rounds, status):
+            ref = FAMILIES["deg"].curve(p)
             out.append(
                 AcsSummary(
-                    P=float(P),
+                    P=p,
                     seed=seed,
-                    best_value=trace.best_value,
+                    best_value=values[-1],
                     reference=ref,
-                    deviation=float(trace.best_value - ref),
-                    rounds=trace.rounds_used,
-                    converged=trace.converged,
-                    round_values=trace.rounds,
+                    deviation=float(values[-1] - ref),
+                    rounds=len(values) - 1,
+                    status=st,
+                    round_values=values,
                 )
             )
     return out

@@ -142,28 +142,58 @@ class _IOFailure(Exception):
 
 
 @contextlib.contextmanager
-def _output(path):
-    """The artifact stream, stdout for "-"; any OSError becomes _IOFailure."""
+def _output(*paths):
+    """One stream per artifact path, stdout for "-"; any OSError becomes
+    _IOFailure.
+
+    A regular file (or a new one) is written to a temporary file next to it,
+    and every target is replaced only once all streams are written, so a
+    failed run leaves each target as it was.  Other existing paths, such as
+    devices, are written in place.
+    """
+    streams, pending, named = [], [], {}
     try:
-        fh = sys.stdout if path in (None, "-") else open(path, "w", newline="")
         try:
-            yield fh
+            for i, path in enumerate(paths):
+                if path in (None, "-"):
+                    streams.append(sys.stdout)
+                    continue
+                target = os.path.realpath(path)
+                if os.path.exists(target) and not os.path.isfile(target):
+                    streams.append(open(target, "w", newline=""))
+                else:
+                    tmp = f"{target}.{os.getpid()}-{i}.tmp"
+                    pending.append((tmp, target))
+                    named[tmp] = path
+                    streams.append(open(tmp, "x", newline=""))
+            yield streams
         finally:
-            if fh is not sys.stdout:
-                fh.close()
+            for fh in streams:
+                if fh is not sys.stdout:
+                    fh.close()
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
     except OSError as exc:
-        raise _IOFailure(str(exc))
+        name = named.get(exc.filename, exc.filename)
+        raise _IOFailure(f"{exc.strerror}: {name}" if exc.strerror and name else str(exc))
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
-def _write_csv(path, header, rows):
-    with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+def _write_csv(*tables):
+    """Write (path, header, rows) tables through one _output."""
+    with _output(*(path for path, _, _ in tables)) as streams:
+        for fh, (_, header, rows) in zip(streams, tables):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _write_json(path, obj):
-    with _output(path) as fh:
+    with _output(path) as (fh,):
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
@@ -223,7 +253,7 @@ def cmd_curves(cfg):
         values, inside = _gated_curves(P, families, cfg.tolerance)
         for p, vals, ins in zip(P, values, inside):
             rows.append((p, *(v if i else None for v, i in zip(vals, ins))))
-    _write_csv(cfg.output, ["P", *(fam.column for fam in families)], rows)
+    _write_csv((cfg.output, ["P", *(fam.column for fam in families)], rows))
     return EXIT_OK
 
 
@@ -239,7 +269,7 @@ def cmd_gap(cfg):
                 rows.append((p, nd, None, None, "negative radicand"))
             else:
                 rows.append((p, nd, nh, nd - nh, ""))
-    _write_csv(cfg.output, ["P", "Ndeg", "Nhed", "diff", "reason"], rows)
+    _write_csv((cfg.output, ["P", "Ndeg", "Nhed", "diff", "reason"], rows))
     return EXIT_OK
 
 
@@ -274,7 +304,7 @@ def _cmd_tgx(cfg, family, maximizer, matrix_fn):
         )
         ref = fam.curve(P)
         rows.append((P, best, ref, best - ref))
-    _write_csv(cfg.output, ["P", "tgx_max", "x_reference", "gap"], rows)
+    _write_csv((cfg.output, ["P", "tgx_max", "x_reference", "gap"], rows))
     return EXIT_OK
 
 
@@ -297,20 +327,17 @@ def cmd_acs(cfg):
     rng = np.random.default_rng(cfg.seed)
     purities = np.sort(rng.uniform(p_min, p_max, size=cfg.runs))
     summaries = acs_sweep(purities, 1, rng)
-    rows = []
-    for s in summaries:
-        rows.append((s.P, s.seed, s.best_value, s.reference, s.deviation, s.rounds, s.converged))
-    _write_csv(
-        cfg.output,
-        ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "converged"],
-        rows,
-    )
+    rows = [(s.P, s.seed, s.best_value, s.reference, s.deviation, s.rounds, s.status) for s in summaries]
+    tables = [
+        (cfg.output, ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "status"], rows)
+    ]
     if cfg.trace_output is not None:
         trace_rows = []
         for idx, s in enumerate(summaries[:4]):
             for rnd, val in enumerate(s.round_values):
                 trace_rows.append((idx, s.P, rnd, val))
-        _write_csv(cfg.trace_output, ["run_index", "P", "round", "value"], trace_rows)
+        tables.append((cfg.trace_output, ["run_index", "P", "round", "value"], trace_rows))
+    _write_csv(*tables)
     return EXIT_OK
 
 
@@ -326,7 +353,7 @@ def cmd_prop1(cfg):
         dev = np.abs(brute - n_x_lambda(lams))
         worst = max(worst, float(dev.max()))
         violations += int(np.sum(dev > 1e-12))
-    with _output(cfg.output) as fh:
+    with _output(cfg.output) as (fh,):
         fh.write(f"spectra tested: {cfg.count}\n")
         fh.write(f"optimal assignment: {OPTIMAL_SEQUENCE}\n")
         fh.write(f"violations (|brute-force - closed form| > 1e-12): {violations}\n")

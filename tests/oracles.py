@@ -77,3 +77,38 @@ def negativity_neg_eigs(rho):
     pt = rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
     w = np.linalg.eigvalsh(pt)
     return float(2.0 * np.sum(np.maximum(0.0, -w)))
+
+
+def vector_subproblem_loop(a, P):
+    """The KKT support enumeration of the ACS rho-step, one support at a time.
+
+    Maximizes a . lam over lam >= 0, sum lam = 1, sum lam^2 <= P for a (6,)
+    vector a by visiting the 63 supports in bitmask order, each with its
+    uniform point and (when P > 1/|S| and a is nonconstant on S) its
+    purity-active point; a candidate replaces the incumbent when its value is
+    higher by more than 1e-15, or within 1e-15 and less pure.  Returns
+    (lam, support bitmask of the winner).
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.size
+    best_val, best_pur, best_lam, best_mask = -np.inf, np.inf, None, None
+    for mask in range(1, 2**n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        k = len(idx)
+        a_s = a[idx]
+        candidates = [np.full(k, 1.0 / k)]
+        centered = a_s - a_s.mean()
+        ssq = float(centered @ centered)
+        if P > 1.0 / k and ssq > 0.0:
+            scale = np.sqrt((P - 1.0 / k) / ssq)
+            candidates.append(1.0 / k + scale * centered)
+        for cand in candidates:
+            pur = float(cand @ cand)
+            if np.min(cand) < -1e-12 or pur > P + 1e-12:
+                continue
+            val = float(a_s @ cand)
+            if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and pur < best_pur):
+                lam = np.zeros(n)
+                lam[idx] = np.clip(cand, 0.0, None)
+                best_val, best_pur, best_lam, best_mask = val, pur, lam, mask
+    return best_lam, best_mask

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from oracles import vector_subproblem_loop
 from qqmems.acs import (
+    STOP_INCREMENT,
+    SWEEP_BLOCK,
     AcsTrace,
     acs_run,
     acs_sweep,
@@ -55,6 +60,67 @@ class TestVectorSubproblem:
     def test_domain(self):
         with pytest.raises(ValueError, match="purity bound"):
             vector_subproblem(np.zeros(6), 0.1)
+
+    @pytest.mark.parametrize(
+        "a,P,match",
+        [
+            ([np.nan, 0, 0, 0, 0, 0], 0.5, "finite"),
+            ([np.inf, 0, 0, 0, 0, 0], 0.5, "finite"),
+            ([0, 0, 0, 0, -np.inf, 0], 0.5, "finite"),
+            ([1.0, 0, 0, 0, 0], 0.5, "shape"),
+            ([1.0, 0, 0, 0, 0, 0, 0], 0.5, "shape"),
+            ([[[1.0, 0, 0, 0, 0, 0]]], 0.5, "shape"),
+            ([1.0, 0, 0, 0, 0, 0], np.nan, "purity bound"),
+            ([1.0, 0, 0, 0, 0, 0], np.inf, "purity bound"),
+            ([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]], [0.5, 1.5], "purity bound 1.5"),
+        ],
+    )
+    def test_rejects_bad_input(self, a, P, match):
+        with pytest.raises(ValueError, match=match):
+            vector_subproblem(np.array(a), P)
+
+
+def _assert_matches_loop(a, P):
+    """The kernel on the stack `a` picks each row's loop-oracle candidate:
+    the same support and lambda within 1e-15; stacked rows equal single
+    calls."""
+    lam = vector_subproblem(a, P)
+    for row, p, got in zip(a, np.broadcast_to(P, len(a)), lam):
+        ref, _ = vector_subproblem_loop(row, float(p))
+        np.testing.assert_array_equal(got > 0, ref > 0)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        np.testing.assert_array_equal(vector_subproblem(row, p), got)
+
+
+class TestVectorSubproblemAgainstLoop:
+    def test_random_objectives_and_bounds(self, rng):
+        a = rng.standard_normal((200, 6))
+        P = rng.uniform(1 / 6, 1.0, 200)
+        _assert_matches_loop(a, P)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.0] * 6,
+            [1.0] * 6,
+            [1.0, 1.0, 0.5, 0.5, 0.0, 0.0],
+            [2.0, 2.0, 2.0, 1.0, 1.0, 1.0],
+            [3.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+            # Pi^Gamma of Pi = I as an eigensolver returns it: constant up to
+            # rounding, where the 1e-15 tie rule decides between supports
+            [1.0000000000000018, 1.0000000000000007, 1.0000000000000002,
+             0.9999999999999993, 0.9999999999999991, 0.9999999999999981],
+        ],
+    )
+    @pytest.mark.parametrize("P", [1 / 6, 0.2, 0.3328977812499746, 0.5, 0.9, 1 - 1e-12])
+    def test_constant_and_repeated_entries(self, a, P):
+        _assert_matches_loop(np.array([a]), P)
+
+    @pytest.mark.parametrize("P", [1 / 6, 1 - 1e-12])
+    def test_domain_ends(self, rng, P):
+        _assert_matches_loop(rng.standard_normal((50, 6)), P)
 
 
 class TestPiStep:
@@ -118,9 +184,47 @@ class TestAcsRun:
         with pytest.raises(ValueError, match="exceeds bound"):
             acs_run(0.3, random_density_fixed_purity(0.6, rng))
 
+    @pytest.mark.parametrize(
+        "rho0,match",
+        [
+            (np.zeros((6, 6)), "trace is 0"),
+            (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue"),
+            (np.triu(np.ones((6, 6))) / 6, "not Hermitian"),
+            (np.full((6, 6), np.nan), "not Hermitian"),
+        ],
+    )
+    def test_rejects_a_start_that_is_not_a_state(self, rho0, match):
+        with pytest.raises(ValueError, match=match):
+            acs_run(0.5, rho0)
+
     def test_rejects_zero_rounds(self, rng):
         with pytest.raises(ValueError, match="max_rounds"):
             acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=0)
+
+    def test_ppt_start_escapes_the_identity_projector(self):
+        # a PPT start: Pi = I, whose rho-step alone returns I/6 at value 0
+        rho0 = random_density_fixed_purity(0.3, np.random.default_rng(7))
+        assert abs(negativity(rho0)) < 1e-12
+        trace = acs_run(0.3, rho0)
+        assert abs(trace.rounds[0]) < STOP_INCREMENT
+        assert trace.status == "converged" and trace.converged
+        assert abs(trace.best_value - n_x_p_deg(0.3)) < 1e-8
+        assert np.all(np.diff(trace.rounds) >= -1e-12)
+
+    def test_diagonal_start_is_reported_stalled(self):
+        # A product-basis diagonal start: rho^Gamma = rho and the escape
+        # vector is a product state, so the next state is PPT again.
+        lam = np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
+        trace = acs_run(float(lam @ lam), np.diag(lam).astype(complex))
+        assert trace.status == "stalled_ppt" and not trace.converged
+        assert max(abs(v) for v in trace.rounds) < STOP_INCREMENT
+
+    def test_round_cap_is_reported(self):
+        rho0 = random_density_fixed_purity(0.6, np.random.default_rng(1))
+        trace = acs_run(0.6, rho0, max_rounds=1)
+        assert trace.rounds[1] - trace.rounds[0] >= STOP_INCREMENT
+        assert trace.status == "max_rounds" and not trace.converged
+        assert trace.rounds_used == 1
 
 
 class TestAcsSweep:
@@ -136,7 +240,31 @@ class TestAcsSweep:
             assert abs(s.best_value - (s.reference + s.deviation)) < 1e-15
 
     def test_round_values_are_the_runs_trace(self):
-        (s,) = acs_sweep([0.4], 1, np.random.default_rng(5))
-        trace = acs_run(s.P, random_density_fixed_purity(s.P, np.random.default_rng(s.seed)))
-        assert s.round_values == trace.rounds
-        assert len(s.round_values) == s.rounds + 1
+        # 12 purities x 3 samples: the second block starts at run 32, and the
+        # low purities give PPT starts, which take the escape step
+        grid = np.linspace(0.21, 0.9, 12)
+        summaries = acs_sweep(grid, 3, np.random.default_rng(5))
+        assert len(summaries) == 36 > SWEEP_BLOCK
+        assert any(abs(s.round_values[0]) < STOP_INCREMENT for s in summaries)
+        for s, P in zip(summaries, np.repeat(grid, 3)):
+            trace = acs_run(P, random_density_fixed_purity(P, np.random.default_rng(s.seed)))
+            assert s.P == P
+            assert s.round_values == trace.rounds
+            assert len(s.round_values) == s.rounds + 1
+            assert s.status == trace.status
+
+    @pytest.mark.parametrize(
+        "grid,samples,kwargs,match",
+        [
+            ([0.4], -1, {}, "samples_per_p must be >= 0"),
+            ([0.4, np.nan], 1, {}, "purity nan outside ACS domain"),
+            ([np.inf], 1, {}, "purity inf outside ACS domain"),
+            ([0.1], 1, {}, "purity 0.1 outside ACS domain"),
+            ([1.0], 0, {}, "purity 1.0 outside ACS domain"),
+            ([0.4], 1, {"max_rounds": 0}, "max_rounds must be >= 1"),
+            ([0.4], 0, {"max_rounds": 0}, "max_rounds must be >= 1"),
+        ],
+    )
+    def test_rejects_bad_input_before_any_run(self, grid, samples, kwargs, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            acs_sweep(grid, samples, np.random.default_rng(0), **kwargs)

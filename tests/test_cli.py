@@ -212,7 +212,7 @@ class TestAcs:
         assert code == EXIT_OK
         header, rows = read_csv(out)
         assert header == ["P", "seed", "best_value", "n_deg_reference", "deviation",
-                          "rounds", "converged"]
+                          "rounds", "status"]
         assert len(rows) == 5
         t_header, t_rows = read_csv(tr)
         assert t_header == ["run_index", "P", "round", "value"]
@@ -222,6 +222,18 @@ class TestAcs:
             by_run.setdefault(r[0], []).append(float(r[3]))
         for vals in by_run.values():
             assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["acs.csv", "trace.csv"]
+
+    def test_failed_trace_write_leaves_summary_untouched(self, tmp_path, capsys):
+        out = tmp_path / "acs.csv"
+        out.write_text("previous\n")
+        code, stdout, err = run(["acs", "--runs", "3", "-o", str(out),
+                                 "--trace-output", str(tmp_path / "nodir" / "trace.csv")], capsys)
+        assert code == EXIT_IO and err.startswith("i/o error: ")
+        assert str(tmp_path / "nodir" / "trace.csv") in err and ".tmp" not in err
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["acs.csv"]
+        assert stdout == ""
 
     def test_zero_runs_gives_header_only(self, tmp_path, capsys):
         out = tmp_path / "acs.csv"
@@ -333,3 +345,8 @@ class TestConfigAndErrors:
                             "-o", "/nonexistent-dir/x.csv"], capsys)
         assert code == EXIT_IO
         assert "i/o error" in err
+
+    def test_directory_target_is_io_error_and_left_alone(self, tmp_path, capsys):
+        code, _, err = run(["curves", "--p-steps", "2", "-o", str(tmp_path)], capsys)
+        assert code == EXIT_IO and "i/o error" in err
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
