@@ -11,6 +11,8 @@ contraction points of all active starts into one objective call, and the
 shrink step into a second.  Points the sequential algorithm would not have
 evaluated are computed and discarded; they are not counted in ``nfev``.
 Starts that converge or exhaust their budget freeze while the others go on.
+Per-start constants ride along with the points, so starts of different
+problems (one purity each, say) share a batch.
 """
 
 from dataclasses import dataclass
@@ -39,22 +41,25 @@ def _sort(sim, fsim):
     return sim[rows, ind], fsim[rows, ind]
 
 
-def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
+def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev, args=()):
     """Minimize ``fun`` from every row of ``x0`` (shape (M, N)).
 
-    ``fun(points)`` receives a (K, N) array of points and returns their (K,)
-    objective values.  It must be elementwise: a point's value may not depend
-    on the other points in the call.
+    ``fun(points, *consts)`` receives a (K, N) array of points and returns
+    their (K,) objective values.  ``args`` holds per-start constants, each of
+    shape (M,); ``fun`` gets them as ``consts``, (K,) arrays whose row k
+    belongs to the start of point k.  ``fun`` must be elementwise: a point's
+    value may not depend on the other points in the call.
     """
     x0 = np.asarray(x0, dtype=float)
     M, N = x0.shape
+    args = tuple(np.asarray(c) for c in args)
 
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     k = np.arange(N)
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
     fsim = np.full((M, N + 1), np.inf)
     n0 = min(N + 1, maxfev)
-    fsim[:, :n0] = fun(sim[:, :n0].reshape(-1, N)).reshape(M, n0)
+    fsim[:, :n0] = fun(sim[:, :n0].reshape(-1, N), *(np.repeat(c, n0) for c in args)).reshape(M, n0)
     nfev = np.full(M, n0)
     # scipy sorts the initial simplex twice; with tied values an unstable
     # argsort may reorder the ties on the second pass, so do the same.
@@ -83,7 +88,7 @@ def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
         # Reflection, expansion, outside and inside contraction, each as
         # A * xbar - B * worst with scipy's rounding (e.g. 0.5 * xbar + 0.5 * worst).
         pts = _TRIAL_A * xbar - _TRIAL_B * S[:, -1]
-        vals = fun(pts.reshape(-1, N)).reshape(4, -1)
+        vals = fun(pts.reshape(-1, N), *(np.tile(c[a], 4) for c in args)).reshape(4, -1)
         fxr, fxe, fxc, fxcc = vals
 
         expand = fxr < F[:, 0]
@@ -108,7 +113,7 @@ def nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
         if shrink.any():
             s = np.flatnonzero(shrink)
             moved = S[s, :1] + SIGMA * (S[s, 1:] - S[s, :1])
-            fmoved = fun(moved.reshape(-1, N)).reshape(-1, N)
+            fmoved = fun(moved.reshape(-1, N), *(np.repeat(c[a[s]], N) for c in args)).reshape(-1, N)
             # With the budget running out mid-shrink, scipy has moved vertex
             # n_eval + 1 but not evaluated it, and left the rest untouched.
             n_eval = np.minimum(N, avail[s] - 2)

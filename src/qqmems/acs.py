@@ -270,7 +270,8 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     Returns one AcsSummary per (P, sample), with the deviation taken against
     the triply-degenerate X-state ceiling at the same purity.  The per-run
     seeds are drawn from `rng` in (P, sample) order; the runs then go through
-    the lockstep loop in blocks of at most SWEEP_BLOCK.
+    the lockstep loop in blocks of at most SWEEP_BLOCK, and each block's
+    starts are drawn as one stack, every start from its own seed.
     """
     p_grid = FAMILIES["deg"].check(np.ravel(np.asarray(p_grid, dtype=float)), "ACS")
     if samples_per_p < 0:
@@ -283,7 +284,7 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     for start in range(0, len(runs), SWEEP_BLOCK):
         block = runs[start : start + SWEEP_BLOCK]
         P = np.array([p for p, _ in block])
-        rho0 = np.stack([random_density_fixed_purity(p, np.random.default_rng(s)) for p, s in block])
+        rho0 = random_density_fixed_purity(P, [s for _, s in block])
         rounds, _, _, status = _acs_lockstep(P, rho0, max_rounds)
         for (p, seed), values, st in zip(block, rounds, status):
             ref = FAMILIES["deg"].curve(p)

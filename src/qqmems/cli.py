@@ -215,7 +215,8 @@ def _validated(values, matrices, tol, label):
     return values
 
 
-# Rows per stacked evaluation in curves, gap and prop1; bounds peak memory.
+# Rows per stacked evaluation in curves, gap, prop1 and the TGX searches;
+# bounds peak memory.
 _BLOCK = 256
 
 
@@ -296,14 +297,19 @@ def cmd_certify(cfg):
 def _cmd_tgx(cfg, family, maximizer, matrix_fn):
     fam = FAMILIES[family]
     rng = np.random.default_rng(cfg.seed)
+    grid = _grid(cfg, fam.start)
+    seeds = [rng.integers(2**63) for _ in grid]
     rows = []
-    for P in _grid(cfg, fam.start):
-        result = maximizer(P, restarts=cfg.restarts, rng=np.random.default_rng(rng.integers(2**63)))
+    for P, block_seeds in zip(_blocks(grid), _blocks(seeds)):
+        results = maximizer(P, restarts=cfg.restarts, rng=block_seeds)
         best = _validated(
-            result.best_value, matrix_fn(result.best_params), cfg.tolerance, lambda _: f"tgx@{P}"
+            np.array([r.best_value for r in results]),
+            np.stack([matrix_fn(r.best_params) for r in results]),
+            cfg.tolerance,
+            lambda i: f"tgx@{P[i]}",
         )
         ref = fam.curve(P)
-        rows.append((P, best, ref, best - ref))
+        rows.extend(zip(P, best, ref, best - ref))
     _write_csv((cfg.output, ["P", "tgx_max", "x_reference", "gap"], rows))
     return EXIT_OK
 

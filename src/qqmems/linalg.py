@@ -6,6 +6,7 @@ ordered basis is {|00>, |01>, |02>, |10>, |11>, |12>}.  The partial transpose
 below is taken over the qubit and depends on this convention.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,22 @@ def check_density_matrix(rho, tol=TOL):
     return rho
 
 
+def _ginibre(dim, rng):
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+
+def _haar_from_ginibre(z):
+    """QR of each (..., dim, dim) Ginibre matrix with the R diagonal phases
+    folded back into Q."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim, rng):
     """Haar-distributed random unitary: QR of a complex Ginibre matrix with
     the R diagonal phases folded back into Q."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_from_ginibre(_ginibre(dim, rng))
 
 
 def _simplex_sample(dim, rng, count=None):
@@ -129,6 +139,23 @@ def random_spectrum(rng, dim=6, count=None):
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
+def _per_purity(P, rng):
+    """(scalar, purities, rngs) for the float-or-array purity argument of a
+    seeded routine: P as a 1-D float array and one rng per purity.  A float P
+    takes `rng` itself; a 1-D array takes a sequence of one seed or Generator
+    per purity."""
+    if np.ndim(P) == 0:
+        return True, np.array([P], dtype=float), [rng]
+    grid = np.asarray(P, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"purities must be a float or a 1-D array, got shape {grid.shape}")
+    if not isinstance(rng, (Sequence, np.ndarray)):
+        raise ValueError(f"rng must be a sequence of one seed or Generator per purity, got {rng!r}")
+    if len(rng) != len(grid):
+        raise ValueError(f"{len(rng)} rngs for {len(grid)} purities; need one per purity")
+    return False, grid, list(rng)
+
+
 def random_density_fixed_purity(P, rng):
     """Random full-rank 6x6 density matrix with tr rho^2 = P exactly.
 
@@ -138,9 +165,28 @@ def random_density_fixed_purity(P, rng):
     (rejection of too-mixed draws would almost never terminate for P near 1).
     The spectrum is then conjugated by a Haar unitary, so the distribution is
     unitarily invariant given the spectrum draw.
+
+    P is a float with `rng` a seed or Generator; or P is a 1-D array of
+    purities with `rng` a sequence of one seed or Generator per purity, and
+    the result is the (n, 6, 6) stack whose row i is the matrix the scalar
+    call with P[i] and rng i would give.  The stack takes one QR and one
+    conjugation.
     """
-    if not (1.0 / 6.0 < P < 1.0):
-        raise ValueError(f"purity {P} outside (1/6, 1)")
+    scalar, grid, rngs = _per_purity(P, rng)
+    inside = (1.0 / 6.0 < grid) & (grid < 1.0)
+    if not inside.all():
+        raise ValueError(f"purity {grid[np.argmin(inside)]} outside (1/6, 1)")
+    lam, z = np.zeros((len(grid), 6)), np.zeros((len(grid), 6, 6), dtype=complex)
+    for i, (p, r) in enumerate(zip(grid, rngs)):
+        r = np.random.default_rng(r)
+        lam[i] = _fixed_purity_spectrum(float(p), r)
+        z[i] = _ginibre(6, r)
+    U = _haar_from_ginibre(z)
+    rho = (U * lam[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    return rho[0] if scalar else rho
+
+
+def _fixed_purity_spectrum(P, rng):
     dim = 6
     w = _simplex_sample(dim, rng)
     pw = float(np.sum(w * w))
@@ -159,5 +205,4 @@ def random_density_fixed_purity(P, rng):
         a1 = 2.0 * float(w @ d)
         s = (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * (P - pw))) / (2.0 * a2)
         lam = (1.0 - s) * w + s * e
-    U = haar_unitary(dim, rng)
-    return (U * lam) @ U.conj().T
+    return lam

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _kernels
 from ._nelder_mead import nelder_mead
+from .linalg import _per_purity
 from .purity_mems import FAMILIES, P_MAX, DomainError
 
 __all__ = [
@@ -129,9 +130,64 @@ _P_FLOOR = 1e-12
 _ARC_PHASES = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
-def _check_restarts(restarts):
+def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula):
+    """The batched multistart search behind both TGX maximizers.
+
+    ``consts(P)`` gives the per-purity constants of the objective, a tuple of
+    (n,) arrays; ``draw(rng, restarts)`` the (restarts, N) starts of one
+    purity; ``objective(x, *consts)`` the negated negativity of (K, N) points;
+    ``build(x, *consts)`` the params of one point with its purity's scalar
+    constants; ``formula(params)`` the printed negativity.  Every start of
+    every purity runs in one lockstep Nelder-Mead batch.
+    """
+    scalar, grid, rngs = _per_purity(P, rng)
+    if not np.isfinite(grid).all():
+        raise DomainError(f"purity {grid[np.argmin(np.isfinite(grid))]} is not finite")
+    FAMILIES[family].check(grid)
+    if not isinstance(restarts, (int, np.integer)):
+        raise DomainError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if not grid.size:
+        return []
+    grid = np.minimum(grid, P_MAX)
+    c = consts(grid)
+    starts = np.concatenate([draw(np.random.default_rng(r), restarts) for r in rngs])
+    res = nelder_mead(objective, starts, **_NM_OPTIONS, args=[np.repeat(v, restarts) for v in c])
+    results = []
+    for i, Pi in enumerate(grid):
+        rows = slice(i * restarts, (i + 1) * restarts)
+        win = int(np.argmin(res.fun[rows]))  # first best, as a strict ">" scan picks
+        params = build(res.x[rows][win], *(v[i] for v in c))
+        results.append(
+            MaximizationResult(
+                P=float(Pi),
+                best_value=formula(params),
+                best_params=params,
+                restarts_used=restarts,
+                converged=bool(res.success[rows][win]),
+                nfev=int(res.nfev[rows].sum()),
+                restarts_converged=int(res.success[rows].sum()),
+            )
+        )
+    return results[0] if scalar else results
+
+
+def _tgx2_consts(P):
+    f = np.sqrt(2.0 * P - 1.0)
+    return 0.5 * (1.0 + f), 0.5 * (1.0 - f)
+
+
+def _tgx2_draw(rng, restarts):
+    return rng.uniform(0.0, np.pi, size=(restarts, 2))
+
+
+def _tgx2_objective(th, p1, p2):
+    return -_kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p1, p2)
+
+
+def _tgx2_build(th, p1, p2):
+    return Tgx2Params(*map(float, th), float(p1), float(p2))
 
 
 def maximize_tgx2(P, restarts=32, rng=None):
@@ -139,25 +195,45 @@ def maximize_tgx2(P, restarts=32, rng=None):
 
     The probabilities are pinned by P: p1 = (1 + f)/2, p2 = (1 - f)/2 with
     f = sqrt(2P - 1).  Derivative-free (the objective has |.|-type kinks),
-    with random multistart run in lockstep; deterministic under a fixed rng
-    seed.
+    with ``restarts`` random starts.  P is a float, with ``rng`` a seed or
+    Generator, and gives one MaximizationResult; or P is a 1-D array of
+    purities, with ``rng`` a sequence of one seed or Generator per purity, and
+    gives a list of one result per purity.  Each purity draws its starts from
+    its own rng, so a purity's result does not depend on the rest of the
+    grid; the starts of every purity run in one lockstep batch.
     """
-    FAMILIES["rank2"].check(P)
-    _check_restarts(restarts)
-    P = min(P, P_MAX)
-    rng = np.random.default_rng(rng)
-    f = np.sqrt(2.0 * P - 1.0)
-    p1, p2 = 0.5 * (1.0 + f), 0.5 * (1.0 - f)
+    return _maximize(
+        "rank2", P, restarts, rng,
+        _tgx2_consts, _tgx2_draw, _tgx2_objective, _tgx2_build, tgx2_negativity,
+    )
 
-    def neg_obj(th):
-        return -_kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p1, p2)
 
-    starts = np.array([rng.uniform(0.0, np.pi, size=2) for _ in range(restarts)])
-    res = nelder_mead(neg_obj, starts, **_NM_OPTIONS)
-    win = int(np.argmin(res.fun))  # first best, as a strict ">" scan picks
-    best_th = res.x[win]
-    params = Tgx2Params(theta1=float(best_th[0]), theta2=float(best_th[1]), p1=p1, p2=p2)
-    return _finish(P, params, restarts, res, win, tgx2_negativity)
+def _tgx3_consts(P):
+    g = np.sqrt(6.0 * P - 2.0)
+    # p2 and p3 are smallest at the arc ends: g cos(alpha + 2 pi/3) = 3 floor - 1.
+    alpha = np.full_like(g, np.pi / 3.0)
+    cut = g > 1.0 - 3.0 * _P_FLOOR
+    alpha[cut] = np.arccos((3.0 * _P_FLOOR - 1.0) / g[cut]) - 2.0 * np.pi / 3.0
+    return g, alpha
+
+
+def _tgx3_draw(rng, restarts):
+    return np.column_stack(
+        [rng.uniform(0.0, np.pi, size=(restarts, 3)), rng.uniform(-np.pi, np.pi, size=restarts)]
+    )
+
+
+def _tgx3_probs(s, g, alpha):
+    beta = (alpha * np.sin(s))[..., None]
+    return 1.0 / 3.0 + g[..., None] / 3.0 * np.cos(beta - _ARC_PHASES)
+
+
+def _tgx3_objective(x, g, alpha):
+    return -_kernels.tgx3_negativity_kernel(*x[:, :3].T, *_tgx3_probs(x[:, 3], g, alpha).T)
+
+
+def _tgx3_build(x, g, alpha):
+    return Tgx3Params(*map(float, x[:3]), *map(float, _tgx3_probs(x[3], g, alpha)))
 
 
 def maximize_tgx3(P, restarts=32, rng=None):
@@ -170,53 +246,11 @@ def maximize_tgx3(P, restarts=32, rng=None):
     p1 vertex holds every state up to symmetry.  alpha is pi/3, less where
     the circle leaves the simplex (P > 1/2), and cut so that every p_i stays
     >= 1e-12.  With beta = alpha sin(s) the search over
-    (theta1, theta2, theta3, s) is unconstrained; it runs from ``restarts``
-    random starts in lockstep and is deterministic under a fixed rng seed.
+    (theta1, theta2, theta3, s) is unconstrained and runs from ``restarts``
+    random starts.  P and ``rng`` take the scalar or the array form of
+    `maximize_tgx2`, with the same per-purity rngs and one lockstep batch.
     """
-    FAMILIES["rank3"].check(P)
-    _check_restarts(restarts)
-    P = min(P, P_MAX)
-    rng = np.random.default_rng(rng)
-    g = np.sqrt(6.0 * P - 2.0)
-    # p2 and p3 are smallest at the arc ends: g cos(alpha + 2 pi/3) = 3 floor - 1.
-    if g <= 1.0 - 3.0 * _P_FLOOR:
-        alpha = np.pi / 3.0
-    else:
-        alpha = np.arccos((3.0 * _P_FLOOR - 1.0) / g) - 2.0 * np.pi / 3.0
-
-    def probs(s):
-        beta = alpha * np.sin(s)[..., None]
-        return 1.0 / 3.0 + g / 3.0 * np.cos(beta - _ARC_PHASES)
-
-    def neg_obj(x):
-        return -_kernels.tgx3_negativity_kernel(*x[:, :3].T, *probs(x[:, 3]).T)
-
-    starts = np.column_stack(
-        [rng.uniform(0.0, np.pi, size=(restarts, 3)), rng.uniform(-np.pi, np.pi, size=restarts)]
-    )
-    res = nelder_mead(neg_obj, starts, **_NM_OPTIONS)
-    win = int(np.argmin(res.fun))  # first best
-    best_x = res.x[win]
-    p = probs(best_x[3])
-    params = Tgx3Params(
-        theta1=float(best_x[0]),
-        theta2=float(best_x[1]),
-        theta3=float(best_x[2]),
-        p1=float(p[0]),
-        p2=float(p[1]),
-        p3=float(p[2]),
-    )
-    return _finish(P, params, restarts, res, win, tgx3_negativity)
-
-
-def _finish(P, params, restarts, res, win, formula):
-    """The result of run ``win`` of ``res``, valued by the printed formula."""
-    return MaximizationResult(
-        P=float(P),
-        best_value=formula(params),
-        best_params=params,
-        restarts_used=restarts,
-        converged=bool(res.success[win]),
-        nfev=int(res.nfev.sum()),
-        restarts_converged=int(res.success.sum()),
+    return _maximize(
+        "rank3", P, restarts, rng,
+        _tgx3_consts, _tgx3_draw, _tgx3_objective, _tgx3_build, tgx3_negativity,
     )

@@ -157,10 +157,8 @@ def test_criterion_08_rank2_tgx_gap():
     # the strict-excess probe therefore sits at P = 0.55, and the exact
     # coincidence at P = 0.75 is asserted alongside (see decisions ledger).
     grid = np.linspace(0.5, 0.99, 25)
-    min_gap = np.inf
-    for i, P in enumerate(grid):
-        res = maximize_tgx2(float(P), rng=SEED + 40 + i)
-        min_gap = min(min_gap, res.best_value - n_x_p_rank2(float(P)))
+    results = maximize_tgx2(grid, rng=[SEED + 40 + i for i in range(len(grid))])
+    min_gap = min(res.best_value - n_x_p_rank2(float(P)) for P, res in zip(grid, results))
     excess = maximize_tgx2(0.55, rng=SEED + 4).best_value - n_x_p_rank2(0.55)
     coincide = abs(maximize_tgx2(0.75, rng=SEED + 5).best_value - n_x_p_rank2(0.75))
     _check(8, min_gap >= -1e-10 and excess > 1e-4 and coincide < 1e-10,
@@ -170,10 +168,9 @@ def test_criterion_08_rank2_tgx_gap():
 
 
 def test_criterion_09_rank3_tgx_coincidence():
-    worst = 0.0
-    for i, P in enumerate(np.linspace(1 / 3, 0.999, 100)):
-        res = maximize_tgx3(float(P), rng=SEED + 100 + i)
-        worst = max(worst, abs(res.best_value - n_x_p_rank3(float(P))))
+    grid = np.linspace(1 / 3, 0.999, 100)
+    results = maximize_tgx3(grid, rng=[SEED + 100 + i for i in range(len(grid))])
+    worst = max(abs(res.best_value - n_x_p_rank3(float(P))) for P, res in zip(grid, results))
     _check(9, worst <= 1e-8,
            f"rank-3 TGX max matches the rank-3 X ceiling on a 100-point grid, "
            f"worst |diff| = {worst:.2e} (<= 1e-8)")

@@ -191,6 +191,21 @@ class TestTgx:
         assert "tgx@0.6: closed-form value" in err
         assert out == ""
 
+    def test_rows_across_search_blocks_match_single_searches(self, tmp_path, capsys):
+        # 300 purities span two blocks of the batched search; a row on either
+        # side of the seam is the single search at its purity with its own
+        # child seed, drawn in grid order.
+        out = tmp_path / "t2.csv"
+        args = ["tgx2", "--p-steps", "300", "--seed", "9", "--restarts", "2", "-o", str(out)]
+        assert run(args, capsys)[0] == EXIT_OK
+        _, rows = read_csv(out)
+        grid = np.linspace(0.5, 0.999, 300)
+        seeds = np.random.default_rng(9).integers(2**63, size=300)
+        assert len(rows) == 300
+        for i in (0, 255, 256, 299):
+            res = qqmems.tgx.maximize_tgx2(grid[i], restarts=2, rng=seeds[i])
+            assert rows[i][:2] == [f"{grid[i]:.17g}", f"{res.best_value:.17g}"], i
+
     def test_below_domain_is_usage_error(self, capsys):
         code, _, _ = run(["tgx2", "--p-min", "0.3", "--p-max", "0.6"], capsys)
         assert code == EXIT_USAGE

@@ -70,6 +70,23 @@ class TestStacks:
             assert np.array_equal(pt[m], partial_transpose_qubit(rho))
             assert norms[m] == trace_norm(rho) and negs[m] == negativity(rho)
 
+    def test_fixed_purity_stack_equals_per_purity_draws_bitwise(self):
+        purities = np.linspace(0.17, 0.999, 33)
+        stack = random_density_fixed_purity(purities, [np.random.default_rng(s) for s in range(33)])
+        assert stack.shape == (33, 6, 6)
+        for s, (P, rho) in enumerate(zip(purities, stack)):
+            assert np.array_equal(rho, random_density_fixed_purity(float(P), np.random.default_rng(s)))
+            assert abs(purity(rho) - P) < 1e-12
+        assert random_density_fixed_purity(np.array([]), []).shape == (0, 6, 6)
+
+    def test_fixed_purity_stack_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="1 rngs for 2 purities"):
+            random_density_fixed_purity(np.array([0.3, 0.4]), [0])
+        with pytest.raises(ValueError, match=r"purity nan outside \(1/6, 1\)"):
+            random_density_fixed_purity(np.array([0.3, np.nan]), [0, 1])
+        with pytest.raises(ValueError, match="sequence of one seed or Generator per purity"):
+            random_density_fixed_purity(np.array([0.3, 0.4]), np.random.default_rng(0))
+
     def test_hermiticity_is_checked_per_matrix(self, rng):
         stack = np.array([random_hermitian(rng, scale=1e3) for _ in range(5)])
         eig_hermitian(stack)  # each within tolerance of its own conjugate transpose
@@ -175,6 +192,16 @@ class TestHaarUnitary:
         np.testing.assert_allclose(U.conj().T @ U, np.eye(dim), atol=1e-11)
         assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-11
         np.testing.assert_allclose(np.linalg.norm(U, axis=0), np.ones(dim), atol=1e-11)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phases_leave_a_positive_r_diagonal(self, seed):
+        # U is the Q of the Ginibre draw's QR with R's diagonal made positive.
+        U = haar_unitary(6, np.random.default_rng(seed))
+        g = np.random.default_rng(seed)
+        z = (g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))) / np.sqrt(2.0)
+        R = U.conj().T @ z
+        assert np.abs(np.tril(R, -1)).max() < 1e-12
+        assert np.abs(np.diag(R).imag).max() < 1e-12 and np.diag(R).real.min() > 0
 
 
 class TestRandomDensityFixedPurity:

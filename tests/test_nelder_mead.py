@@ -59,6 +59,35 @@ def test_budget_exhausted_runs_report_failure():
     _assert_bitwise(lock, seq)
 
 
+def rosen_args(x, a, b):
+    """Rosenbrock with minimum at (a, a^2, ...) and curvature b; a and b are
+    scalars for one point or (K,) rows for a (K, N) stack."""
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return np.sum(b * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (a - x[..., :-1]) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("n, maxfev", [(2, 4000), (4, 4000), (4, 50)])
+def test_per_start_args_match_separate_runs_bitwise(n, maxfev):
+    options = dict(OPTIONS, maxfev=maxfev)
+    x0 = _starts(n)
+    rng = np.random.default_rng(100 + n)
+    a, b = rng.uniform(-1.5, 1.5, len(x0)), rng.uniform(1.0, 100.0, len(x0))
+    lock = nelder_mead(rosen_args, x0, **options, args=(a, b))
+    seq = [
+        minimize(rosen_args, x, args=(a[m], b[m]), method="Nelder-Mead", options=options)
+        for m, x in enumerate(x0)
+    ]
+    _assert_bitwise(lock, seq)
+    for m, x in enumerate(x0):
+        alone = nelder_mead(rosen_args, x[None], **options, args=(a[m : m + 1], b[m : m + 1]))
+        assert np.array_equal(alone.x[0], lock.x[m]) and alone.fun[0] == lock.fun[m], m
+        assert alone.nfev[0] == lock.nfev[m] and alone.success[0] == lock.success[m], m
+    if maxfev == 50:
+        assert (lock.nfev >= 50).any() and not lock.success[lock.nfev >= 50].any()
+    else:
+        assert lock.success.sum() > 0
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(qqmems.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

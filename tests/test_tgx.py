@@ -6,7 +6,7 @@ import pytest
 import qqmems.tgx
 from qqmems import purity_mems
 from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, purity
-from qqmems.purity_mems import FAMILIES, P_MAX, n_x_p_rank2, n_x_p_rank3
+from qqmems.purity_mems import FAMILIES, P_MAX, DomainError, n_x_p_rank2, n_x_p_rank3
 from qqmems.tgx import (
     Tgx2Params,
     Tgx3Params,
@@ -86,6 +86,61 @@ class TestFormulas:
 def test_rejects_nonpositive_restarts(maximize, restarts):
     with pytest.raises(ValueError, match="restarts"):
         maximize(0.6, restarts=restarts, rng=0)
+
+
+@pytest.mark.parametrize("maximize", [maximize_tgx2, maximize_tgx3])
+@pytest.mark.parametrize("restarts", [2.5, 3.0, "4", None])
+def test_rejects_nonintegral_restarts(maximize, restarts):
+    with pytest.raises(DomainError, match="restarts must be an integer"):
+        maximize(0.6, restarts=restarts, rng=0)
+    with pytest.raises(DomainError, match="restarts must be an integer"):
+        maximize(np.array([0.6, 0.7]), restarts=restarts, rng=[1, 2])
+
+
+EDGES = {
+    "rank2": [0.5, np.nextafter(0.5, 1), 0.62, 0.9, P_MAX],
+    "rank3": [1 / 3, np.nextafter(1 / 3, 1), 0.41, 0.5, np.nextafter(0.5, 1), 0.77, P_MAX],
+}
+
+
+@pytest.mark.parametrize("family, maximize", [("rank2", maximize_tgx2), ("rank3", maximize_tgx3)])
+class TestArrayForm:
+    def test_batch_matches_scalar_calls(self, family, maximize):
+        purities = np.array(EDGES[family])
+        seeds = 20 + np.arange(len(purities))
+        # Generators and plain seeds mix; a seed stands for its Generator.
+        batch = maximize(purities, rng=[np.random.default_rng(s) for s in seeds[:-1]] + [seeds[-1]])
+        assert len(batch) == len(purities)
+        for P, seed, res in zip(purities, seeds, batch):
+            single = maximize(float(P), rng=seed)
+            for field in ("P", "best_params", "best_value", "nfev", "restarts_converged", "converged"):
+                assert getattr(res, field) == getattr(single, field), (P, field)
+            assert res == single
+
+    def test_empty_grid(self, family, maximize):
+        assert maximize(np.array([]), rng=[]) == []
+
+    @pytest.mark.parametrize(
+        "purities, rng, error, match",
+        [
+            ([0.6, np.nan], [1, 2], DomainError, "nan is not finite"),
+            ([0.6, np.inf], [1, 2], DomainError, "inf is not finite"),
+            ([0.6, 0.2], [1, 2], DomainError, "purity 0.2 outside"),
+            ([0.6, 0.7], [1, 2, 3], ValueError, "3 rngs for 2 purities"),
+            ([0.6, 0.7], [1], ValueError, "1 rngs for 2 purities"),
+            ([0.6, 0.7], 5, ValueError, "sequence of one seed or Generator per purity"),
+            ([[0.6, 0.7]], [1], ValueError, "1-D"),
+        ],
+    )
+    def test_rejects_bad_input_before_any_run(
+        self, family, maximize, purities, rng, error, match, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a search ran before the input was checked")
+
+        monkeypatch.setattr(qqmems.tgx, "nelder_mead", no_run)
+        with pytest.raises(error, match=match):
+            maximize(np.array(purities), rng=rng)
 
 
 class TestMaximizeTgx2:
@@ -185,8 +240,8 @@ class TestMaximizeTgx3:
         monkeypatch.setattr(purity_mems, "rank3_spectrum", cut)
         family = dataclasses.replace(FAMILIES["rank3"], spectrum=cut, curve=cut, construct=cut)
         monkeypatch.setitem(FAMILIES, "rank3", family)
-        for i, (P, ceiling) in enumerate(zip(purities, ceilings)):
-            res = maximize_tgx3(P, rng=100 + i)
+        results = maximize_tgx3(np.array(purities), rng=[100 + i for i in range(len(purities))])
+        for P, ceiling, res in zip(purities, ceilings, results):
             assert abs(res.best_value - ceiling) <= 1e-8, P
 
     @pytest.mark.parametrize(
