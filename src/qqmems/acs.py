@@ -225,11 +225,17 @@ class AcsTrace:
         return self.status == "converged"
 
 
+def _check_max_rounds(max_rounds):
+    if not isinstance(max_rounds, (int, np.integer)):
+        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+
+
 def acs_run(P, rho0, max_rounds=200):
     """Iterate Pi- and rho-steps from the density matrix rho0 until the round
     increment drops below 1e-12 or max_rounds is hit."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    _check_max_rounds(max_rounds)
     rho0 = check_density_matrix(rho0)
     if purity(rho0) > P + 1e-10:
         raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")
@@ -274,10 +280,11 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
     starts are drawn as one stack, every start from its own seed.
     """
     p_grid = FAMILIES["deg"].check(np.ravel(np.asarray(p_grid, dtype=float)), "ACS")
+    if not isinstance(samples_per_p, (int, np.integer)):
+        raise ValueError(f"samples_per_p must be an integer, got {samples_per_p!r}")
     if samples_per_p < 0:
         raise ValueError(f"samples_per_p must be >= 0, got {samples_per_p}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    _check_max_rounds(max_rounds)
     rng = np.random.default_rng(rng)
     runs = [(float(P), int(rng.integers(0, 2**31 - 1))) for P in p_grid for _ in range(samples_per_p)]
     out = []

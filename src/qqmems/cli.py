@@ -459,6 +459,8 @@ def resolve_config(argv):
         setattr(cfg, name, value)
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+    if not (np.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+        raise UsageError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
     for extra in _EXTRAS:
         if hasattr(args, extra):
             setattr(cfg, extra, getattr(args, extra))

@@ -373,6 +373,8 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
     """
     if theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     fam = FAMILIES[theorem_id]
     Fs, c, x, expected = fam.primal(P)
     Fx = Fs[0] + sum(xi * Fi for xi, Fi in zip(x, Fs[1:]))

@@ -10,9 +10,11 @@ index-pair enumeration used as an independent oracle for that assignment, and
 the three scalar inequalities underpinning it.
 """
 
+import itertools
+import math
+
 import numpy as np
 
-from . import _kernels
 from .linalg import TOL, random_spectrum
 from .xstate import XState, validate_x_params, x_matrices
 
@@ -27,6 +29,30 @@ __all__ = [
 ]
 
 OPTIMAL_SEQUENCE = (4, 6, 1, 5)
+
+# All 90 quadruples (i, j, k, l), 0-based, i<j, k<l, pairs disjoint, in
+# lexicographic order: the column order of _pair_table.
+_PAIR_QUADRUPLES = np.array(
+    [
+        (i, j, k, el)
+        for i, j in itertools.combinations(range(6), 2)
+        for k, el in itertools.combinations([m for m in range(6) if m not in (i, j)], 2)
+    ]
+)
+
+
+def _pair_table(lams, quads=_PAIR_QUADRUPLES):
+    """-(lam_i + lam_j) + sqrt((lam_i - lam_j)^2 + (lam_k - lam_l)^2) for (n, 6)
+    spectra lams and (q, 4) 0-based quadruples (i, j, k, l): an (n, q) table.
+
+    Squares go through ``np.float_power`` (libm ``pow`` for scalars and arrays
+    alike), not ``**``: on float64 arrays that takes a SIMD loop or an
+    ``x * x`` fast path, which round differently from the libm ``pow`` numpy
+    uses on float64 scalars, so a table row would differ in the last bit from
+    the same formula on one spectrum's scalars.
+    """
+    li, lj, lk, ll = (lams[:, quads[:, c]] for c in range(4))
+    return -(li + lj) + np.sqrt(np.float_power(li - lj, 2) + np.float_power(lk - ll, 2))
 
 
 def validate_spectrum(lam):
@@ -55,17 +81,19 @@ def s_value(lam, seq):
     one spectrum or an (n, 6) stack.
     """
     lam = validate_spectrum(lam)
-    i, j, k, el = seq
-    if len({i, j, k, el}) != 4:
+    seq = tuple(seq)
+    if len(seq) != 4 or not all(isinstance(m, (int, np.integer)) and 1 <= m <= 6 for m in seq):
+        raise ValueError(f"sequence {seq} must be four integer indices in 1..6")
+    if len(set(seq)) != 4:
         raise ValueError(f"indices must be distinct, got {seq}")
-    values = _kernels.pair_table(np.atleast_2d(lam), np.array([seq]) - 1)[:, 0]
+    values = _pair_table(np.atleast_2d(lam), np.array([seq]) - 1)[:, 0]
     return float(values[0]) if lam.ndim == 1 else values
 
 
 def all_sequences():
     """All 90 quadruples (i, j, k, l), 1-based, i<j, k<l, pairs disjoint, in
     lexicographic order."""
-    return [tuple(int(m) + 1 for m in quad) for quad in _kernels.PAIR_QUADRUPLES]
+    return [tuple(int(m) + 1 for m in quad) for quad in _PAIR_QUADRUPLES]
 
 
 def best_sequence_bruteforce(lam):
@@ -77,12 +105,12 @@ def best_sequence_bruteforce(lam):
     values as an (n,) array.
     """
     lam = validate_spectrum(lam)
-    table = _kernels.pair_table(np.atleast_2d(lam))
+    table = _pair_table(np.atleast_2d(lam))
     cols = np.argmax(table, axis=1)  # first maximum: the lexicographic tie rule
     best = table[np.arange(len(cols)), cols]
     if lam.ndim == 1:
         return all_sequences()[cols[0]], float(best[0])
-    return _kernels.PAIR_QUADRUPLES[cols] + 1, best
+    return _PAIR_QUADRUPLES[cols] + 1, best
 
 
 def n_x_lambda(lam):
@@ -121,6 +149,8 @@ def lemma1_check(a, b, c, slack=1e-12):
     All must hold for nonnegative a, b, c; returns a 3-tuple of booleans with
     additive slack on each comparison.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"a, b, c must be finite, got {(a, b, c)}")
     if a < 0 or b < 0 or c < 0:
         raise ValueError("a, b, c must be nonnegative")
     lhs1 = a + np.sqrt((a + b) ** 2 + (b + c) ** 2)

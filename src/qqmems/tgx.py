@@ -11,7 +11,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import _kernels
 from ._nelder_mead import nelder_mead
 from .linalg import _per_purity
 from .purity_mems import FAMILIES, P_MAX, DomainError
@@ -87,16 +86,57 @@ def tgx3_matrix(q):
     return rho
 
 
+# Powers go through ``np.float_power``, not ``**``, so that the batched search
+# and the scalar tgx2_negativity/tgx3_negativity round alike (the reason is
+# spelled out at spectrum._pair_table).
+
+
+def _tgx2_formula(theta1, theta2, p1, p2):
+    """Printed negativity formula for the rank-2 TGX family (scalars or arrays)."""
+    c1 = np.cos(theta1)
+    s1 = np.sin(theta1)
+    c2 = np.cos(theta2)
+    s2 = np.sin(theta2)
+    s2t1 = 2.0 * s1 * c1
+    s2t2 = 2.0 * s2 * c2
+    return (
+        -p1 * c1 * c1
+        - p2 * s2 * s2
+        + np.sqrt(p1 * p1 * np.float_power(c1, 4) + p2 * p2 * s2t2 * s2t2)
+        + np.sqrt(p2 * p2 * np.float_power(s2, 4) + p1 * p1 * s2t1 * s2t1)
+    )
+
+
+def _tgx3_formula(theta1, theta2, theta3, p1, p2, p3):
+    """Printed negativity formula for the rank-3 TGX family (scalars or arrays).
+
+    Sums |sigma| - sigma over the three candidate-negative PT eigenvalues,
+    with (i, j, k) running over cyclic permutations of (1, 2, 3).
+    """
+    th = (theta1, theta2, theta3)
+    p = (p1, p2, p3)
+    total = 0.0
+    for k in range(3):
+        i = (k + 1) % 3
+        j = (k + 2) % 3
+        si = np.sin(th[i])
+        cj = np.cos(th[j])
+        u = p[i] * si * si
+        v = p[j] * cj * cj
+        s2k = np.sin(2.0 * th[k])
+        sigma = 0.5 * (u + v) - 0.5 * np.sqrt(p[k] * p[k] * s2k * s2k + np.float_power(u - v, 2))
+        total += abs(sigma) - sigma
+    return total
+
+
 def tgx2_negativity(q):
     """Closed-form negativity of the rank-2 TGX state."""
-    return float(_kernels.tgx2_negativity_kernel(q.theta1, q.theta2, q.p1, q.p2))
+    return float(_tgx2_formula(q.theta1, q.theta2, q.p1, q.p2))
 
 
 def tgx3_negativity(q):
     """Closed-form negativity of the rank-3 TGX state."""
-    return float(
-        _kernels.tgx3_negativity_kernel(q.theta1, q.theta2, q.theta3, q.p1, q.p2, q.p3)
-    )
+    return float(_tgx3_formula(q.theta1, q.theta2, q.theta3, q.p1, q.p2, q.p3))
 
 
 @dataclass
@@ -183,7 +223,7 @@ def _tgx2_draw(rng, restarts):
 
 
 def _tgx2_objective(th, p1, p2):
-    return -_kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p1, p2)
+    return -_tgx2_formula(th[:, 0], th[:, 1], p1, p2)
 
 
 def _tgx2_build(th, p1, p2):
@@ -229,7 +269,7 @@ def _tgx3_probs(s, g, alpha):
 
 
 def _tgx3_objective(x, g, alpha):
-    return -_kernels.tgx3_negativity_kernel(*x[:, :3].T, *_tgx3_probs(x[:, 3], g, alpha).T)
+    return -_tgx3_formula(*x[:, :3].T, *_tgx3_probs(x[:, 3], g, alpha).T)
 
 
 def _tgx3_build(x, g, alpha):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .linalg import TOL
 
 __all__ = [
@@ -62,10 +61,6 @@ class XState:
     def to_matrix(self):
         """Dense 6x6 density matrix with the X sparsity pattern."""
         return x_matrices(self.a, self.b, self.r, self.phi)
-
-    def params9(self):
-        """Flat (a1..a3, b1..b3, r1..r3) vector for the numeric kernels."""
-        return np.concatenate([self.a, self.b, self.r])
 
     def to_dict(self):
         """Flat JSON-friendly record with keys a1..a3, b1..b3, r1..r3, phi1..phi3."""
@@ -159,13 +154,32 @@ class XSpectra:
         return np.sort(self.pt_eigs.ravel())
 
 
+def _x_block_eigs(a, b, r, transpose=False):
+    """(..., 3, 2) eigenvalues (minus, plus) of the 2x2 blocks of X states
+    given as (..., 3) arrays, or of their partial transposes:
+    (a_k + b_k)/2 -+ sqrt(r^2 + d_k^2) with d_k = (b_k - a_k)/2 and r = r_k,
+    or r = r_{4-k} with transpose=True (the partial transpose swaps r_1 and
+    r_3).  Phases drop out."""
+    if transpose:
+        r = r[..., ::-1]
+    d = 0.5 * (b - a)
+    mean = 0.5 * (a + b)
+    half = np.sqrt(r * r + d * d)
+    return np.stack([mean - half, mean + half], axis=-1)
+
+
+def _x_pt_minus_eigs(a, b, r):
+    """(..., 2) possibly-negative PT eigenvalues of X states given as (..., 3)
+    arrays, the minus branches of blocks 1 and 3; all other PT eigenvalues
+    are nonnegative."""
+    return _x_block_eigs(a, b, r, transpose=True)[..., ::2, 0]
+
+
 def x_spectra(x):
-    """Eigenvalues of an X state and its partial transpose, in closed form
-    (_kernels.x_block_eigs)."""
-    params = x.params9()[None, :]
+    """Eigenvalues of an X state and its partial transpose, in closed form."""
     return XSpectra(
-        state_eigs=_kernels.x_block_eigs(params)[0],
-        pt_eigs=_kernels.x_block_eigs(params, transpose=True)[0],
+        state_eigs=_x_block_eigs(x.a, x.b, x.r),
+        pt_eigs=_x_block_eigs(x.a, x.b, x.r, transpose=True),
         d=0.5 * (x.b - x.a),
     )
 
@@ -177,7 +191,7 @@ def x_negativity(x):
     and at most one of them is, so the negativity reduces to
     2 * max(0, -lam'_1-, -lam'_3-).
     """
-    eigs = _kernels.x_pt_minus_eigs(x.params9()[None, :])[0]
+    eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
     return float(2.0 * max(0.0, -eigs.min()))
 
 
@@ -188,7 +202,7 @@ def count_negative_pt_eigs(x, threshold=-1e-12):
     r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
     that.
     """
-    eigs = _kernels.x_pt_minus_eigs(x.params9()[None, :])[0]
+    eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
     count = int(np.sum(eigs < threshold))
     if count > 1:
         raise RuntimeError(f"two negative PT eigenvalues {eigs} for a valid X state")

@@ -8,7 +8,6 @@ random draws are seeded so reruns are bit-reproducible.
 import numpy as np
 import pytest
 
-from qqmems import _kernels
 from qqmems.acs import acs_run, acs_sweep
 from qqmems.linalg import eig_hermitian, negativity, random_density_fixed_purity, random_spectrum
 from qqmems.purity_mems import (
@@ -22,13 +21,14 @@ from qqmems.purity_mems import (
 )
 from qqmems.spectrum import (
     OPTIMAL_SEQUENCE,
+    best_sequence_bruteforce,
     construct_spectrum_xmems,
     lemma1_check,
     n_x_lambda,
     s_value,
 )
 from qqmems.tgx import maximize_tgx2, maximize_tgx3
-from qqmems.xstate import random_xstate, x_negativity
+from qqmems.xstate import _x_pt_minus_eigs, random_xstate, x_negativity
 
 from conftest import record_acceptance
 
@@ -41,16 +41,13 @@ def _check(number, ok, description):
 
 
 def _random_xstate_batch(rng, n, boundary_prob=0.1):
-    """Vectorized version of random_xstate's ensemble, as a (n, 9) batch."""
+    """Vectorized version of random_xstate's ensemble, as (n, 3) arrays a, b, r."""
     w = rng.exponential(size=(n, 6))
     w /= w.sum(axis=1, keepdims=True)
     frac = rng.uniform(0.0, 1.0, (n, 3))
     frac[rng.uniform(size=(n, 3)) < boundary_prob] = 1.0
-    params = np.empty((n, 9))
-    params[:, :3] = w[:, :3]
-    params[:, 3:6] = w[:, 3:]
-    params[:, 6:] = frac * np.sqrt(w[:, :3] * w[:, 3:])
-    return params
+    a, b = w[:, :3], w[:, 3:]
+    return a, b, frac * np.sqrt(a * b)
 
 
 def test_criterion_01_closed_form_negativity_equivalence():
@@ -65,8 +62,7 @@ def test_criterion_01_closed_form_negativity_equivalence():
 
 def test_criterion_02_at_most_one_negative_pt_eigenvalue():
     rng = np.random.default_rng(SEED + 1)
-    params = _random_xstate_batch(rng, 100_000)
-    eigs = _kernels.x_pt_minus_eigs(params)
+    eigs = _x_pt_minus_eigs(*_random_xstate_batch(rng, 100_000))
     counts = np.sum(eigs < -1e-12, axis=1)
     worst = int(counts.max())
     _check(2, worst <= 1,
@@ -76,7 +72,7 @@ def test_criterion_02_at_most_one_negative_pt_eigenvalue():
 def test_criterion_03_optimal_assignment_oracle_and_inequalities():
     rng = np.random.default_rng(SEED + 2)
     spectra = np.array([random_spectrum(rng) for _ in range(10_000)])
-    brute = _kernels.best_pair_scan(spectra)
+    brute = best_sequence_bruteforce(spectra)[1]
     closed = np.array([s_value(lam, OPTIMAL_SEQUENCE) for lam in spectra])
     worst = float(np.max(np.abs(brute - closed)))
     triples = rng.exponential(size=(100_000, 3))

@@ -201,6 +201,12 @@ class TestAcsRun:
         with pytest.raises(ValueError, match="max_rounds"):
             acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=0)
 
+    @pytest.mark.parametrize("max_rounds", [10.0, 2.5, "10", None])
+    def test_rejects_non_integral_rounds(self, rng, max_rounds):
+        match = re.escape(f"max_rounds must be an integer, got {max_rounds!r}")
+        with pytest.raises(ValueError, match=match):
+            acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=max_rounds)
+
     def test_ppt_start_escapes_the_identity_projector(self):
         # a PPT start: Pi = I, whose rho-step alone returns I/6 at value 0
         rho0 = random_density_fixed_purity(0.3, np.random.default_rng(7))
@@ -263,6 +269,11 @@ class TestAcsSweep:
             ([1.0], 0, {}, "purity 1.0 outside ACS domain"),
             ([0.4], 1, {"max_rounds": 0}, "max_rounds must be >= 1"),
             ([0.4], 0, {"max_rounds": 0}, "max_rounds must be >= 1"),
+            ([0.4], 2.0, {}, "samples_per_p must be an integer, got 2.0"),
+            ([0.4], "2", {}, "samples_per_p must be an integer, got '2'"),
+            ([0.4], None, {}, "samples_per_p must be an integer, got None"),
+            ([0.4], 1, {"max_rounds": 10.0}, "max_rounds must be an integer, got 10.0"),
+            ([0.4], 0, {"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
         ],
     )
     def test_rejects_bad_input_before_any_run(self, grid, samples, kwargs, match):

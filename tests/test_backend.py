@@ -1,13 +1,13 @@
-"""Equivalence of the array kernels with the scalar closed forms.
+"""Equivalence of the array formulas with the scalar closed forms.
 
-The kernels in qqmems._kernels evaluate whole batches; each test compares a
-batch against the textbook formula evaluated one scalar row at a time, and
-against the independent oracles where one applies.
+The X-block eigenvalues (qqmems.xstate), the 90-pair table (qqmems.spectrum)
+and the TGX negativity formulas (qqmems.tgx) evaluate whole batches; each test
+compares a batch against the textbook formula evaluated one scalar row at a
+time, and against the independent oracles where one applies.
 """
 
 import numpy as np
 
-from qqmems import _kernels
 from qqmems.cli import _BLOCK, main
 from qqmems.linalg import partial_transpose_qubit, random_spectrum
 from qqmems.purity_mems import (
@@ -19,20 +19,25 @@ from qqmems.purity_mems import (
     rank2_spectrum,
     rank3_spectrum,
 )
-from qqmems.spectrum import OPTIMAL_SEQUENCE, all_sequences, best_sequence_bruteforce, s_value
-from qqmems.xstate import XState
+from qqmems.spectrum import (
+    OPTIMAL_SEQUENCE,
+    _pair_table,
+    all_sequences,
+    best_sequence_bruteforce,
+    s_value,
+)
+from qqmems.tgx import _tgx2_formula, _tgx3_formula
+from qqmems.xstate import XState, _x_pt_minus_eigs
 
 from oracles import negativity_neg_eigs
 
 
 def _random_params(rng, n):
+    """(n, 3) arrays a, b, r of n random valid X states."""
     w = rng.exponential(size=(n, 6))
     w /= w.sum(axis=1, keepdims=True)
-    params = np.empty((n, 9))
-    params[:, :3] = w[:, :3]
-    params[:, 3:6] = w[:, 3:]
-    params[:, 6:] = rng.uniform(0, 1, (n, 3)) * np.sqrt(w[:, :3] * w[:, 3:])
-    return params
+    a, b = w[:, :3], w[:, 3:]
+    return a, b, rng.uniform(0, 1, (n, 3)) * np.sqrt(a * b)
 
 
 def _pair_value(lam, i, j, k, el):
@@ -51,16 +56,15 @@ def _scan_loop(lam):
 
 
 def test_x_pt_minus_eigs_matches_scalar_closed_form_and_oracle(rng):
-    params = _random_params(rng, 600)
-    eigs = _kernels.x_pt_minus_eigs(params)
+    a, b, r = _random_params(rng, 600)
+    eigs = _x_pt_minus_eigs(a, b, r)
     assert eigs.shape == (600, 2)
-    for m, (a1, _, a3, b1, _, b3, r1, _, r3) in enumerate(params):
+    for m, ((a1, _, a3), (b1, _, b3), (r1, _, r3)) in enumerate(zip(a, b, r)):
         lam1 = 0.5 * (a1 + b1) - np.sqrt(r3 * r3 + (0.5 * (b1 - a1)) ** 2)
         lam3 = 0.5 * (a3 + b3) - np.sqrt(r1 * r1 + (0.5 * (b3 - a3)) ** 2)
         assert abs(eigs[m, 0] - lam1) <= 1e-15 and abs(eigs[m, 1] - lam3) <= 1e-15
     for m in range(0, 600, 30):
-        p = params[m]
-        rho = XState(a=p[:3], b=p[3:6], r=p[6:]).to_matrix()
+        rho = XState(a=a[m], b=b[m], r=r[m]).to_matrix()
         dense = np.linalg.eigvalsh(partial_transpose_qubit(rho))
         # both candidates are eigenvalues of the dense partial transpose
         assert np.min(np.abs(dense[:, None] - eigs[m][None, :]), axis=0).max() <= 1e-14
@@ -70,12 +74,11 @@ def test_x_pt_minus_eigs_matches_scalar_closed_form_and_oracle(rng):
 
 def test_pair_table_equals_scalar_formula_bitwise(rng):
     spectra = random_spectrum(rng, count=2 * _BLOCK + 3)
-    table = _kernels.pair_table(spectra)
+    table = _pair_table(spectra)
     assert table.shape == (len(spectra), 90)
     quads = [tuple(s - 1 for s in seq) for seq in all_sequences()]
     expected = [[_pair_value(lam, *quad) for quad in quads] for lam in spectra]
     assert np.array_equal(table, expected)
-    np.testing.assert_array_equal(_kernels.best_pair_scan(spectra), table.max(axis=1))
 
 
 def test_argmax_keeps_lexicographic_tie_rule(rng):
@@ -142,14 +145,14 @@ def test_batched_purity_curves_equal_scalar_calls():
         assert np.array_equal(fn(P[inside]), np.array([fn(float(p)) for p in P[inside]]))
 
 
-def test_scalar_kernels_agree(rng):
+def test_scalar_tgx_formulas_agree(rng):
     # The TGX formulas evaluated on arrays equal their scalar calls elementwise.
     th = rng.uniform(0, np.pi, (200, 3))
     p = rng.dirichlet(np.ones(3), 200)
-    out3 = _kernels.tgx3_negativity_kernel(*th.T, *p.T)
-    out2 = _kernels.tgx2_negativity_kernel(th[:, 0], th[:, 1], p[:, 0], 1 - p[:, 0])
+    out3 = _tgx3_formula(*th.T, *p.T)
+    out2 = _tgx2_formula(th[:, 0], th[:, 1], p[:, 0], 1 - p[:, 0])
     for m in range(200):
-        assert abs(out3[m] - _kernels.tgx3_negativity_kernel(*th[m], *p[m])) <= 1e-15
+        assert abs(out3[m] - _tgx3_formula(*th[m], *p[m])) <= 1e-15
         assert abs(
-            out2[m] - _kernels.tgx2_negativity_kernel(th[m, 0], th[m, 1], p[m, 0], 1 - p[m, 0])
+            out2[m] - _tgx2_formula(th[m, 0], th[m, 1], p[m, 0], 1 - p[m, 0])
         ) <= 1e-15

@@ -120,20 +120,31 @@ class TestBatchedGate:
 
 class TestRecordedFamilyArtifacts:
     @pytest.mark.parametrize(
-        "args,fixture",
+        "args,fixture,trace_fixture",
         [
-            (["certify", "--p-steps", "20"], "certify_steps20.json"),
-            (["state", "--family", "rank2", "--p", "0.7"], "state_rank2_p0.7.json"),
-            (["state", "--family", "rank3", "--p", "0.45"], "state_rank3_p0.45.json"),
-            (["state", "--family", "deg", "--p", "0.3"], "state_deg_p0.3.json"),
-            (["state", "--family", "deg", "--p", "0.6"], "state_deg_p0.6.json"),
+            (["certify", "--p-steps", "20"], "certify_steps20.json", None),
+            (["state", "--family", "rank2", "--p", "0.7"], "state_rank2_p0.7.json", None),
+            (["state", "--family", "rank3", "--p", "0.45"], "state_rank3_p0.45.json", None),
+            (["state", "--family", "deg", "--p", "0.3"], "state_deg_p0.3.json", None),
+            (["state", "--family", "deg", "--p", "0.6"], "state_deg_p0.6.json", None),
+            (["tgx2", "--p-steps", "25", "--seed", "1"], "tgx2_steps25_seed1.csv", None),
+            (["tgx3", "--p-steps", "10", "--seed", "1"], "tgx3_steps10_seed1.csv", None),
+            (["acs", "--runs", "100", "--seed", "1"], "acs_runs100_seed1.csv",
+             "acs_trace_runs100_seed1.csv"),
         ],
     )
-    def test_stdout_matches_recorded_bytes(self, args, fixture, capsys):
-        # Recorded before the family records replaced the per-command tables.
+    def test_stdout_matches_recorded_bytes(self, args, fixture, trace_fixture, tmp_path, capsys):
+        # certify and state were recorded before the family records replaced
+        # the per-command tables; tgx2, tgx3 and acs before the formulas moved
+        # into the modules that own their inputs.
+        trace = tmp_path / "trace.csv"
+        if trace_fixture is not None:
+            args = args + ["--trace-output", str(trace)]
         code, out, _ = run(args, capsys)
         assert code == EXIT_OK
         assert out == (FIXTURES / fixture).read_text()
+        if trace_fixture is not None:
+            assert trace.read_text() == (FIXTURES / trace_fixture).read_text()
 
 
 class TestCertify:
@@ -312,6 +323,11 @@ class TestConfigAndErrors:
             (["tgx2", "--restarts", "0"], "restarts must be >= 1"),
             (["state", "--family", "deg", "--p", "0.2"], "purity 0.2 outside degenerate domain"),
             (["prop1", "--seed", "-2"], "seed must be >= 0, got -2"),
+            (["state", "--family", "deg", "--p", "0.3", "--tolerance", "nan"],
+             "tolerance must be finite and >= 0, got nan"),
+            (["state", "--family", "deg", "--p", "0.3", "--tolerance", "-1"],
+             "tolerance must be finite and >= 0, got -1.0"),
+            (["certify", "--tolerance", "inf"], "tolerance must be finite and >= 0, got inf"),
         ],
     )
     def test_rejected_input_is_usage_error_naming_it(self, args, named, capsys):
@@ -333,6 +349,13 @@ class TestConfigAndErrors:
         monkeypatch.setenv("QQMEMS_SEED", "-1")
         code, _, err = run(["curves", "--print-config"], capsys)
         assert code == EXIT_USAGE and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "-1e-10", "inf"])
+    def test_bad_tolerance_from_environment_is_usage_error(self, raw, capsys, monkeypatch):
+        monkeypatch.setenv("QQMEMS_TOLERANCE", raw)
+        code, out, err = run(["certify", "--p-steps", "2"], capsys)
+        assert code == EXIT_USAGE and f"tolerance must be finite and >= 0, got {float(raw)}" in err
+        assert out == ""
 
     def test_print_config_precedence(self, capsys, monkeypatch):
         monkeypatch.setenv("QQMEMS_SEED", "42")

@@ -239,6 +239,11 @@ class TestCertificates:
         with pytest.raises(ValueError, match="unknown theorem"):
             verify_certificate("rank4", 0.5)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
+            verify_certificate("deg", 0.25, tol=tol)
+
     def test_strict_raises_on_failure(self):
         with pytest.raises(AssertionError, match="certificate check failed"):
             verify_certificate("deg", 0.25, tol=1e-30)

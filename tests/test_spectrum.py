@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,20 @@ class TestSValue:
     def test_rejects_repeated_indices(self):
         with pytest.raises(ValueError, match="distinct"):
             s_value(np.array([1.0, 0, 0, 0, 0, 0]), (1, 2, 1, 3))
+
+    @pytest.mark.parametrize(
+        "seq",
+        [(0, 1, 2, 3), (6, 1, 2, 3, 4), (7, 1, 2, 3), (-1, 1, 2, 3), (4.0, 6, 1, 5), ("4", 6, 1, 5),
+         (4, 6, 1)],
+    )
+    def test_rejects_indices_outside_one_to_six(self, seq):
+        # index 0 would wrap round to lam_6: (0, 1, 2, 3) would equal (6, 1, 2, 3)
+        with pytest.raises(ValueError, match=re.escape(f"sequence {seq} must be four integer")):
+            s_value(np.full(6, 1.0 / 6.0), seq)
+
+    def test_accepts_numpy_integer_indices(self):
+        lam = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
+        assert s_value(lam, np.array(OPTIMAL_SEQUENCE)) == s_value(lam, OPTIMAL_SEQUENCE)
 
     def test_sequence_count_and_disjointness(self):
         seqs = all_sequences()
@@ -116,3 +132,10 @@ class TestLemma1:
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError, match="nonnegative"):
             lemma1_check(-1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "args", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), (np.float64("nan"), 1.0, 1.0)]
+    )
+    def test_rejects_non_finite_arguments(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            lemma1_check(*args)
