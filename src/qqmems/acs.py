@@ -24,7 +24,8 @@ PPT state the rho-step therefore takes I - |v_min><v_min| instead, v_min the
 eigenvector of the smallest eigenvalue of rho^Gamma; the round values are
 still the negativities, so the trace stays monotone.  A run ends with status
 "converged", "stalled_ppt" (it stopped at a PPT state all the same) or
-"max_rounds".
+"max_rounds", and keeps its final state, whose trace-norm negativity its
+last round value should equal.
 """
 
 from dataclasses import dataclass
@@ -64,15 +65,15 @@ def _herm(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def pi_step(rho, threshold=1e-12):
+def pi_step(rho):
     """Projector onto the strictly positive eigenspace of rho^Gamma, for a
     6x6 matrix or each of an (n, 6, 6) stack.
 
-    Eigenvalues within [-threshold, threshold] are excluded; their inclusion
-    would be objective-neutral.
+    Eigenvalues within [-1e-12, 1e-12] are excluded; their inclusion would be
+    objective-neutral.
     """
     w, v = eig_hermitian(partial_transpose_qubit(rho))
-    cols = v * (w > threshold)[..., None, :]
+    cols = v * (w > 1e-12)[..., None, :]
     return cols @ _herm(cols)
 
 
@@ -180,7 +181,7 @@ def _acs_lockstep(P, rho0, max_rounds):
     """Run the ascent from every start of the (n, 6, 6) stack rho0 at the
     bounds P (n,), all live runs advancing together.  A run freezes once its
     round increment drops below STOP_INCREMENT.  Returns the per-run round
-    values, final states, final projectors and statuses."""
+    values, final states and statuses."""
     rho = np.array(rho0, dtype=complex)
     pi = pi_step(rho)
     last = pi_objective(pi, rho)
@@ -201,18 +202,17 @@ def _acs_lockstep(P, rho0, max_rounds):
         live = live[~done]
         if not live.size:
             break
-    return rounds, rho, pi, status
+    return rounds, rho, status
 
 
 @dataclass
 class AcsTrace:
-    """One run of the scheme: round values, final iterates, and why it
-    stopped ("converged", "stalled_ppt" or "max_rounds")."""
+    """One run of the scheme: round values, final state, and why it stopped
+    ("converged", "stalled_ppt" or "max_rounds")."""
 
     P: float
     rounds: list
     final_state: np.ndarray
-    final_projector: np.ndarray
     status: str
     rounds_used: int
 
@@ -239,14 +239,13 @@ def acs_run(P, rho0, max_rounds=200):
     rho0 = check_density_matrix(rho0)
     if purity(rho0) > P + 1e-10:
         raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")
-    (rounds,), (rho,), (pi,), (status,) = _acs_lockstep(
+    (rounds,), (rho,), (status,) = _acs_lockstep(
         np.array([P], dtype=float), rho0[None], max_rounds
     )
     return AcsTrace(
         P=float(P),
         rounds=rounds,
         final_state=rho,
-        final_projector=pi,
         status=status,
         rounds_used=len(rounds) - 1,
     )
@@ -254,7 +253,8 @@ def acs_run(P, rho0, max_rounds=200):
 
 @dataclass
 class AcsSummary:
-    """One sweep run; ``round_values`` is the run's AcsTrace.rounds."""
+    """One sweep run; ``round_values`` and ``final_state`` are the run's
+    AcsTrace.rounds and AcsTrace.final_state."""
 
     P: float
     seed: int
@@ -264,6 +264,7 @@ class AcsSummary:
     rounds: int
     status: str
     round_values: list
+    final_state: np.ndarray
 
     @property
     def converged(self):
@@ -292,8 +293,8 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
         block = runs[start : start + SWEEP_BLOCK]
         P = np.array([p for p, _ in block])
         rho0 = random_density_fixed_purity(P, [s for _, s in block])
-        rounds, _, _, status = _acs_lockstep(P, rho0, max_rounds)
-        for (p, seed), values, st in zip(block, rounds, status):
+        rounds, rho, status = _acs_lockstep(P, rho0, max_rounds)
+        for (p, seed), values, state, st in zip(block, rounds, rho, status):
             ref = FAMILIES["deg"].curve(p)
             out.append(
                 AcsSummary(
@@ -305,6 +306,7 @@ def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
                     rounds=len(values) - 1,
                     status=st,
                     round_values=values,
+                    final_state=state,
                 )
             )
     return out

@@ -11,10 +11,12 @@ Subcommands map one-to-one onto the library's result families:
 * prop1    -- brute-force fuzz of the optimal spectrum assignment
 * state    -- one constructed state as a JSON record
 
-Configuration precedence: command-line flags > QQMEMS_-prefixed environment
-variables > built-in defaults; `--print-config` shows the resolved values.
-Numbers are written with 17 significant digits, comma-separated, LF line
-endings; undefined values become empty cells with a populated reason column.
+Each subcommand accepts only the flags it reads, with the defaults listed in
+`_COMMANDS`; any other flag is a usage error.  `--seed` and `-o/--output` are
+common to all subcommands, so that one seed can be passed to every command;
+the closed-form ones ignore it.  Numbers are written with 17 significant
+digits, comma-separated, LF line endings; undefined values become empty cells
+with a populated reason column.
 
 Exit codes: 0 success, 1 usage error (rejected caller input, such as a purity
 outside a domain), 2 check failure, 3 I/O error; any other exception is a bug.
@@ -26,7 +28,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -36,9 +37,7 @@ from .purity_mems import (
     FAMILIES,
     THEOREMS,
     DomainError,
-    construct_deg,
     hedemann_negativity,
-    n_x_p_deg,
     verify_certificate,
 )
 from .spectrum import (
@@ -51,42 +50,12 @@ from .spectrum import (
 )
 from .tgx import maximize_tgx2, maximize_tgx3, tgx2_matrix, tgx3_matrix
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
-
-ENV_PREFIX = "QQMEMS_"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    p_min: float = None
-    p_max: float = None
-    p_steps: int = 50
-    seed: int = 0
-    restarts: int = 32
-    runs: int = 100
-    count: int = 10_000
-    tolerance: float = 1e-10
-    output: str = "-"
-    trace_output: str = None
-    theorem: str = None
-    family: str = None
-    p: float = None
-    spectrum: str = None
-
-
-# Flags of single subcommands.  Every other field after `command` is a flag of
-# every subcommand and an environment variable, the upper-cased field name
-# with the QQMEMS_ prefix (e.g. QQMEMS_SEED): (field, type, default) triples.
-_EXTRAS = ("theorem", "family", "p", "spectrum")
-_CONFIG_FIELDS = [
-    (f.name, f.type, f.default) for f in fields(RunConfig)[1:] if f.name not in _EXTRAS
-]
 
 
 class UsageError(Exception):
@@ -110,28 +79,19 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _env_default(name, typ, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return typ(raw)
-    except ValueError as exc:
-        raise UsageError(f"environment variable {ENV_PREFIX}{name.upper()}={raw!r}: {exc}")
-
-
-def _grid(cfg, lo, hi_default=0.999, name="purity"):
-    """Resolved [p_min, p_max] grid with p_steps points, domain-clipped."""
+def _grid(cfg, lo):
+    """The [p_min, p_max] purity grid with p_steps points; p_min defaults to
+    lo, the first purity of the family's domain."""
     p_min = cfg.p_min if cfg.p_min is not None else lo
-    p_max = cfg.p_max if cfg.p_max is not None else hi_default
+    p_max = cfg.p_max
     if cfg.p_steps < 1:
         raise UsageError(f"p_steps must be >= 1, got {cfg.p_steps}")
     if cfg.p_steps > 1 and not (p_min < p_max):
-        raise UsageError(f"{name} grid needs p_min < p_max, got [{p_min}, {p_max}]")
+        raise UsageError(f"purity grid needs p_min < p_max, got [{p_min}, {p_max}]")
     if p_min > p_max:
-        raise UsageError(f"{name} grid needs p_min <= p_max, got [{p_min}, {p_max}]")
+        raise UsageError(f"purity grid needs p_min <= p_max, got [{p_min}, {p_max}]")
     if p_max >= 1.0:
-        raise UsageError(f"{name} grid upper end {p_max} must be < 1")
+        raise UsageError(f"purity grid upper end {p_max} must be < 1")
     if cfg.p_steps == 1:
         return np.array([p_min])
     return np.linspace(p_min, p_max, cfg.p_steps)
@@ -259,13 +219,13 @@ def cmd_curves(cfg):
 
 
 def cmd_gap(cfg):
+    deg = FAMILIES["deg"]
     rows = []
-    for P in _blocks(_grid(cfg, FAMILIES["deg"].start)):
+    for P in _blocks(_grid(cfg, deg.start)):
         # Ndeg on every grid point: outside its domain is a usage error.
-        n_deg = _validated(
-            n_x_p_deg(P), construct_deg(P), cfg.tolerance, lambda i: f"Ndeg@{P[i]}"
-        )
-        for p, nd, nh in zip(P, n_deg, hedemann_negativity(P)):
+        deg.check(P)
+        values, _ = _gated_curves(P, [deg], cfg.tolerance)
+        for p, nd, nh in zip(P, values[:, 0], hedemann_negativity(P)):
             if np.isnan(nh):
                 rows.append((p, nd, None, None, "negative radicand"))
             else:
@@ -282,7 +242,7 @@ def cmd_certify(cfg):
     else:
         theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
         jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, FAMILIES[th].start)]
-    reports = [verify_certificate(th, P, tol=cfg.tolerance, strict=False) for th, P in jobs]
+    reports = [verify_certificate(th, P, tol=cfg.tolerance) for th, P in jobs]
     ok = all(r.verified for r in reports)
     _write_json(
         cfg.output,
@@ -323,8 +283,7 @@ def cmd_tgx3(cfg):
 
 
 def cmd_acs(cfg):
-    p_min = cfg.p_min if cfg.p_min is not None else 0.21
-    p_max = cfg.p_max if cfg.p_max is not None else 0.99
+    p_min, p_max = cfg.p_min, cfg.p_max
     deg = FAMILIES["deg"]
     if not (p_min < p_max and deg.contains(p_min) and deg.contains(p_max)):
         raise UsageError(f"acs purity window [{p_min}, {p_max}] outside {deg.domain}")
@@ -333,6 +292,12 @@ def cmd_acs(cfg):
     rng = np.random.default_rng(cfg.seed)
     purities = np.sort(rng.uniform(p_min, p_max, size=cfg.runs))
     summaries = acs_sweep(purities, 1, rng)
+    _validated(
+        np.array([s.best_value for s in summaries]),
+        np.reshape([s.final_state for s in summaries], (-1, 6, 6)),
+        cfg.tolerance,
+        lambda i: f"acs@{summaries[i].P}",
+    )
     rows = [(s.P, s.seed, s.best_value, s.reference, s.deviation, s.rounds, s.status) for s in summaries]
     tables = [
         (cfg.output, ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "status"], rows)
@@ -406,21 +371,39 @@ def cmd_state(cfg):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "curves": cmd_curves,
-    "gap": cmd_gap,
-    "certify": cmd_certify,
-    "tgx2": cmd_tgx2,
-    "tgx3": cmd_tgx3,
-    "acs": cmd_acs,
-    "prop1": cmd_prop1,
-    "state": cmd_state,
-}
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+# Each subcommand's flags beyond the common --seed and -o/--output, by
+# destination, with their defaults.  p_min None starts a grid at the first
+# purity of the family's domain.
+_GRID_FLAGS = {"p_min": None, "p_max": 0.999, "p_steps": 50, "tolerance": 1e-10}
+_COMMANDS = {
+    "curves": (cmd_curves, _GRID_FLAGS),
+    "gap": (cmd_gap, _GRID_FLAGS),
+    "certify": (cmd_certify, {**_GRID_FLAGS, "theorem": None, "p": None}),
+    "tgx2": (cmd_tgx2, {**_GRID_FLAGS, "restarts": 32}),
+    "tgx3": (cmd_tgx3, {**_GRID_FLAGS, "restarts": 32}),
+    "acs": (
+        cmd_acs,
+        {"p_min": 0.21, "p_max": 0.99, "runs": 100, "tolerance": 1e-10, "trace_output": None},
+    ),
+    "prop1": (cmd_prop1, {"count": 10_000}),
+    "state": (cmd_state, {"family": None, "p": None, "spectrum": None, "tolerance": 1e-10}),
+}
+# argparse keywords of the flags that are not plain strings.
+_FLAG_KWARGS = {
+    "p_min": {"type": float},
+    "p_max": {"type": float},
+    "p_steps": {"type": int},
+    "tolerance": {"type": float},
+    "restarts": {"type": int},
+    "runs": {"type": int},
+    "count": {"type": int},
+    "theorem": {"choices": THEOREMS},
+    "p": {"type": float},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,50 +414,27 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="qqmems", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for field, typ, _ in _CONFIG_FIELDS:
-            short = ("-o",) if field == "output" else ()
-            p.add_argument("--" + field.replace("_", "-"), *short, type=typ, default=None)
-        p.add_argument("--print-config", action="store_true")
-        if name == "certify":
-            p.add_argument("--theorem", choices=THEOREMS, default=None)
-            p.add_argument("--p", type=float, default=None)
-        if name == "state":
-            p.add_argument("--family", default=None)
-            p.add_argument("--p", type=float, default=None)
-            p.add_argument("--spectrum", default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("-o", "--output", default="-")
+        for dest, default in flags.items():
+            flag = "--" + dest.replace("_", "-")
+            p.add_argument(flag, default=default, **_FLAG_KWARGS.get(dest, {}))
     return parser
-
-
-def resolve_config(argv):
-    """Parse argv into a RunConfig, applying flag > env > default precedence."""
-    args = build_parser().parse_args(argv)
-    if args.command is None:
-        raise UsageError("a subcommand is required")
-    cfg = RunConfig(command=args.command)
-    for name, typ, default in _CONFIG_FIELDS:
-        flag_value = getattr(args, name, None)
-        value = flag_value if flag_value is not None else _env_default(name, typ, default)
-        setattr(cfg, name, value)
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
-    if not (np.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
-        raise UsageError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
-    for extra in _EXTRAS:
-        if hasattr(args, extra):
-            setattr(cfg, extra, getattr(args, extra))
-    return cfg, args.print_config
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg, print_config = resolve_config(argv)
-        if print_config:
-            print(json.dumps(asdict(cfg), indent=2))
-            return EXIT_OK
-        return _COMMANDS[cfg.command](cfg)
+        cfg = build_parser().parse_args(argv)
+        if cfg.command is None:
+            raise UsageError("a subcommand is required")
+        if cfg.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+        if "tolerance" in cfg and not (np.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+            raise UsageError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
+        return _COMMANDS[cfg.command][0](cfg)
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,26 +32,25 @@ class Tolerances:
     hermiticity: float = 1e-12
     psd_slack: float = 1e-12
     trace: float = 1e-12
-    reconstruction: float = 1e-11
 
 
 TOL = Tolerances()
 
 
-def eig_hermitian(H, tol=TOL.hermiticity):
+def eig_hermitian(H):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises ValueError
-    if any matrix is not Hermitian within `tol`, with the first such matrix's
-    deviation.
+    if any matrix is not Hermitian within TOL.hermiticity, with the first
+    such matrix's deviation.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     dev = np.abs(H - H.conj().swapaxes(-1, -2))
-    if dev.size and not dev.max() <= tol:  # the worst entry of the stack; NaN fails too
+    if dev.size and not dev.max() <= TOL.hermiticity:  # the worst entry; NaN fails too
         per_matrix = np.ravel(dev.max(axis=(-2, -1)))
-        first = per_matrix[np.argmin(per_matrix <= tol)]
+        first = per_matrix[np.argmin(per_matrix <= TOL.hermiticity)]
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {first:.3e}")
     w, v = np.linalg.eigh(H)
     return w, v
@@ -70,10 +69,10 @@ def partial_transpose_qubit(rho):
     return rho.reshape(-1, 2, 3, 2, 3).swapaxes(1, 3).reshape(rho.shape)
 
 
-def trace_norm(H, tol=TOL.hermiticity):
+def trace_norm(H):
     """Trace norm tr sqrt(H^dag H) of a Hermitian matrix (or of each matrix
     of a stack): sum |eigenvalues|."""
-    w, _ = eig_hermitian(H, tol)
+    w, _ = eig_hermitian(H)
     norms = np.sum(np.abs(w), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
@@ -95,15 +94,16 @@ def purity(rho):
     return float(np.real(np.trace(rho @ rho)))
 
 
-def check_density_matrix(rho, tol=TOL):
-    """Validate trace 1, Hermiticity, and positive semidefiniteness."""
+def check_density_matrix(rho):
+    """Validate trace 1, Hermiticity, and positive semidefiniteness, within
+    the TOL tolerances."""
     rho = np.asarray(rho, dtype=complex)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol.trace:
-        raise ValueError(f"trace is {tr}, expected 1 within {tol.trace}")
-    w, _ = eig_hermitian(rho, tol.hermiticity)
-    if w[0] < -tol.psd_slack:
-        raise ValueError(f"smallest eigenvalue {w[0]:.3e} below -{tol.psd_slack}")
+    if abs(tr - 1.0) > TOL.trace:
+        raise ValueError(f"trace is {tr}, expected 1 within {TOL.trace}")
+    w, _ = eig_hermitian(rho)
+    if w[0] < -TOL.psd_slack:
+        raise ValueError(f"smallest eigenvalue {w[0]:.3e} below -{TOL.psd_slack}")
     return rho
 
 
@@ -125,17 +125,19 @@ def haar_unitary(dim, rng):
     return _haar_from_ginibre(_ginibre(dim, rng))
 
 
-def _simplex_sample(dim, rng, count=None):
-    """Uniform point on the probability simplex via exponential spacings; with
-    `count`, a (count, dim) stack drawn from the same stream, row by row."""
-    e = rng.exponential(size=dim if count is None else (count, dim))
+def _simplex_sample(rng, count=None):
+    """Uniform point on the 6-outcome probability simplex via exponential
+    spacings; with `count`, a (count, 6) stack drawn from the same stream, row
+    by row."""
+    e = rng.exponential(size=6 if count is None else (count, 6))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def random_spectrum(rng, dim=6, count=None):
-    """Random descending spectrum (uniform on the simplex, then sorted); with
-    `count`, a (count, dim) stack equal to `count` successive single draws."""
-    w = _simplex_sample(dim, rng, count)
+def random_spectrum(rng, count=None):
+    """Random descending 6-spectrum (uniform on the simplex, then sorted);
+    with `count`, a (count, 6) stack equal to `count` successive single
+    draws."""
+    w = _simplex_sample(rng, count)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
@@ -188,7 +190,7 @@ def random_density_fixed_purity(P, rng):
 
 def _fixed_purity_spectrum(P, rng):
     dim = 6
-    w = _simplex_sample(dim, rng)
+    w = _simplex_sample(rng)
     pw = float(np.sum(w * w))
     if pw >= P:
         # lam(t) = u + t (w - u); purity(t) = 1/6 + t^2 (pw - 1/6)

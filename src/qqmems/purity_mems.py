@@ -360,16 +360,16 @@ class CertificateReport:
         return asdict(self)
 
 
-def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
+def verify_certificate(theorem_id, P, tol=1e-10):
     """Check the optimality certificate of one closed-form curve at purity P.
 
     Verifies (a) primal feasibility of the closed-form spectrum, (b) the dual
     trace conditions, (c) positive semidefiniteness of the dual matrix (or its
     asymptotic limit for the two boundary purities), and (d) a vanishing gap
-    between primal and dual objective values.  With strict=True an AssertionError
-    is raised if any check fails; either way the full report is returned.  A
-    primal objective that does not reproduce the curve value (a transcription
-    error in the certificate data) raises RuntimeError.
+    between primal and dual objective values, each within `tol`.  Returns the
+    full report; ``report.verified`` is the verdict, False if any check
+    fails.  A primal objective that does not reproduce the curve value (a
+    transcription error in the certificate data) raises RuntimeError.
     """
     if theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
@@ -425,10 +425,6 @@ def verify_certificate(theorem_id, P, tol=1e-10, strict=True):
         and all(abs(rr) <= tol for rr in residuals)
         and gap <= tol
     )
-    if strict and not report.verified:
-        raise AssertionError(
-            f"certificate check failed for {theorem_id} at P={P}: {report.to_dict()}"
-        )
     # The dual objective equals the primal one, which maps back to the curve
     # value: a transcription bug in the fixture matrices would surface here.
     if not abs(abs(primal_obj) - expected) <= 1e-9:

@@ -55,8 +55,8 @@ class XState:
             object.__setattr__(self, name, arr)
         self.validate()
 
-    def validate(self, tol=TOL.psd_slack):
-        validate_x_params(self.a, self.b, self.r, tol)
+    def validate(self):
+        validate_x_params(self.a, self.b, self.r)
 
     def to_matrix(self):
         """Dense 6x6 density matrix with the X sparsity pattern."""
@@ -79,9 +79,11 @@ class XState:
         return cls(**vals)
 
 
-def validate_x_params(a, b, r, tol=TOL.psd_slack):
+def validate_x_params(a, b, r):
     """XState.validate for (..., 3) arrays a, b, r, one state or a stack:
-    raises XStateError naming the first offending state; NaN fails."""
+    raises XStateError naming the first offending state; NaN fails.  Signs and
+    positivity are checked within TOL.psd_slack, the trace within TOL.trace."""
+    tol = TOL.psd_slack
     if not (np.all(a >= -tol) and np.all(b >= -tol) and np.all(r >= -tol)):
         raise XStateError("a, b, r must be nonnegative")
     total = np.sum(a, axis=-1) + np.sum(b, axis=-1)
@@ -111,11 +113,11 @@ def x_matrices(a, b, r, phi):
     return rho
 
 
-def from_matrix(rho, tol=1e-12):
+def from_matrix(rho):
     """Recover X-state parameters from a density matrix with X sparsity.
 
-    Raises XStateError listing offending entries if the matrix has support
-    outside the X pattern.
+    Raises XStateError listing offending entries if the matrix has an entry
+    above 1e-12 in magnitude outside the X pattern.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (6, 6):
@@ -124,7 +126,7 @@ def from_matrix(rho, tol=1e-12):
     for i in range(6):
         mask[i, i] = True
         mask[i, 5 - i] = True
-    bad = [(i, j) for i in range(6) for j in range(6) if not mask[i, j] and abs(rho[i, j]) > tol]
+    bad = [(i, j) for i in range(6) for j in range(6) if not mask[i, j] and abs(rho[i, j]) > 1e-12]
     if bad:
         raise XStateError(f"matrix is not in X form; nonzero off-pattern entries at {bad}")
     a = np.array([rho[i, i].real for i, _ in _OFFDIAG])
@@ -195,28 +197,29 @@ def x_negativity(x):
     return float(2.0 * max(0.0, -eigs.min()))
 
 
-def count_negative_pt_eigs(x, threshold=-1e-12):
-    """Number of negative partial-transpose eigenvalues (always 0 or 1).
+def count_negative_pt_eigs(x):
+    """Number of partial-transpose eigenvalues below -1e-12 (always 0 or 1).
 
     Two simultaneous negatives would contradict the positivity constraints
     r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
     that.
     """
     eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
-    count = int(np.sum(eigs < threshold))
+    count = int(np.sum(eigs < -1e-12))
     if count > 1:
         raise RuntimeError(f"two negative PT eigenvalues {eigs} for a valid X state")
     return count
 
 
-def random_xstate(rng, boundary_prob=0.1):
+def random_xstate(rng):
     """Random valid X state: simplex diagonal, r_k a uniform fraction of its
-    positivity bound (occasionally exactly on the bound), uniform phases."""
+    positivity bound (with probability 0.1 exactly on the bound), uniform
+    phases."""
     w = rng.exponential(size=6)
     w /= w.sum()
     a, b = w[:3].copy(), w[3:].copy()
     frac = rng.uniform(0.0, 1.0, size=3)
-    frac[rng.uniform(size=3) < boundary_prob] = 1.0
+    frac[rng.uniform(size=3) < 0.1] = 1.0
     r = frac * np.sqrt(a * b)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
     return XState(a=a, b=b, r=r, phi=phi)

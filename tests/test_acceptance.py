@@ -121,7 +121,7 @@ def test_criterion_06_dual_certificates_on_grids():
     asymptotic_count = 0
     for theorem_id, grid in grids.items():
         for P in grid:
-            report = verify_certificate(theorem_id, float(P), tol=1e-10, strict=False)
+            report = verify_certificate(theorem_id, float(P), tol=1e-10)
             if not report.verified:
                 failures.append((theorem_id, float(P)))
             asymptotic_count += report.asymptotic

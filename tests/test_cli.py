@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qqmems.acs
 import qqmems.tgx
-from qqmems.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from qqmems.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -261,6 +263,14 @@ class TestAcs:
         assert [p.name for p in tmp_path.iterdir()] == ["acs.csv"]
         assert stdout == ""
 
+    def test_round_value_off_the_trace_norm_is_check_failure(self, capsys, monkeypatch):
+        exact = qqmems.acs.pi_objective
+        monkeypatch.setattr(qqmems.acs, "pi_objective", lambda pi, rho: exact(pi, rho) + 1e-6)
+        code, out, err = run(["acs", "--runs", "3", "--seed", "1"], capsys)
+        assert code == EXIT_CHECK
+        assert "check failure: acs@" in err and ": closed-form value" in err
+        assert out == ""
+
     def test_zero_runs_gives_header_only(self, tmp_path, capsys):
         out = tmp_path / "acs.csv"
         code, _, _ = run(["acs", "--runs", "0", "-o", str(out)], capsys)
@@ -345,29 +355,40 @@ class TestConfigAndErrors:
             main(["curves", "--p-steps", "3"])
         assert "usage error" not in capsys.readouterr().err
 
-    def test_negative_seed_from_environment_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("QQMEMS_SEED", "-1")
-        code, _, err = run(["curves", "--print-config"], capsys)
-        assert code == EXIT_USAGE and "seed must be >= 0" in err
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        grid = {"--p-min", "--p-max", "--p-steps", "--tolerance"}
+        expected = {
+            "curves": grid,
+            "gap": grid,
+            "certify": grid | {"--theorem", "--p"},
+            "tgx2": grid | {"--restarts"},
+            "tgx3": grid | {"--restarts"},
+            "acs": {"--p-min", "--p-max", "--runs", "--tolerance", "--trace-output"},
+            "prop1": {"--count"},
+            "state": {"--family", "--p", "--spectrum", "--tolerance"},
+        }
+        common = {"-h", "--help", "--seed", "-o", "--output"}
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sub.choices.keys() == expected.keys()
+        for name, parser in sub.choices.items():
+            flags = {opt for action in parser._actions for opt in action.option_strings}
+            assert flags == expected[name] | common, name
 
-    @pytest.mark.parametrize("raw", ["nan", "-1e-10", "inf"])
-    def test_bad_tolerance_from_environment_is_usage_error(self, raw, capsys, monkeypatch):
-        monkeypatch.setenv("QQMEMS_TOLERANCE", raw)
-        code, out, err = run(["certify", "--p-steps", "2"], capsys)
-        assert code == EXIT_USAGE and f"tolerance must be finite and >= 0, got {float(raw)}" in err
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["curves", "--restarts", "0"],
+            ["curves", "--trace-output", "/nonexistent/x.csv"],
+            ["acs", "--p-steps", "0"],
+            ["prop1", "--p-min", "5"],
+            ["state", "--family", "deg", "--p", "0.3", "--runs", "3"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, args, capsys):
+        code, out, err = run(args, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: unrecognized arguments: ")
         assert out == ""
-
-    def test_print_config_precedence(self, capsys, monkeypatch):
-        monkeypatch.setenv("QQMEMS_SEED", "42")
-        code, out, _ = run(["curves", "--print-config"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 42
-        code, out, _ = run(["curves", "--seed", "7", "--print-config"], capsys)
-        assert json.loads(out)["seed"] == 7
-
-    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("QQMEMS_SEED", "not-a-number")
-        assert run(["curves", "--print-config"], capsys)[0] == EXIT_USAGE
 
     def test_missing_subcommand(self, capsys):
         assert run([], capsys)[0] == EXIT_USAGE

@@ -244,9 +244,8 @@ class TestCertificates:
         with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
             verify_certificate("deg", 0.25, tol=tol)
 
-    def test_strict_raises_on_failure(self):
-        with pytest.raises(AssertionError, match="certificate check failed"):
-            verify_certificate("deg", 0.25, tol=1e-30)
+    def test_failed_check_is_reported_unverified(self):
+        assert not verify_certificate("deg", 0.25, tol=1e-30).verified
 
     def test_theorem_registry(self):
         assert THEOREMS == ("rank2", "rank3", "deg")

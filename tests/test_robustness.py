@@ -183,7 +183,7 @@ def test_internal_checks_survive_optimize_flag():
             print("count:", exc)
         purity_mems.n_x_p_rank2 = lambda P: 0.25  # a transcription error in the curve
         try:
-            purity_mems.verify_certificate("rank2", 0.7, strict=False)
+            purity_mems.verify_certificate("rank2", 0.7)
         except RuntimeError as exc:
             print("certificate:", exc)
         """
