@@ -14,9 +14,10 @@ updates:
 Each half-step is an exact maximization, so the round values never decrease.
 The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
 eigendecomposition per half-step for every live run, each run freezing once
-its round increment drops below STOP_INCREMENT.  `acs_sweep` feeds the loop
-blocks of at most SWEEP_BLOCK runs, which bounds its working set; `acs_run`
-is a block of one.
+its round increment drops below STOP_INCREMENT, or after MAX_ROUNDS rounds.
+`acs_sweep` feeds the loop blocks of at most SWEEP_BLOCK runs, which bounds
+its working set; `acs_run` is a block of one.  Both return the loop's
+records, one AcsTrace per run.
 
 At a PPT state (round value, the negativity, below STOP_INCREMENT) the
 projector is I, whose rho-step returns I/6: a trivial fixed point.  From a
@@ -25,7 +26,8 @@ eigenvector of the smallest eigenvalue of rho^Gamma; the round values are
 still the negativities, so the trace stays monotone.  A run ends with status
 "converged", "stalled_ppt" (it stopped at a PPT state all the same) or
 "max_rounds", and keeps its final state, whose trace-norm negativity its
-last round value should equal.
+last round value should equal.  Comparing a run with the degenerate X
+ceiling is left to the caller.
 """
 
 from dataclasses import dataclass
@@ -49,11 +51,11 @@ __all__ = [
     "acs_run",
     "acs_sweep",
     "AcsTrace",
-    "AcsSummary",
 ]
 
 STOP_INCREMENT = 1e-12
 SWEEP_BLOCK = 32
+MAX_ROUNDS = 200
 
 # Row m - 1 is the support {i : bit i of m is set}, m = 1..63, in the order
 # the KKT enumeration visits them.
@@ -177,11 +179,36 @@ def _escape(pi, rho, ppt):
     return pi
 
 
-def _acs_lockstep(P, rho0, max_rounds):
+@dataclass
+class AcsTrace:
+    """One run of the scheme: its purity bound, the seed its start was drawn
+    from (None for a start the caller gave), round values, final state, and
+    why it stopped ("converged", "stalled_ppt" or "max_rounds")."""
+
+    P: float
+    seed: int | None
+    rounds: list
+    final_state: np.ndarray
+    status: str
+
+    @property
+    def best_value(self):
+        return float(self.rounds[-1])
+
+    @property
+    def rounds_used(self):
+        return len(self.rounds) - 1
+
+    @property
+    def converged(self):
+        return self.status == "converged"
+
+
+def _acs_lockstep(P, rho0, seeds, max_rounds):
     """Run the ascent from every start of the (n, 6, 6) stack rho0 at the
     bounds P (n,), all live runs advancing together.  A run freezes once its
-    round increment drops below STOP_INCREMENT.  Returns the per-run round
-    values, final states and statuses."""
+    round increment drops below STOP_INCREMENT.  Returns one AcsTrace per
+    start, labelled with its entry of `seeds`."""
     rho = np.array(rho0, dtype=complex)
     pi = pi_step(rho)
     last = pi_objective(pi, rho)
@@ -202,111 +229,46 @@ def _acs_lockstep(P, rho0, max_rounds):
         live = live[~done]
         if not live.size:
             break
-    return rounds, rho, status
+    return [
+        AcsTrace(float(p), seed, values, state, st)
+        for p, seed, values, state, st in zip(P, seeds, rounds, rho, status)
+    ]
 
 
-@dataclass
-class AcsTrace:
-    """One run of the scheme: round values, final state, and why it stopped
-    ("converged", "stalled_ppt" or "max_rounds")."""
-
-    P: float
-    rounds: list
-    final_state: np.ndarray
-    status: str
-    rounds_used: int
-
-    @property
-    def best_value(self):
-        return float(self.rounds[-1])
-
-    @property
-    def converged(self):
-        return self.status == "converged"
-
-
-def _check_max_rounds(max_rounds):
+def acs_run(P, rho0, max_rounds=MAX_ROUNDS):
+    """Iterate Pi- and rho-steps from the density matrix rho0 until the round
+    increment drops below 1e-12 or max_rounds is hit."""
     if not isinstance(max_rounds, (int, np.integer)):
         raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-
-
-def acs_run(P, rho0, max_rounds=200):
-    """Iterate Pi- and rho-steps from the density matrix rho0 until the round
-    increment drops below 1e-12 or max_rounds is hit."""
-    _check_max_rounds(max_rounds)
     rho0 = check_density_matrix(rho0)
     if purity(rho0) > P + 1e-10:
         raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")
-    (rounds,), (rho,), (status,) = _acs_lockstep(
-        np.array([P], dtype=float), rho0[None], max_rounds
-    )
-    return AcsTrace(
-        P=float(P),
-        rounds=rounds,
-        final_state=rho,
-        status=status,
-        rounds_used=len(rounds) - 1,
-    )
+    (trace,) = _acs_lockstep(np.array([P], dtype=float), rho0[None], [None], max_rounds)
+    return trace
 
 
-@dataclass
-class AcsSummary:
-    """One sweep run; ``round_values`` and ``final_state`` are the run's
-    AcsTrace.rounds and AcsTrace.final_state."""
-
-    P: float
-    seed: int
-    best_value: float
-    reference: float
-    deviation: float
-    rounds: int
-    status: str
-    round_values: list
-    final_state: np.ndarray
-
-    @property
-    def converged(self):
-        return self.status == "converged"
-
-
-def acs_sweep(p_grid, samples_per_p, rng, max_rounds=200):
+def acs_sweep(p_grid, samples_per_p, rng):
     """Run the scheme from random full-rank starts over a purity grid.
 
-    Returns one AcsSummary per (P, sample), with the deviation taken against
-    the triply-degenerate X-state ceiling at the same purity.  The per-run
-    seeds are drawn from `rng` in (P, sample) order; the runs then go through
-    the lockstep loop in blocks of at most SWEEP_BLOCK, and each block's
-    starts are drawn as one stack, every start from its own seed.
+    Returns one AcsTrace per (P, sample), in that order, each equal to
+    acs_run from its seed's start.  The per-run seeds are drawn from `rng` in
+    (P, sample) order; the runs then go through the lockstep loop in blocks
+    of at most SWEEP_BLOCK, and each block's starts are drawn as one stack,
+    every start from its own seed.
     """
     p_grid = FAMILIES["deg"].check(np.ravel(np.asarray(p_grid, dtype=float)), "ACS")
     if not isinstance(samples_per_p, (int, np.integer)):
         raise ValueError(f"samples_per_p must be an integer, got {samples_per_p!r}")
     if samples_per_p < 0:
         raise ValueError(f"samples_per_p must be >= 0, got {samples_per_p}")
-    _check_max_rounds(max_rounds)
     rng = np.random.default_rng(rng)
-    runs = [(float(P), int(rng.integers(0, 2**31 - 1))) for P in p_grid for _ in range(samples_per_p)]
+    P = np.repeat(p_grid, samples_per_p)
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in P]
     out = []
-    for start in range(0, len(runs), SWEEP_BLOCK):
-        block = runs[start : start + SWEEP_BLOCK]
-        P = np.array([p for p, _ in block])
-        rho0 = random_density_fixed_purity(P, [s for _, s in block])
-        rounds, rho, status = _acs_lockstep(P, rho0, max_rounds)
-        for (p, seed), values, state, st in zip(block, rounds, rho, status):
-            ref = FAMILIES["deg"].curve(p)
-            out.append(
-                AcsSummary(
-                    P=p,
-                    seed=seed,
-                    best_value=values[-1],
-                    reference=ref,
-                    deviation=float(values[-1] - ref),
-                    rounds=len(values) - 1,
-                    status=st,
-                    round_values=values,
-                    final_state=state,
-                )
-            )
+    for start in range(0, len(P), SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
+        rho0 = random_density_fixed_purity(P[block], seeds[block])
+        out.extend(_acs_lockstep(P[block], rho0, seeds[block], MAX_ROUNDS))
     return out

@@ -7,7 +7,7 @@ Subcommands map one-to-one onto the library's result families:
 * certify  -- numerical verification of the SDP optimality certificates
 * tgx2     -- rank-2 TGX maximization vs the rank-2 X ceiling
 * tgx3     -- rank-3 TGX maximization vs the rank-3 X ceiling
-* acs      -- alternate-convex-search sweep summaries (optional round traces)
+* acs      -- one row per alternate-convex-search run (optional round traces)
 * prop1    -- brute-force fuzz of the optimal spectrum assignment
 * state    -- one constructed state as a JSON record
 
@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .acs import acs_run, acs_sweep
-from .linalg import negativity, purity
+from .linalg import TOL, eig_hermitian, negativity, purity
 from .purity_mems import (
     FAMILIES,
     THEOREMS,
@@ -72,8 +72,6 @@ def _fmt(x):
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
@@ -82,6 +80,9 @@ def _fmt(x):
 def _grid(cfg, lo):
     """The [p_min, p_max] purity grid with p_steps points; p_min defaults to
     lo, the first purity of the family's domain."""
+    for flag, value in (("--p-min", cfg.p_min), ("--p-max", cfg.p_max)):
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     p_min = cfg.p_min if cfg.p_min is not None else lo
     p_max = cfg.p_max
     if cfg.p_steps < 1:
@@ -173,6 +174,27 @@ def _validated(values, matrices, tol, label):
             f"value {ref!r} by {abs(value - ref):.3e} (> {tol:g})"
         )
     return values
+
+
+def _checked_states(states, P, tol, label):
+    """Gate an (m, 6, 6) stack of states of purity bounds P (m,): each must be
+    Hermitian, of trace 1 and smallest eigenvalue >= -psd_slack within the TOL
+    tolerances, and of purity at most its bound + `tol` (one stacked eigh).
+    Checks go in that order; a failing row raises CheckError named by
+    `label(row)`."""
+
+    def gate(name, value, bound):
+        ok = value <= bound
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise CheckError(f"{label(i)}: final state has {name} {float(value[i])!r} (> {bound:g})")
+
+    herm = np.max(np.abs(states - states.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    gate("max |rho - rho^dag| =", herm, TOL.hermiticity)
+    gate("|tr rho - 1| =", np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0), TOL.trace)
+    w, _ = eig_hermitian(states)
+    gate("smallest eigenvalue below zero by", -w[:, 0], TOL.psd_slack)
+    gate("purity above its bound by", np.sum(w * w, axis=-1) - P, tol)
 
 
 # Rows per stacked evaluation in curves, gap, prop1 and the TGX searches;
@@ -291,22 +313,28 @@ def cmd_acs(cfg):
         raise UsageError(f"runs must be >= 0, got {cfg.runs}")
     rng = np.random.default_rng(cfg.seed)
     purities = np.sort(rng.uniform(p_min, p_max, size=cfg.runs))
-    summaries = acs_sweep(purities, 1, rng)
-    _validated(
-        np.array([s.best_value for s in summaries]),
-        np.reshape([s.final_state for s in summaries], (-1, 6, 6)),
-        cfg.tolerance,
-        lambda i: f"acs@{summaries[i].P}",
-    )
-    rows = [(s.P, s.seed, s.best_value, s.reference, s.deviation, s.rounds, s.status) for s in summaries]
+    runs = acs_sweep(purities, 1, rng)
+    best = np.array([run.best_value for run in runs])
+    states = np.reshape([run.final_state for run in runs], (-1, 6, 6))
+
+    def label(i):
+        return f"acs@{runs[i].P}"
+
+    _checked_states(states, purities, cfg.tolerance, label)
+    _validated(best, states, cfg.tolerance, label)
+    ref = FAMILIES["deg"].curve(purities)
+    rows = [
+        (run.P, run.seed, run.best_value, n, dev, run.rounds_used, run.status)
+        for run, n, dev in zip(runs, ref, best - ref)
+    ]
     tables = [
         (cfg.output, ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "status"], rows)
     ]
     if cfg.trace_output is not None:
         trace_rows = []
-        for idx, s in enumerate(summaries[:4]):
-            for rnd, val in enumerate(s.round_values):
-                trace_rows.append((idx, s.P, rnd, val))
+        for idx, run in enumerate(runs[:4]):
+            for rnd, val in enumerate(run.rounds):
+                trace_rows.append((idx, run.P, rnd, val))
         tables.append((cfg.trace_output, ["run_index", "P", "round", "value"], trace_rows))
     _write_csv(*tables)
     return EXIT_OK
@@ -338,6 +366,8 @@ def cmd_state(cfg):
     if cfg.family in FAMILIES:
         if cfg.p is None:
             raise UsageError(f"--family {cfg.family} requires --p")
+        if cfg.spectrum is not None:
+            raise UsageError(f"--family {cfg.family} ignores --spectrum")
         fam = FAMILIES[cfg.family]
         state = fam.construct(cfg.p)
         lam = fam.spectrum(cfg.p)
@@ -345,6 +375,8 @@ def cmd_state(cfg):
     elif cfg.family == "spectrum":
         if cfg.spectrum is None:
             raise UsageError("--family spectrum requires --spectrum l1,...,l6")
+        if cfg.p is not None:
+            raise UsageError("--family spectrum ignores --p")
         try:
             lam = validate_spectrum([float(t) for t in cfg.spectrum.split(",")])
             state = construct_spectrum_xmems(lam)

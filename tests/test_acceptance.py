@@ -180,11 +180,11 @@ def test_criterion_10_acs_sweep():
         trace = acs_run(float(P), random_density_fixed_purity(float(P), rng))
         if np.min(np.diff(trace.rounds)) < -1e-12:
             monotone_ok = False
-    summaries = acs_sweep(purities, 1, np.random.default_rng(SEED + 7))
-    devs = np.array([s.deviation for s in summaries])
+    runs = acs_sweep(purities, 1, np.random.default_rng(SEED + 7))
+    devs = np.array([s.best_value - n_x_p_deg(s.P) for s in runs])
     frac_close = float(np.mean(np.abs(devs) <= 1e-6))
     max_excess = float(devs.max())
-    all_conv = all(s.converged and s.rounds <= 200 for s in summaries)
+    all_conv = all(s.converged and s.rounds_used <= 200 for s in runs)
     ok = monotone_ok and frac_close >= 0.9 and max_excess <= 1e-8 and all_conv
     _check(10, ok,
            f"alternate convex search, 100 seeded runs: rounds monotone, {frac_close:.0%} within "

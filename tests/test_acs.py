@@ -242,40 +242,37 @@ class TestAcsSweep:
         assert len(a) == 10
         for s in a:
             assert s.converged
-            assert s.deviation <= 1e-8
-            assert abs(s.best_value - (s.reference + s.deviation)) < 1e-15
+            assert s.best_value - n_x_p_deg(s.P) <= 1e-8
 
     def test_round_values_are_the_runs_trace(self):
         # 12 purities x 3 samples: the second block starts at run 32, and the
         # low purities give PPT starts, which take the escape step
         grid = np.linspace(0.21, 0.9, 12)
-        summaries = acs_sweep(grid, 3, np.random.default_rng(5))
-        assert len(summaries) == 36 > SWEEP_BLOCK
-        assert any(abs(s.round_values[0]) < STOP_INCREMENT for s in summaries)
-        for s, P in zip(summaries, np.repeat(grid, 3)):
+        runs = acs_sweep(grid, 3, np.random.default_rng(5))
+        assert len(runs) == 36 > SWEEP_BLOCK
+        assert any(abs(s.rounds[0]) < STOP_INCREMENT for s in runs)
+        for s, P in zip(runs, np.repeat(grid, 3)):
             trace = acs_run(P, random_density_fixed_purity(P, np.random.default_rng(s.seed)))
-            assert s.P == P
-            assert s.round_values == trace.rounds
-            assert len(s.round_values) == s.rounds + 1
+            assert isinstance(s, AcsTrace) and isinstance(s.seed, int) and trace.seed is None
+            assert s.P == trace.P == P
+            assert s.rounds == trace.rounds
+            assert s.rounds_used == trace.rounds_used == len(s.rounds) - 1
             assert s.status == trace.status
+            assert np.array_equal(s.final_state, trace.final_state)
 
     @pytest.mark.parametrize(
-        "grid,samples,kwargs,match",
+        "grid,samples,match",
         [
-            ([0.4], -1, {}, "samples_per_p must be >= 0"),
-            ([0.4, np.nan], 1, {}, "purity nan outside ACS domain"),
-            ([np.inf], 1, {}, "purity inf outside ACS domain"),
-            ([0.1], 1, {}, "purity 0.1 outside ACS domain"),
-            ([1.0], 0, {}, "purity 1.0 outside ACS domain"),
-            ([0.4], 1, {"max_rounds": 0}, "max_rounds must be >= 1"),
-            ([0.4], 0, {"max_rounds": 0}, "max_rounds must be >= 1"),
-            ([0.4], 2.0, {}, "samples_per_p must be an integer, got 2.0"),
-            ([0.4], "2", {}, "samples_per_p must be an integer, got '2'"),
-            ([0.4], None, {}, "samples_per_p must be an integer, got None"),
-            ([0.4], 1, {"max_rounds": 10.0}, "max_rounds must be an integer, got 10.0"),
-            ([0.4], 0, {"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+            ([0.4], -1, "samples_per_p must be >= 0"),
+            ([0.4, np.nan], 1, "purity nan outside ACS domain"),
+            ([np.inf], 1, "purity inf outside ACS domain"),
+            ([0.1], 1, "purity 0.1 outside ACS domain"),
+            ([1.0], 0, "purity 1.0 outside ACS domain"),
+            ([0.4], 2.0, "samples_per_p must be an integer, got 2.0"),
+            ([0.4], "2", "samples_per_p must be an integer, got '2'"),
+            ([0.4], None, "samples_per_p must be an integer, got None"),
         ],
     )
-    def test_rejects_bad_input_before_any_run(self, grid, samples, kwargs, match):
+    def test_rejects_bad_input_before_any_run(self, grid, samples, match):
         with pytest.raises(ValueError, match=re.escape(match)):
-            acs_sweep(grid, samples, np.random.default_rng(0), **kwargs)
+            acs_sweep(grid, samples, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 
 import qqmems.acs
 import qqmems.tgx
-from qqmems.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
+from qqmems.cli import (
+    EXIT_CHECK,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    CheckError,
+    _checked_states,
+    build_parser,
+    main,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -271,6 +281,31 @@ class TestAcs:
         assert "check failure: acs@" in err and ": closed-form value" in err
         assert out == ""
 
+    def test_impure_final_state_is_check_failure(self, capsys, monkeypatch):
+        # each rho-step overshoots its purity bound by 0.005; the round values
+        # stay the negativities of the states, so only the state gate sees it
+        exact = qqmems.acs.vector_subproblem
+        monkeypatch.setattr(qqmems.acs, "vector_subproblem", lambda a, P: exact(a, P + 0.005))
+        code, out, err = run(["acs", "--runs", "3", "--seed", "1", "--p-max", "0.9"], capsys)
+        assert code == EXIT_CHECK
+        assert "check failure: acs@" in err and "purity above its bound" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "bad,named",
+        [
+            (np.triu(np.ones((6, 6))) / 6, "max |rho - rho^dag| ="),
+            (np.full((6, 6), np.nan), "max |rho - rho^dag| = nan"),
+            (np.eye(6) / 5, "|tr rho - 1| ="),
+            (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue below zero by 0.25"),
+            (np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), "purity above its bound by 0.5"),
+        ],
+    )
+    def test_state_gate_names_the_failed_check(self, bad, named):
+        states = np.stack([np.eye(6) / 6, bad]).astype(complex)
+        with pytest.raises(CheckError, match=re.escape(f"row 1: final state has {named}")):
+            _checked_states(states, np.array([0.5, 0.5]), 1e-10, lambda i: f"row {i}")
+
     def test_zero_runs_gives_header_only(self, tmp_path, capsys):
         out = tmp_path / "acs.csv"
         code, _, _ = run(["acs", "--runs", "0", "-o", str(out)], capsys)
@@ -338,6 +373,15 @@ class TestConfigAndErrors:
             (["state", "--family", "deg", "--p", "0.3", "--tolerance", "-1"],
              "tolerance must be finite and >= 0, got -1.0"),
             (["certify", "--tolerance", "inf"], "tolerance must be finite and >= 0, got inf"),
+            (["curves", "--p-min=nan", "--p-steps", "1"], "--p-min must be finite, got nan"),
+            (["curves", "--p-min=-inf", "--p-steps", "1"], "--p-min must be finite, got -inf"),
+            (["curves", "--p-max", "nan", "--p-steps", "1"], "--p-max must be finite, got nan"),
+            (["gap", "--p-max", "inf"], "--p-max must be finite, got inf"),
+            (["tgx2", "--p-min", "nan"], "--p-min must be finite, got nan"),
+            (["state", "--family", "spectrum", "--spectrum", "0.5,0.5,0,0,0,0", "--p", "0.3"],
+             "--family spectrum ignores --p"),
+            (["state", "--family", "rank2", "--p", "0.7", "--spectrum", "0.5,0.5,0,0,0,0"],
+             "--family rank2 ignores --spectrum"),
         ],
     )
     def test_rejected_input_is_usage_error_naming_it(self, args, named, capsys):

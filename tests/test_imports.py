@@ -1,6 +1,8 @@
-"""A stdlib stand-in for an unused-import lint over the library modules."""
+"""Stdlib stand-ins for an unused-import lint and an `__all__` check over the
+library modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,10 @@ def test_checker_finds_unused_names():
 def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text()) if (path.stem, name) not in ALLOWED]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_resolves(path):
+    module = importlib.import_module(f"qqmems.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+    assert missing == [], f"{path.name} lists {missing} in __all__ but does not define them"
