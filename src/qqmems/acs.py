@@ -26,8 +26,8 @@ eigenvector of the smallest eigenvalue of rho^Gamma; the round values are
 still the negativities, so the trace stays monotone.  A run ends with status
 "converged", "stalled_ppt" (it stopped at a PPT state all the same) or
 "max_rounds", and keeps its final state, whose trace-norm negativity its
-last round value should equal.  Comparing a run with the degenerate X
-ceiling is left to the caller.
+last round value should equal.  Checking the final states and comparing runs
+with the degenerate X ceiling are left to the caller.
 """
 
 from dataclasses import dataclass
@@ -242,6 +242,8 @@ def acs_run(P, rho0, max_rounds=MAX_ROUNDS):
         raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if np.shape(rho0) != (6, 6):
+        raise ValueError(f"expected one 6x6 start, got shape {np.shape(rho0)}")
     rho0 = check_density_matrix(rho0)
     if purity(rho0) > P + 1e-10:
         raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")

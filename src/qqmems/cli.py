@@ -11,12 +11,12 @@ Subcommands map one-to-one onto the library's result families:
 * prop1    -- brute-force fuzz of the optimal spectrum assignment
 * state    -- one constructed state as a JSON record
 
-Each subcommand accepts only the flags it reads, with the defaults listed in
-`_COMMANDS`; any other flag is a usage error.  `--seed` and `-o/--output` are
-common to all subcommands, so that one seed can be passed to every command;
-the closed-form ones ignore it.  Numbers are written with 17 significant
-digits, comma-separated, LF line endings; undefined values become empty cells
-with a populated reason column.
+Each subcommand accepts only the flags it reads, spelled in full, with the
+defaults listed in `_COMMANDS`; any other flag is a usage error.  `--seed` and
+`-o/--output` are common to all subcommands, so that one seed can be passed to
+every command; the closed-form ones ignore it.  Numbers are written with 17
+significant digits, comma-separated, LF line endings; undefined values become
+empty cells with a populated reason column.
 
 Exit codes: 0 success, 1 usage error (rejected caller input, such as a purity
 outside a domain), 2 check failure, 3 I/O error; any other exception is a bug.
@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .acs import acs_run, acs_sweep
-from .linalg import TOL, eig_hermitian, negativity, purity
+from .linalg import MatrixError, check_density_matrix, negativity, purity
 from .purity_mems import (
     FAMILIES,
     THEOREMS,
@@ -93,8 +93,6 @@ def _grid(cfg, lo):
         raise UsageError(f"purity grid needs p_min <= p_max, got [{p_min}, {p_max}]")
     if p_max >= 1.0:
         raise UsageError(f"purity grid upper end {p_max} must be < 1")
-    if cfg.p_steps == 1:
-        return np.array([p_min])
     return np.linspace(p_min, p_max, cfg.p_steps)
 
 
@@ -176,27 +174,6 @@ def _validated(values, matrices, tol, label):
     return values
 
 
-def _checked_states(states, P, tol, label):
-    """Gate an (m, 6, 6) stack of states of purity bounds P (m,): each must be
-    Hermitian, of trace 1 and smallest eigenvalue >= -psd_slack within the TOL
-    tolerances, and of purity at most its bound + `tol` (one stacked eigh).
-    Checks go in that order; a failing row raises CheckError named by
-    `label(row)`."""
-
-    def gate(name, value, bound):
-        ok = value <= bound
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise CheckError(f"{label(i)}: final state has {name} {float(value[i])!r} (> {bound:g})")
-
-    herm = np.max(np.abs(states - states.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    gate("max |rho - rho^dag| =", herm, TOL.hermiticity)
-    gate("|tr rho - 1| =", np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0), TOL.trace)
-    w, _ = eig_hermitian(states)
-    gate("smallest eigenvalue below zero by", -w[:, 0], TOL.psd_slack)
-    gate("purity above its bound by", np.sum(w * w, axis=-1) - P, tol)
-
-
 # Rows per stacked evaluation in curves, gap, prop1 and the TGX searches;
 # bounds peak memory.
 _BLOCK = 256
@@ -257,13 +234,8 @@ def cmd_gap(cfg):
 
 
 def cmd_certify(cfg):
-    if cfg.p is not None:
-        if cfg.theorem is None:
-            raise UsageError("--p requires --theorem")
-        jobs = [(cfg.theorem, cfg.p)]
-    else:
-        theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
-        jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, FAMILIES[th].start)]
+    theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
+    jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, FAMILIES[th].start)]
     reports = [verify_certificate(th, P, tol=cfg.tolerance) for th, P in jobs]
     ok = all(r.verified for r in reports)
     _write_json(
@@ -282,8 +254,9 @@ def _cmd_tgx(cfg, family, maximizer, matrix_fn):
     grid = _grid(cfg, fam.start)
     seeds = [rng.integers(2**63) for _ in grid]
     rows = []
-    for P, block_seeds in zip(_blocks(grid), _blocks(seeds)):
-        results = maximizer(P, restarts=cfg.restarts, rng=block_seeds)
+    for block, block_seeds in zip(_blocks(grid), _blocks(seeds)):
+        results = maximizer(block, restarts=cfg.restarts, rng=block_seeds)
+        P = np.array([r.P for r in results])  # the purities searched, at most P_MAX
         best = _validated(
             np.array([r.best_value for r in results]),
             np.stack([matrix_fn(r.best_params) for r in results]),
@@ -320,7 +293,14 @@ def cmd_acs(cfg):
     def label(i):
         return f"acs@{runs[i].P}"
 
-    _checked_states(states, purities, cfg.tolerance, label)
+    try:
+        check_density_matrix(states)
+    except MatrixError as exc:
+        raise CheckError(f"{label(*exc.index)}: final state: {exc}")
+    excess = purity(states) - purities
+    if not np.all(excess <= cfg.tolerance):
+        i = int(np.argmin(excess <= cfg.tolerance))
+        raise CheckError(f"{label(i)}: final state has purity above its bound by {excess[i]:.3e}")
     _validated(best, states, cfg.tolerance, label)
     ref = FAMILIES["deg"].curve(purities)
     rows = [
@@ -414,7 +394,7 @@ _GRID_FLAGS = {"p_min": None, "p_max": 0.999, "p_steps": 50, "tolerance": 1e-10}
 _COMMANDS = {
     "curves": (cmd_curves, _GRID_FLAGS),
     "gap": (cmd_gap, _GRID_FLAGS),
-    "certify": (cmd_certify, {**_GRID_FLAGS, "theorem": None, "p": None}),
+    "certify": (cmd_certify, {**_GRID_FLAGS, "theorem": None}),
     "tgx2": (cmd_tgx2, {**_GRID_FLAGS, "restarts": 32}),
     "tgx3": (cmd_tgx3, {**_GRID_FLAGS, "restarts": 32}),
     "acs": (
@@ -444,10 +424,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    parser = _Parser(prog="qqmems", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qqmems", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--output", default="-")
         for dest, default in flags.items():

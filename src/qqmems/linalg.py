@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "TOL",
+    "MatrixError",
     "eig_hermitian",
     "partial_transpose_qubit",
     "trace_norm",
@@ -37,21 +38,35 @@ class Tolerances:
 TOL = Tolerances()
 
 
+class MatrixError(ValueError):
+    """A failed check; `index` locates the first failing matrix in its stack."""
+
+    def __init__(self, message, index=()):
+        super().__init__(message)
+        self.index = index
+
+
+def _require(ok, message, values):
+    """Raise MatrixError(message.format(values[i])) at the first False i of ok."""
+    if not np.all(ok):
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), np.shape(ok)))
+        raise MatrixError(message.format(values[index]), index)
+
+
 def eig_hermitian(H):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
-    Returns (eigenvalues ascending, eigenvector columns).  Raises ValueError
-    if any matrix is not Hermitian within TOL.hermiticity, with the first
-    such matrix's deviation.
+    Returns (eigenvalues ascending, eigenvector columns).  Raises MatrixError
+    if any matrix is not Hermitian within TOL.hermiticity (NaN fails), naming
+    the first such matrix's deviation.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     dev = np.abs(H - H.conj().swapaxes(-1, -2))
     if dev.size and not dev.max() <= TOL.hermiticity:  # the worst entry; NaN fails too
-        per_matrix = np.ravel(dev.max(axis=(-2, -1)))
-        first = per_matrix[np.argmin(per_matrix <= TOL.hermiticity)]
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {first:.3e}")
+        dev = dev.max(axis=(-2, -1))
+        _require(dev <= TOL.hermiticity, "matrix is not Hermitian: max |H - H^dag| = {:.3e}", dev)
     w, v = np.linalg.eigh(H)
     return w, v
 
@@ -89,21 +104,20 @@ def negativity(rho):
 
 
 def purity(rho):
-    """tr rho^2, in [1/6, 1] for 6-dimensional states."""
+    """tr rho^2 (one per matrix of a stack), in [1/6, 1] for 6-dimensional states."""
     rho = np.asarray(rho)
-    return float(np.real(np.trace(rho @ rho)))
+    values = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
+    return float(values) if values.ndim == 0 else values
 
 
 def check_density_matrix(rho):
-    """Validate trace 1, Hermiticity, and positive semidefiniteness, within
-    the TOL tolerances."""
+    """Validate Hermiticity, then trace 1, then positive semidefiniteness,
+    within the TOL tolerances, each over the whole stack (one eigh)."""
     rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TOL.trace:
-        raise ValueError(f"trace is {tr}, expected 1 within {TOL.trace}")
-    w, _ = eig_hermitian(rho)
-    if w[0] < -TOL.psd_slack:
-        raise ValueError(f"smallest eigenvalue {w[0]:.3e} below -{TOL.psd_slack}")
+    w0 = eig_hermitian(rho)[0][..., 0]  # the smallest eigenvalues
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    _require(np.abs(tr - 1.0) <= TOL.trace, f"trace is {{}}, expected 1 within {TOL.trace}", tr)
+    _require(w0 >= -TOL.psd_slack, f"smallest eigenvalue {{:.3e}} below -{TOL.psd_slack}", w0)
     return rho
 
 

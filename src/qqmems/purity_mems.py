@@ -32,7 +32,6 @@ from .linalg import eig_hermitian
 from .spectrum import construct_spectrum_xmems
 
 __all__ = [
-    "P_MAX",
     "DomainError",
     "FAMILIES",
     "n_x_p_rank2",
@@ -47,8 +46,6 @@ __all__ = [
     "verify_certificate",
 ]
 
-# Domain endpoints are open at 1; P = 1 is meaningful only as a limit.
-P_MAX = 1.0 - 1e-9
 DEG_SPLIT = 3.0 / 8.0
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._nelder_mead import nelder_mead
-from .linalg import _per_purity
-from .purity_mems import FAMILIES, P_MAX, DomainError
+from .linalg import TOL, _per_purity
+from .purity_mems import FAMILIES, DomainError, _f, _g
 
 __all__ = [
+    "P_MAX",
     "Tgx2Params",
     "Tgx3Params",
     "MaximizationResult",
@@ -27,7 +28,20 @@ __all__ = [
     "maximize_tgx3",
 ]
 
-_PROB_TOL = 1e-12
+# Searched purities stop here: near 1 the rank-3 arc has no point with every p_i >= 1e-12.
+P_MAX = 1.0 - 1e-9
+
+
+def _check_params(q):
+    """TGX records' __post_init__: fields finite, each p_k > 0, and sum p_k = 1 within TOL.trace."""
+    for name, v in vars(q).items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    probs = [v for name, v in vars(q).items() if name.startswith("p")]
+    if min(probs) <= 0:
+        raise ValueError("probabilities must be positive")
+    if abs(sum(probs) - 1.0) > TOL.trace:
+        raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -37,11 +51,7 @@ class Tgx2Params:
     p1: float
     p2: float
 
-    def __post_init__(self):
-        if self.p1 <= 0 or self.p2 <= 0:
-            raise ValueError("probabilities must be positive")
-        if abs(self.p1 + self.p2 - 1.0) > _PROB_TOL:
-            raise ValueError(f"p1 + p2 = {self.p1 + self.p2}, expected 1")
+    __post_init__ = _check_params
 
 
 @dataclass(frozen=True)
@@ -53,11 +63,7 @@ class Tgx3Params:
     p2: float
     p3: float
 
-    def __post_init__(self):
-        if min(self.p1, self.p2, self.p3) <= 0:
-            raise ValueError("probabilities must be positive")
-        if abs(self.p1 + self.p2 + self.p3 - 1.0) > _PROB_TOL:
-            raise ValueError(f"p1 + p2 + p3 = {self.p1 + self.p2 + self.p3}, expected 1")
+    __post_init__ = _check_params
 
 
 def _pure_block(rho, p, theta, i, j):
@@ -141,7 +147,7 @@ def tgx3_negativity(q):
 
 @dataclass
 class MaximizationResult:
-    """Best state found by a multistart search at purity P.
+    """Best state found by a multistart search at the searched purity P (<= P_MAX).
 
     ``best_value`` is the printed formula at ``best_params``; callers that
     need it checked compare it with the trace-norm negativity of the state.
@@ -214,7 +220,7 @@ def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula)
 
 
 def _tgx2_consts(P):
-    f = np.sqrt(2.0 * P - 1.0)
+    f = _f(P)
     return 0.5 * (1.0 + f), 0.5 * (1.0 - f)
 
 
@@ -249,7 +255,7 @@ def maximize_tgx2(P, restarts=32, rng=None):
 
 
 def _tgx3_consts(P):
-    g = np.sqrt(6.0 * P - 2.0)
+    g = _g(P)
     # p2 and p3 are smallest at the arc ends: g cos(alpha + 2 pi/3) = 3 floor - 1.
     alpha = np.full_like(g, np.pi / 3.0)
     cut = g > 1.0 - 3.0 * _P_FLOOR

@@ -191,6 +191,8 @@ class TestAcsRun:
             (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue"),
             (np.triu(np.ones((6, 6))) / 6, "not Hermitian"),
             (np.full((6, 6), np.nan), "not Hermitian"),
+            (np.stack([np.eye(6) / 6] * 2), re.escape("got shape (2, 6, 6)")),
+            (np.eye(4) / 4, re.escape("got shape (4, 4)")),
         ],
     )
     def test_rejects_a_start_that_is_not_a_state(self, rho0, match):

@@ -1,24 +1,23 @@
 import argparse
 import csv
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qqmems.acs
+import qqmems.cli
 import qqmems.tgx
 from qqmems.cli import (
     EXIT_CHECK,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    CheckError,
-    _checked_states,
     build_parser,
     main,
 )
+from qqmems.tgx import P_MAX
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -169,19 +168,21 @@ class TestCertify:
         assert data["count"] == 30
 
     def test_single_boundary_point_flags_asymptotic(self, capsys):
-        code, out, _ = run(["certify", "--theorem", "rank2", "--p", "0.5"], capsys)
+        code, out, _ = run(["certify", "--theorem", "rank2", "--p-min", "0.5", "--p-steps", "1"],
+                           capsys)
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["reports"][0]["asymptotic"]
         assert data["reports"][0]["verified"]
 
     def test_out_of_domain_is_usage_error(self, capsys):
-        code, _, err = run(["certify", "--theorem", "rank2", "--p", "0.4"], capsys)
+        code, _, err = run(["certify", "--theorem", "rank2", "--p-min", "0.4", "--p-steps", "1"],
+                           capsys)
         assert code == EXIT_USAGE
-        assert "usage error" in err
+        assert err.startswith("usage error: ") and "purity 0.4 outside rank-2 domain" in err
 
     def test_unachievable_tolerance_is_check_failure(self, tmp_path, capsys):
-        code, _, err = run(["certify", "--theorem", "deg", "--p", "0.25",
+        code, _, err = run(["certify", "--theorem", "deg", "--p-min", "0.25", "--p-steps", "1",
                             "--tolerance", "1e-30", "-o", str(tmp_path / "x.json")], capsys)
         assert code == EXIT_CHECK
         assert "check failure" in err
@@ -228,6 +229,16 @@ class TestTgx:
         for i in (0, 255, 256, 299):
             res = qqmems.tgx.maximize_tgx2(grid[i], restarts=2, rng=seeds[i])
             assert rows[i][:2] == [f"{grid[i]:.17g}", f"{res.best_value:.17g}"], i
+
+    @pytest.mark.parametrize("command", ["tgx2", "tgx3"])
+    def test_purity_above_p_max_is_written_as_searched(self, command, capsys):
+        # the search runs at P_MAX, so the row reports P_MAX and the ceiling there
+        code, out, _ = run([command, "--p-min", "0.9999999999", "--p-max", "0.99999999995",
+                            "--p-steps", "1"], capsys)
+        assert code == EXIT_OK
+        (row,) = out.splitlines()[1:]
+        P, _, _, gap = map(float, row.split(","))
+        assert P == P_MAX and gap >= -1e-10
 
     def test_below_domain_is_usage_error(self, capsys):
         code, _, _ = run(["tgx2", "--p-min", "0.3", "--p-max", "0.6"], capsys)
@@ -294,17 +305,26 @@ class TestAcs:
     @pytest.mark.parametrize(
         "bad,named",
         [
-            (np.triu(np.ones((6, 6))) / 6, "max |rho - rho^dag| ="),
-            (np.full((6, 6), np.nan), "max |rho - rho^dag| = nan"),
-            (np.eye(6) / 5, "|tr rho - 1| ="),
-            (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue below zero by 0.25"),
-            (np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), "purity above its bound by 0.5"),
+            (np.triu(np.ones((6, 6))) / 6, "matrix is not Hermitian"),
+            (np.eye(6) / 5, "trace is (1.2+0j)"),
+            (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue -2.500e-01"),
         ],
     )
-    def test_state_gate_names_the_failed_check(self, bad, named):
-        states = np.stack([np.eye(6) / 6, bad]).astype(complex)
-        with pytest.raises(CheckError, match=re.escape(f"row 1: final state has {named}")):
-            _checked_states(states, np.array([0.5, 0.5]), 1e-10, lambda i: f"row {i}")
+    def test_final_state_that_is_not_a_state_is_check_failure(self, bad, named, capsys,
+                                                              monkeypatch):
+        sweep, bad_P = qqmems.acs.acs_sweep, []
+
+        def with_bad_run_1(p_grid, samples_per_p, rng):
+            runs = sweep(p_grid, samples_per_p, rng)
+            runs[1].final_state = bad
+            bad_P.append(runs[1].P)
+            return runs
+
+        monkeypatch.setattr(qqmems.cli, "acs_sweep", with_bad_run_1)
+        code, out, err = run(["acs", "--runs", "3", "--seed", "1"], capsys)
+        assert code == EXIT_CHECK
+        assert err.startswith(f"check failure: acs@{bad_P[0]}: final state: {named}")
+        assert out == ""
 
     def test_zero_runs_gives_header_only(self, tmp_path, capsys):
         out = tmp_path / "acs.csv"
@@ -362,7 +382,8 @@ class TestConfigAndErrors:
         "args,named",
         [
             (["tgx2", "--p-min", "0.3"], "purity 0.3 outside rank-2 domain"),
-            (["certify", "--theorem", "rank2", "--p", "0.4"], "purity 0.4 outside rank-2 domain"),
+            (["certify", "--theorem", "rank2", "--p-min", "0.4", "--p-steps", "1"],
+             "purity 0.4 outside rank-2 domain"),
             (["gap", "--p-min", "0.1"], "purity 0.1 outside degenerate domain"),
             (["acs", "--p-min", "0.1"], "acs purity window [0.1, 0.99]"),
             (["tgx2", "--restarts", "0"], "restarts must be >= 1"),
@@ -404,7 +425,7 @@ class TestConfigAndErrors:
         expected = {
             "curves": grid,
             "gap": grid,
-            "certify": grid | {"--theorem", "--p"},
+            "certify": grid | {"--theorem"},
             "tgx2": grid | {"--restarts"},
             "tgx3": grid | {"--restarts"},
             "acs": {"--p-min", "--p-max", "--runs", "--tolerance", "--trace-output"},
@@ -426,6 +447,12 @@ class TestConfigAndErrors:
             ["acs", "--p-steps", "0"],
             ["prop1", "--p-min", "5"],
             ["state", "--family", "deg", "--p", "0.3", "--runs", "3"],
+            # the single-purity form of certify is its grid; flags are spelled in full
+            ["certify", "--theorem", "rank2", "--p", "0.5"],
+            ["certify", "--p", "0.5"],
+            ["curves", "--p-st", "2"],
+            ["acs", "--ru", "2"],
+            ["tgx2", "--p-steps", "1", "--rest", "2"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, args, capsys):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qqmems.linalg import (
+    MatrixError,
     check_density_matrix,
     eig_hermitian,
     haar_unitary,
@@ -92,16 +95,60 @@ class TestStacks:
         eig_hermitian(stack)  # each within tolerance of its own conjugate transpose
         stack[3, 0, 1] += 1e-9
         stack[4, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="= 1.000e-09"):  # the first offending matrix
+        with pytest.raises(MatrixError, match="= 1.000e-09") as exc:  # the first offending matrix
             eig_hermitian(stack)
+        assert exc.value.index == (3,)
         stack[3, 0, 1] = np.nan
         with pytest.raises(ValueError, match="= nan"):
             eig_hermitian(stack)
+
+    def test_state_checks_on_a_stack_equal_per_matrix_calls(self):
+        stack = random_density_fixed_purity(np.linspace(0.17, 0.999, 33), list(range(33)))
+        assert np.array_equal(check_density_matrix(stack), stack)
+        values = purity(stack)
+        assert values.shape == (33,)
+        for rho, value in zip(stack, values):
+            assert np.array_equal(check_density_matrix(rho), rho)
+            assert value == purity(rho)
+        grid = stack.reshape(3, 11, 6, 6)
+        assert np.array_equal(purity(grid), values.reshape(3, 11))
+        grid[1, 4, 0, 0] += 1e-6
+        with pytest.raises(MatrixError, match="trace is") as exc:
+            check_density_matrix(grid)
+        assert exc.value.index == (1, 4)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.triu(np.ones((6, 6))) / 6, "matrix is not Hermitian: max |H - H^dag| = 1.667e-01"),
+            (np.full((6, 6), np.nan), "matrix is not Hermitian: max |H - H^dag| = nan"),
+            (np.eye(6) / 5, "trace is (1.2+0j), expected 1 within 1e-12"),
+            (np.diag([0.5, 0.5, 0.25, 0, 0, -0.25]), "smallest eigenvalue -2.500e-01 below -1e-12"),
+        ],
+    )
+    def test_failing_stack_names_its_first_failing_matrix(self, bad, message):
+        with pytest.raises(MatrixError, match=re.escape(message)) as exc:
+            check_density_matrix(np.stack([np.eye(6) / 6, bad, bad]))
+        assert exc.value.index == (1,)
+        with pytest.raises(MatrixError, match=re.escape(message)) as exc:
+            check_density_matrix(bad)
+        assert exc.value.index == ()
+
+    def test_state_checks_run_hermiticity_then_trace_then_psd_over_the_stack(self):
+        stack = np.stack(
+            [np.diag([0.5, 0.5, 0.25, 0, 0, -0.25]), np.eye(6) / 5, np.triu(np.ones((6, 6))) / 6]
+        )
+        for k, named in ((3, "not Hermitian"), (2, "trace is"), (1, "smallest eigenvalue")):
+            with pytest.raises(MatrixError, match=named) as exc:
+                check_density_matrix(stack[:k])
+            assert exc.value.index == (k - 1,)
 
     def test_empty_stack(self):
         w, v = eig_hermitian(np.zeros((0, 6, 6)))
         assert w.shape == (0, 6) and v.shape == (0, 6, 6)
         assert negativity(np.zeros((0, 6, 6))).shape == (0,)
+        assert check_density_matrix(np.zeros((0, 6, 6))).shape == (0, 6, 6)
+        assert purity(np.zeros((0, 6, 6))).shape == (0,)
 
 
 class TestPartialTranspose:

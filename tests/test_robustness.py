@@ -1,5 +1,6 @@
 """Non-finite and out-of-domain input, and internal checks under ``python -O``."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from qqmems.purity_mems import (
     rank3_spectrum,
 )
 from qqmems.spectrum import validate_spectrum
-from qqmems.tgx import maximize_tgx2, maximize_tgx3
+from qqmems.tgx import Tgx2Params, Tgx3Params, maximize_tgx2, maximize_tgx3
 from qqmems.xstate import XState, XStateError
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -98,7 +99,8 @@ def test_every_consumer_agrees_on_the_domain(key, capsys):
         return code == EXIT_OK and out.splitlines()[1].split(",")[column] != ""
 
     def certify(P):
-        code = main(["certify", "--theorem", key, f"--p={P!r}"])
+        code = main(["certify", "--theorem", key, f"--p-min={P!r}", f"--p-max={P!r}",
+                     "--p-steps", "1"])
         capsys.readouterr()
         return {EXIT_OK: True, EXIT_CHECK: True, EXIT_USAGE: False}[code]
 
@@ -113,7 +115,7 @@ def test_every_consumer_agrees_on_the_domain(key, capsys):
         "spectrum": lambda P: _accepts(getattr(purity_mems, f"{key}_spectrum"), P),
         "construction": lambda P: _accepts(getattr(purity_mems, f"construct_{key}"), P),
         "curves cell": curves_cell,
-        "certify --p": certify,
+        "certify": certify,
         "search": search,
     }
     for P in (lo, np.nextafter(lo, 0), np.nextafter(lo, 1), np.nextafter(1, 0), 1.0, np.nan):
@@ -131,6 +133,22 @@ def test_xstate_rejects_non_finite_parameters(field, k, bad):
     params[field][k] = bad
     with pytest.raises(XStateError, match=f"{field} must be finite"):
         XState(**params)
+
+
+# A valid record of each TGX family, field by field: the angles, then the probabilities.
+TGX_RECORDS = {Tgx2Params: (0.3, 0.2, 0.4, 0.6), Tgx3Params: (0.3, 0.2, 0.1, 0.5, 0.3, 0.2)}
+TGX_FIELDS = [(record, f.name) for record in TGX_RECORDS for f in dataclasses.fields(record)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(TGX_FIELDS), bad=NON_FINITE)
+def test_tgx_records_reject_non_finite_fields(case, bad):
+    record, field = case
+    values = dict(zip((f.name for f in dataclasses.fields(record)), TGX_RECORDS[record]))
+    record(**values)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+        record(**values)
 
 
 @given(k=st.integers(0, 5), bad=NON_FINITE)

@@ -6,8 +6,9 @@ import pytest
 import qqmems.tgx
 from qqmems import purity_mems
 from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, purity
-from qqmems.purity_mems import FAMILIES, P_MAX, DomainError, n_x_p_rank2, n_x_p_rank3
+from qqmems.purity_mems import FAMILIES, DomainError, n_x_p_rank2, n_x_p_rank3
 from qqmems.tgx import (
+    P_MAX,
     Tgx2Params,
     Tgx3Params,
     maximize_tgx2,
