@@ -15,6 +15,7 @@ from .linalg import (
     partial_transpose_qubit,
     purity,
     random_density_fixed_purity,
+    random_spectrum,
     trace_norm,
 )
 from .xstate import (
@@ -32,7 +33,6 @@ from .spectrum import (
     construct_spectrum_xmems,
     lemma1_check,
     n_x_lambda,
-    random_spectrum,
     s_value,
 )
 from .purity_mems import (

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .acs import acs_run, acs_sweep
-from .linalg import MatrixError, check_density_matrix, negativity, purity
+from .linalg import MatrixError, check_density_matrix, negativity, purity, random_spectrum
 from .purity_mems import (
     FAMILIES,
     THEOREMS,
@@ -45,7 +45,6 @@ from .spectrum import (
     best_sequence_bruteforce,
     construct_spectrum_xmems,
     n_x_lambda,
-    random_spectrum,
     validate_spectrum,
 )
 from .tgx import maximize_tgx2, maximize_tgx3, tgx2_matrix, tgx3_matrix
@@ -193,7 +192,7 @@ def _gated_curves(P, families, tol):
     for col, fam in enumerate(families):
         m = inside[:, col]
         values[m, col] = fam.curve(P[m])
-        states[m, col] = fam.construct(P[m])
+        states[m, col] = fam.construct(P[m]).to_matrix()
     rows, cols = np.nonzero(inside)
     _validated(
         values[inside], states[inside], tol, lambda i: f"{families[cols[i]].column}@{P[rows[i]]}"

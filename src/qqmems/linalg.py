@@ -22,6 +22,7 @@ __all__ = [
     "purity",
     "check_density_matrix",
     "haar_unitary",
+    "random_spectrum",
     "random_density_fixed_purity",
 ]
 
@@ -53,6 +54,13 @@ def _require(ok, message, values):
         raise MatrixError(message.format(values[index]), index)
 
 
+def _square(M):
+    """M, if it is a square matrix or a (..., n, n) stack of them."""
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
 def eig_hermitian(H):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
@@ -60,9 +68,7 @@ def eig_hermitian(H):
     if any matrix is not Hermitian within TOL.hermiticity (NaN fails), naming
     the first such matrix's deviation.
     """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    H = _square(np.asarray(H, dtype=complex))
     dev = np.abs(H - H.conj().swapaxes(-1, -2))
     if dev.size and not dev.max() <= TOL.hermiticity:  # the worst entry; NaN fails too
         dev = dev.max(axis=(-2, -1))
@@ -105,7 +111,7 @@ def negativity(rho):
 
 def purity(rho):
     """tr rho^2 (one per matrix of a stack), in [1/6, 1] for 6-dimensional states."""
-    rho = np.asarray(rho)
+    rho = _square(np.asarray(rho))
     values = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
     return float(values) if values.ndim == 0 else values
 

@@ -9,7 +9,7 @@ Three closed-form curves and matching state constructions:
   rank-3 curve.
 
 Every curve, spectrum and construction takes a purity or an array of them;
-an array gives arrays (constructions: an (n, 6, 6) stack of density matrices).
+an array gives arrays (constructions: one XState holding the n states).
 FAMILIES holds one Family record per curve, keyed by theorem id: its domain,
 public functions and certificate data, for the library and the CLI alike.
 

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .linalg import TOL, random_spectrum
-from .xstate import XState, validate_x_params, x_matrices
+from .linalg import TOL
+from .xstate import XState
 
 __all__ = [
     "validate_spectrum",
@@ -25,7 +25,6 @@ __all__ = [
     "n_x_lambda",
     "construct_spectrum_xmems",
     "lemma1_check",
-    "random_spectrum",
 ]
 
 OPTIMAL_SEQUENCE = (4, 6, 1, 5)
@@ -128,8 +127,7 @@ def construct_spectrum_xmems(lam):
 
     Block 1 carries (lam_4, lam_6) diagonally, block 2 carries (lam_2, lam_3),
     and block 3 mixes (lam_1, lam_5) maximally on the anti-diagonal.  For an
-    (n, 6) stack of spectra the n states come back as validated (n, 6, 6)
-    density matrices.
+    (n, 6) stack of spectra the XState holds the n states.
     """
     lam = validate_spectrum(lam)
     mid = 0.5 * (lam[..., 0] + lam[..., 4])
@@ -137,10 +135,7 @@ def construct_spectrum_xmems(lam):
     a = np.stack([lam[..., 3], lam[..., 1], mid], axis=-1)
     b = np.stack([lam[..., 5], lam[..., 2], mid], axis=-1)
     r = np.stack([zero, zero, 0.5 * (lam[..., 0] - lam[..., 4])], axis=-1)
-    if lam.ndim == 1:
-        return XState(a=a, b=b, r=r)
-    validate_x_params(a, b, r)
-    return x_matrices(a, b, r, np.zeros_like(a))
+    return XState(a=a, b=b, r=r)
 
 
 def lemma1_check(a, b, c, slack=1e-12):

@@ -187,8 +187,6 @@ def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula)
     every purity runs in one lockstep Nelder-Mead batch.
     """
     scalar, grid, rngs = _per_purity(P, rng)
-    if not np.isfinite(grid).all():
-        raise DomainError(f"purity {grid[np.argmin(np.isfinite(grid))]} is not finite")
     FAMILIES[family].check(grid)
     if not isinstance(restarts, (int, np.integer)):
         raise DomainError(f"restarts must be an integer, got {restarts!r}")

@@ -6,22 +6,21 @@ half) and b_k (lower-right half), anti-diagonal magnitudes r_k and phases
 phi_k, for k = 1, 2, 3.  Block k couples basis states (k-1) and (6-k).
 
 Validity requires sum_k (a_k + b_k) = 1 and r_k <= sqrt(a_k b_k); the second
-condition is exactly positive semidefiniteness of the 2x2 block k.
+condition is exactly positive semidefiniteness of the 2x2 block k.  One
+XState holds one state or a stack; the closed forms give one result per state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL
+from .linalg import TOL, _simplex_sample
 
 __all__ = [
     "XState",
     "XStateError",
     "XSpectra",
     "from_matrix",
-    "validate_x_params",
-    "x_matrices",
     "x_spectra",
     "x_negativity",
     "count_negative_pt_eigs",
@@ -38,32 +37,65 @@ class XStateError(ValueError):
 
 @dataclass(frozen=True)
 class XState:
-    """Parameters of a 2x3 X state. Arrays of shape (3,); phi in radians."""
+    """Parameters of a 2x3 X state, arrays of shape (3,), or of a stack of X
+    states, arrays of one shape (..., 3); phi in radians, zeros if omitted."""
 
     a: np.ndarray
     b: np.ndarray
     r: np.ndarray
-    phi: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    phi: np.ndarray = None
 
     def __post_init__(self):
+        shape = np.shape(self.a)
         for name in ("a", "b", "r", "phi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,):
-                raise XStateError(f"{name} must have shape (3,), got {arr.shape}")
+            value = getattr(self, name)
+            arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            if arr.shape != shape or shape[-1:] != (3,):
+                raise XStateError(
+                    f"{name} has shape {arr.shape}; a, b, r and phi need one shape (..., 3)"
+                )
             if not np.all(np.isfinite(arr)):
                 raise XStateError(f"{name} must be finite, got {arr}")
             object.__setattr__(self, name, arr)
         self.validate()
 
     def validate(self):
-        validate_x_params(self.a, self.b, self.r)
+        """Raise XStateError naming the first offending state (NaN fails):
+        signs and positivity within TOL.psd_slack, the trace within TOL.trace."""
+        a, b, r = self.a, self.b, self.r
+        tol = TOL.psd_slack
+        if not (np.all(a >= -tol) and np.all(b >= -tol) and np.all(r >= -tol)):
+            raise XStateError("a, b, r must be nonnegative")
+        total = np.sum(a, axis=-1) + np.sum(b, axis=-1)
+        bad = ~(np.abs(total - 1.0) <= TOL.trace)
+        if np.any(bad):
+            total = float(np.ravel(total)[np.ravel(bad)][0])
+            raise XStateError(f"normalization sum(a) + sum(b) = {total}, expected 1")
+        bound = np.sqrt(a * b)
+        over = ~(r <= bound + tol)
+        if np.any(over):
+            first = np.unravel_index(np.argmax(over), over.shape)
+            raise XStateError(
+                f"positivity violated in block {first[-1] + 1}: "
+                f"r = {r[first]} > sqrt(a*b) = {bound[first]}"
+            )
 
     def to_matrix(self):
-        """Dense 6x6 density matrix with the X sparsity pattern."""
-        return x_matrices(self.a, self.b, self.r, self.phi)
+        """Dense (6, 6) density matrix with the X sparsity pattern, or the
+        (..., 6, 6) stack of them."""
+        off = self.r * np.exp(-1j * self.phi)
+        rho = np.zeros(self.a.shape[:-1] + (6, 6), dtype=complex)
+        for k, (i, j) in enumerate(_OFFDIAG):
+            rho[..., i, i] = self.a[..., k]
+            rho[..., j, j] = self.b[..., k]
+            rho[..., i, j] = off[..., k]
+            rho[..., j, i] = np.conj(off[..., k])
+        return rho
 
     def to_dict(self):
         """Flat JSON-friendly record with keys a1..a3, b1..b3, r1..r3, phi1..phi3."""
+        if self.a.shape != (3,):
+            raise XStateError(f"to_dict takes one state, got a stack of shape {self.a.shape}")
         out = {}
         for name, arr in (("a", self.a), ("b", self.b), ("r", self.r), ("phi", self.phi)):
             for k in range(3):
@@ -77,40 +109,6 @@ class XState:
             for name in ("a", "b", "r", "phi")
         }
         return cls(**vals)
-
-
-def validate_x_params(a, b, r):
-    """XState.validate for (..., 3) arrays a, b, r, one state or a stack:
-    raises XStateError naming the first offending state; NaN fails.  Signs and
-    positivity are checked within TOL.psd_slack, the trace within TOL.trace."""
-    tol = TOL.psd_slack
-    if not (np.all(a >= -tol) and np.all(b >= -tol) and np.all(r >= -tol)):
-        raise XStateError("a, b, r must be nonnegative")
-    total = np.sum(a, axis=-1) + np.sum(b, axis=-1)
-    bad = ~(np.abs(total - 1.0) <= TOL.trace)
-    if np.any(bad):
-        total = float(np.ravel(total)[np.ravel(bad)][0])
-        raise XStateError(f"normalization sum(a) + sum(b) = {total}, expected 1")
-    bound = np.sqrt(a * b)
-    over = ~(r <= bound + tol)
-    if np.any(over):
-        first = np.unravel_index(np.argmax(over), over.shape)
-        raise XStateError(
-            f"positivity violated in block {first[-1] + 1}: "
-            f"r = {r[first]} > sqrt(a*b) = {bound[first]}"
-        )
-
-
-def x_matrices(a, b, r, phi):
-    """Dense (..., 6, 6) density matrices of X states given as (..., 3) arrays."""
-    off = r * np.exp(-1j * phi)
-    rho = np.zeros(np.shape(a)[:-1] + (6, 6), dtype=complex)
-    for k, (i, j) in enumerate(_OFFDIAG):
-        rho[..., i, i] = a[..., k]
-        rho[..., j, j] = b[..., k]
-        rho[..., i, j] = off[..., k]
-        rho[..., j, i] = np.conj(off[..., k])
-    return rho
 
 
 def from_matrix(rho):
@@ -142,18 +140,18 @@ def from_matrix(rho):
 class XSpectra:
     """Closed-form eigenvalues of an X state and of its partial transpose.
 
-    state_eigs[k] = (lam_k^-, lam_k^+); pt_eigs likewise.  d[k] = (b_k - a_k)/2.
+    state_eigs[..., k, :] = (lam_k^-, lam_k^+); pt_eigs likewise.  The
+    *_values methods give each state's six eigenvalues ascending.
     """
 
     state_eigs: np.ndarray
     pt_eigs: np.ndarray
-    d: np.ndarray
 
     def state_values(self):
-        return np.sort(self.state_eigs.ravel())
+        return np.sort(self.state_eigs.reshape(self.state_eigs.shape[:-2] + (6,)), axis=-1)
 
     def pt_values(self):
-        return np.sort(self.pt_eigs.ravel())
+        return np.sort(self.pt_eigs.reshape(self.pt_eigs.shape[:-2] + (6,)), axis=-1)
 
 
 def _x_block_eigs(a, b, r, transpose=False):
@@ -178,46 +176,49 @@ def _x_pt_minus_eigs(a, b, r):
 
 
 def x_spectra(x):
-    """Eigenvalues of an X state and its partial transpose, in closed form."""
+    """Eigenvalues of an X state (or of each state of a stack) and of its
+    partial transpose, in closed form."""
     return XSpectra(
         state_eigs=_x_block_eigs(x.a, x.b, x.r),
         pt_eigs=_x_block_eigs(x.a, x.b, x.r, transpose=True),
-        d=0.5 * (x.b - x.a),
     )
 
 
 def x_negativity(x):
-    """Closed-form negativity of an X state.
+    """Closed-form negativity of an X state: a float, or an array with one
+    value per state of a stack.
 
     Only the minus-branch PT eigenvalues of blocks 1 and 3 can be negative,
     and at most one of them is, so the negativity reduces to
     2 * max(0, -lam'_1-, -lam'_3-).
     """
-    eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
-    return float(2.0 * max(0.0, -eigs.min()))
+    neg = -_x_pt_minus_eigs(x.a, x.b, x.r).min(axis=-1)
+    values = 2.0 * np.where(neg > 0.0, neg, 0.0)  # max(0.0, neg), keeping +0.0
+    return float(values) if values.ndim == 0 else values
 
 
 def count_negative_pt_eigs(x):
-    """Number of partial-transpose eigenvalues below -1e-12 (always 0 or 1).
+    """Number of partial-transpose eigenvalues below -1e-12 (always 0 or 1):
+    an int, or an array with one count per state of a stack.
 
     Two simultaneous negatives would contradict the positivity constraints
     r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
     that.
     """
     eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
-    count = int(np.sum(eigs < -1e-12))
-    if count > 1:
-        raise RuntimeError(f"two negative PT eigenvalues {eigs} for a valid X state")
-    return count
+    counts = np.sum(eigs < -1e-12, axis=-1)
+    if np.any(counts > 1):
+        first = eigs[counts > 1][0]
+        raise RuntimeError(f"two negative PT eigenvalues {first} for a valid X state")
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def random_xstate(rng):
     """Random valid X state: simplex diagonal, r_k a uniform fraction of its
     positivity bound (with probability 0.1 exactly on the bound), uniform
     phases."""
-    w = rng.exponential(size=6)
-    w /= w.sum()
-    a, b = w[:3].copy(), w[3:].copy()
+    w = _simplex_sample(rng)
+    a, b = w[:3], w[3:]
     frac = rng.uniform(0.0, 1.0, size=3)
     frac[rng.uniform(size=3) < 0.1] = 1.0
     r = frac * np.sqrt(a * b)

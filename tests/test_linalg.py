@@ -231,6 +231,13 @@ class TestPurity:
         assert purity(pure) == pytest.approx(1.0)
         assert purity(np.diag([0.5, 0.5, 0, 0, 0, 0])) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3), (2, 6, 5)])
+    def test_rejects_non_square(self, shape):
+        # The text of eig_hermitian's check, not numpy's diag or matmul error.
+        message = f"expected a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            purity(np.ones(shape))
+
 
 class TestHaarUnitary:
     @pytest.mark.parametrize("dim", [2, 3, 6])

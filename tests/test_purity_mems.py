@@ -22,7 +22,7 @@ from qqmems.purity_mems import (
     verify_certificate,
 )
 from qqmems.spectrum import n_x_lambda
-from qqmems.xstate import x_negativity
+from qqmems.xstate import XState, x_negativity
 
 
 class TestCurveAnchors:
@@ -91,6 +91,21 @@ class TestSpectraAndConstructions:
             target = max(0.0, curve(P))
             assert abs(x_negativity(x) - target) < 1e-10
             assert abs(negativity(rho) - target) < 1e-10
+
+    @pytest.mark.parametrize(
+        "construct,grid",
+        [
+            (construct_rank2, np.array([0.5, 0.7, 0.95])),
+            (construct_rank3, np.array([1 / 3, 0.5, 0.95])),
+            (construct_deg, np.array([0.25, 0.3, 3 / 8, 0.6])),  # both branches
+        ],
+    )
+    def test_purity_array_gives_one_stacked_xstate(self, construct, grid):
+        x = construct(grid)
+        assert isinstance(x, XState) and x.a.shape == (len(grid), 3)
+        singles = [construct(float(P)) for P in grid]
+        assert all(isinstance(y, XState) and y.a.shape == (3,) for y in singles)
+        assert np.array_equal(x.to_matrix(), [y.to_matrix() for y in singles])
 
     def test_spectrum_purity_identities(self):
         for P in (0.25, 0.35, 0.5, 0.8):

@@ -164,7 +164,7 @@ def test_gate_rejects_a_non_finite_closed_form_value(bad):
     rho = construct_rank2(0.7).to_matrix()
     with pytest.raises(CheckError, match="state: closed-form value"):
         _validated(bad, rho, 1e-10, lambda _: "state")
-    stack = construct_rank2(np.array([0.6, 0.7, 0.8]))
+    stack = construct_rank2(np.array([0.6, 0.7, 0.8])).to_matrix()
     values = np.array([n_x_p_rank2(0.6), bad, n_x_p_rank2(0.8)])
     with pytest.raises(CheckError, match="row 1: "):
         _validated(values, stack, 1e-10, lambda i: f"row {i}")

@@ -105,7 +105,7 @@ class TestConstruction:
 
     def test_stack_gives_the_single_states_matrices(self, rng):
         lams = random_spectrum(rng, count=25)
-        stack = construct_spectrum_xmems(lams)
+        stack = construct_spectrum_xmems(lams).to_matrix()
         assert stack.shape == (25, 6, 6)
         for m, lam in enumerate(lams):
             assert np.array_equal(stack[m], construct_spectrum_xmems(lam).to_matrix())

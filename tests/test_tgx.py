@@ -124,8 +124,8 @@ class TestArrayForm:
     @pytest.mark.parametrize(
         "purities, rng, error, match",
         [
-            ([0.6, np.nan], [1, 2], DomainError, "nan is not finite"),
-            ([0.6, np.inf], [1, 2], DomainError, "inf is not finite"),
+            ([0.6, np.nan], [1, 2], DomainError, "purity nan outside"),
+            ([0.6, np.inf], [1, 2], DomainError, "purity inf outside"),
             ([0.6, 0.2], [1, 2], DomainError, "purity 0.2 outside"),
             ([0.6, 0.7], [1, 2, 3], ValueError, "3 rngs for 2 purities"),
             ([0.6, 0.7], [1], ValueError, "1 rngs for 2 purities"),

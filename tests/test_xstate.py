@@ -9,8 +9,6 @@ from qqmems.xstate import (
     count_negative_pt_eigs,
     from_matrix,
     random_xstate,
-    validate_x_params,
-    x_matrices,
     x_negativity,
     x_spectra,
 )
@@ -62,14 +60,51 @@ class TestValidation:
 
 
 class TestStackedStates:
+    @staticmethod
+    def _stack(rng, n):
+        states = [random_xstate(rng) for _ in range(n)]
+        # A product state: its PT minus eigenvalues are exactly 0, and its
+        # negativity must come out +0.0, not -0.0.
+        states.append(XState(a=[0.5, 0, 0], b=[0, 0, 0.5], r=[0, 0, 0]))
+        fields = (np.array([getattr(x, f) for x in states]) for f in ("a", "b", "r", "phi"))
+        return states, XState(*fields)
+
     def test_matrices_equal_per_state_matrices(self, rng):
-        states = [random_xstate(rng) for _ in range(30)]
-        a, b, r, phi = (np.array([getattr(x, f) for x in states]) for f in ("a", "b", "r", "phi"))
-        validate_x_params(a, b, r)
-        stack = x_matrices(a, b, r, phi)
-        assert stack.shape == (30, 6, 6)
+        states, stack = self._stack(rng, 30)
+        matrices = stack.to_matrix()
+        assert matrices.shape == (31, 6, 6)
         for m, x in enumerate(states):
-            assert np.array_equal(stack[m], x.to_matrix())
+            assert np.array_equal(matrices[m], x.to_matrix())
+
+    def test_closed_forms_are_per_state_and_bitwise(self, rng):
+        states, stack = self._stack(rng, 2000)
+        for fn in (
+            x_negativity,
+            count_negative_pt_eigs,
+            lambda x: x_spectra(x).state_values(),
+            lambda x: x_spectra(x).pt_values(),
+        ):
+            values = fn(stack)
+            singles = np.array([fn(x) for x in states])
+            assert values.shape == singles.shape and values.shape[0] == len(states)
+            assert values.tobytes() == singles.tobytes()
+        assert 0 < count_negative_pt_eigs(stack).sum() < len(states)
+        assert not np.signbit(x_negativity(stack)).any()  # never -0.0
+        assert isinstance(x_negativity(states[0]), float)
+        assert isinstance(count_negative_pt_eigs(states[0]), int)
+
+    def test_a_stack_has_no_single_record(self, rng):
+        _, stack = self._stack(rng, 2)
+        with pytest.raises(XStateError, match=r"stack of shape \(3, 3\)"):
+            stack.to_dict()
+
+    @pytest.mark.parametrize("name", ["b", "r", "phi"])
+    def test_rejects_fields_of_mismatched_shapes(self, name):
+        fields = {f: np.full((2, 3), 1 / 6) for f in ("a", "b")}
+        fields.update(r=np.zeros((2, 3)), phi=np.zeros((2, 3)))
+        fields[name] = fields[name][0]
+        with pytest.raises(XStateError, match=rf"{name} has shape \(3,\)"):
+            XState(**fields)
 
     @pytest.mark.parametrize(
         "row,msg",
@@ -80,12 +115,14 @@ class TestStackedStates:
         ],
     )
     def test_validator_rejects_what_xstate_rejects(self, row, msg):
+        # A stack fails on its first bad state with that state's own message.
         good = ([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0])
         a, b, r = (np.array([g, bad, g]) for g, bad in zip(good, row))
-        with pytest.raises(XStateError, match=msg):
-            validate_x_params(a, b, r)
-        with pytest.raises(XStateError, match=msg):
+        with pytest.raises(XStateError, match=msg) as stacked:
+            XState(a, b, r)
+        with pytest.raises(XStateError, match=msg) as single:
             XState(*row)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestRoundTrips:
