@@ -57,6 +57,6 @@ from .tgx import (
     tgx3_matrix,
     tgx3_negativity,
 )
-from .acs import AcsTrace, acs_run, acs_sweep, pi_step, rho_step, vector_subproblem
+from .acs import AcsTrace, acs_run, pi_step, rho_step, vector_subproblem
 
 __version__ = "0.1.0"

@@ -15,9 +15,9 @@ Each half-step is an exact maximization, so the round values never decrease.
 The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
 eigendecomposition per half-step for every live run, each run freezing once
 its round increment drops below STOP_INCREMENT, or after MAX_ROUNDS rounds.
-`acs_sweep` feeds the loop blocks of at most SWEEP_BLOCK runs, which bounds
-its working set; `acs_run` is a block of one.  Both return the loop's
-records, one AcsTrace per run.
+`acs_run` feeds a stack of starts to the loop in blocks of at most
+SWEEP_BLOCK runs, which bounds its working set, and one start as a block of
+one; either way it returns the loop's records, one AcsTrace per run.
 
 At a PPT state (round value, the negativity, below STOP_INCREMENT) the
 projector is I, whose rho-step returns I/6: a trivial fixed point.  From a
@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    MatrixError,
     check_density_matrix,
     eig_hermitian,
     partial_transpose_qubit,
     purity,
-    random_density_fixed_purity,
 )
 from .purity_mems import FAMILIES
 
@@ -49,7 +49,6 @@ __all__ = [
     "vector_subproblem",
     "rho_step",
     "acs_run",
-    "acs_sweep",
     "AcsTrace",
 ]
 
@@ -105,7 +104,10 @@ def vector_subproblem(a, P):
     if not np.isfinite(a).all():
         raise ValueError("objective coefficients must be finite")
     a2 = a.reshape(-1, 6)
-    P = np.broadcast_to(np.asarray(P, dtype=float), a2.shape[:1])
+    P = np.asarray(P, dtype=float)
+    if P.ndim and P.shape != a.shape[:-1]:
+        raise ValueError(f"expected one purity bound or one per row of {a.shape}, got shape {P.shape}")
+    P = np.broadcast_to(P, a2.shape[:1])
     ok = (1.0 / 6.0 - 1e-12 <= P) & (P < 1.0 + 1e-12)
     if not ok.all():
         raise ValueError(f"purity bound {P[np.argmin(ok)]} outside [1/6, 1)")
@@ -179,14 +181,12 @@ def _escape(pi, rho, ppt):
     return pi
 
 
-@dataclass
+@dataclass(eq=False)
 class AcsTrace:
-    """One run of the scheme: its purity bound, the seed its start was drawn
-    from (None for a start the caller gave), round values, final state, and
-    why it stopped ("converged", "stalled_ppt" or "max_rounds")."""
+    """One run of the scheme: its purity bound, round values, final state,
+    and why it stopped ("converged", "stalled_ppt" or "max_rounds")."""
 
     P: float
-    seed: int | None
     rounds: list
     final_state: np.ndarray
     status: str
@@ -204,11 +204,11 @@ class AcsTrace:
         return self.status == "converged"
 
 
-def _acs_lockstep(P, rho0, seeds, max_rounds):
+def _acs_lockstep(P, rho0, max_rounds):
     """Run the ascent from every start of the (n, 6, 6) stack rho0 at the
     bounds P (n,), all live runs advancing together.  A run freezes once its
     round increment drops below STOP_INCREMENT.  Returns one AcsTrace per
-    start, labelled with its entry of `seeds`."""
+    start."""
     rho = np.array(rho0, dtype=complex)
     pi = pi_step(rho)
     last = pi_objective(pi, rho)
@@ -229,48 +229,36 @@ def _acs_lockstep(P, rho0, seeds, max_rounds):
         live = live[~done]
         if not live.size:
             break
-    return [
-        AcsTrace(float(p), seed, values, state, st)
-        for p, seed, values, state, st in zip(P, seeds, rounds, rho, status)
-    ]
+    return [AcsTrace(float(p), r, s, st) for p, r, s, st in zip(P, rounds, rho, status)]
 
 
 def acs_run(P, rho0, max_rounds=MAX_ROUNDS):
     """Iterate Pi- and rho-steps from the density matrix rho0 until the round
-    increment drops below 1e-12 or max_rounds is hit."""
-    if not isinstance(max_rounds, (int, np.integer)):
+    increment drops below STOP_INCREMENT or max_rounds is hit.
+
+    A float P and a 6x6 rho0 give one AcsTrace; a 1-D P and an (n, 6, 6)
+    stack give a list of n, each equal to the single call with its bound and
+    start.  Every bound and start is checked before any run."""
+    if isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer)):
         raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if np.shape(rho0) != (6, 6):
-        raise ValueError(f"expected one 6x6 start, got shape {np.shape(rho0)}")
+    P = FAMILIES["deg"].check(P, "ACS")
+    if np.ndim(P) > 1 or np.shape(rho0) != np.shape(P) + (6, 6):
+        raise ValueError(
+            f"expected starts of shape {np.shape(P) + (6, 6)} for purities of shape "
+            f"{np.shape(P)} (a float or a 1-D array), got shape {np.shape(rho0)}"
+        )
     rho0 = check_density_matrix(rho0)
-    if purity(rho0) > P + 1e-10:
-        raise ValueError(f"initial state purity {purity(rho0)} exceeds bound {P}")
-    (trace,) = _acs_lockstep(np.array([P], dtype=float), rho0[None], [None], max_rounds)
-    return trace
-
-
-def acs_sweep(p_grid, samples_per_p, rng):
-    """Run the scheme from random full-rank starts over a purity grid.
-
-    Returns one AcsTrace per (P, sample), in that order, each equal to
-    acs_run from its seed's start.  The per-run seeds are drawn from `rng` in
-    (P, sample) order; the runs then go through the lockstep loop in blocks
-    of at most SWEEP_BLOCK, and each block's starts are drawn as one stack,
-    every start from its own seed.
-    """
-    p_grid = FAMILIES["deg"].check(np.ravel(np.asarray(p_grid, dtype=float)), "ACS")
-    if not isinstance(samples_per_p, (int, np.integer)):
-        raise ValueError(f"samples_per_p must be an integer, got {samples_per_p!r}")
-    if samples_per_p < 0:
-        raise ValueError(f"samples_per_p must be >= 0, got {samples_per_p}")
-    rng = np.random.default_rng(rng)
-    P = np.repeat(p_grid, samples_per_p)
-    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in P]
-    out = []
-    for start in range(0, len(P), SWEEP_BLOCK):
+    bounds, rho0 = np.ravel(P), rho0.reshape(-1, 6, 6)
+    pur = purity(rho0)
+    over = pur > bounds + 1e-10
+    if over.any():
+        i = int(np.argmax(over))
+        index = (i,) if np.ndim(P) else ()
+        raise MatrixError(f"initial state purity {pur[i]} exceeds bound {bounds[i]}", index)
+    traces = []
+    for start in range(0, len(bounds), SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        rho0 = random_density_fixed_purity(P[block], seeds[block])
-        out.extend(_acs_lockstep(P[block], rho0, seeds[block], MAX_ROUNDS))
-    return out
+        traces.extend(_acs_lockstep(bounds[block], rho0[block], max_rounds))
+    return traces if np.ndim(P) else traces[0]

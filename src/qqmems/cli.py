@@ -31,8 +31,15 @@ import sys
 
 import numpy as np
 
-from .acs import acs_run, acs_sweep
-from .linalg import MatrixError, check_density_matrix, negativity, purity, random_spectrum
+from .acs import acs_run
+from .linalg import (
+    MatrixError,
+    check_density_matrix,
+    negativity,
+    purity,
+    random_density_fixed_purity,
+    random_spectrum,
+)
 from .purity_mems import (
     FAMILIES,
     THEOREMS,
@@ -285,7 +292,8 @@ def cmd_acs(cfg):
         raise UsageError(f"runs must be >= 0, got {cfg.runs}")
     rng = np.random.default_rng(cfg.seed)
     purities = np.sort(rng.uniform(p_min, p_max, size=cfg.runs))
-    runs = acs_sweep(purities, 1, rng)
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in purities]
+    runs = acs_run(purities, random_density_fixed_purity(purities, seeds))
     best = np.array([run.best_value for run in runs])
     states = np.reshape([run.final_state for run in runs], (-1, 6, 6))
 
@@ -303,8 +311,8 @@ def cmd_acs(cfg):
     _validated(best, states, cfg.tolerance, label)
     ref = FAMILIES["deg"].curve(purities)
     rows = [
-        (run.P, run.seed, run.best_value, n, dev, run.rounds_used, run.status)
-        for run, n, dev in zip(runs, ref, best - ref)
+        (run.P, seed, run.best_value, n, dev, run.rounds_used, run.status)
+        for run, seed, n, dev in zip(runs, seeds, ref, best - ref)
     ]
     tables = [
         (cfg.output, ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "status"], rows)

@@ -188,7 +188,7 @@ def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula)
     """
     scalar, grid, rngs = _per_purity(P, rng)
     FAMILIES[family].check(grid)
-    if not isinstance(restarts, (int, np.integer)):
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)):
         raise DomainError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")

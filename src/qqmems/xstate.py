@@ -35,7 +35,7 @@ class XStateError(ValueError):
     """Raised when the twelve X-state parameters violate a validity condition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XState:
     """Parameters of a 2x3 X state, arrays of shape (3,), or of a stack of X
     states, arrays of one shape (..., 3); phi in radians, zeros if omitted."""

@@ -8,7 +8,7 @@ random draws are seeded so reruns are bit-reproducible.
 import numpy as np
 import pytest
 
-from qqmems.acs import acs_run, acs_sweep
+from qqmems.acs import acs_run
 from qqmems.linalg import eig_hermitian, negativity, random_density_fixed_purity, random_spectrum
 from qqmems.purity_mems import (
     DEG_SPLIT,
@@ -180,7 +180,9 @@ def test_criterion_10_acs_sweep():
         trace = acs_run(float(P), random_density_fixed_purity(float(P), rng))
         if np.min(np.diff(trace.rounds)) < -1e-12:
             monotone_ok = False
-    runs = acs_sweep(purities, 1, np.random.default_rng(SEED + 7))
+    rng = np.random.default_rng(SEED + 7)  # one seed per purity, as the acs command draws them
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in purities]
+    runs = acs_run(purities, random_density_fixed_purity(purities, seeds))
     devs = np.array([s.best_value - n_x_p_deg(s.P) for s in runs])
     frac_close = float(np.mean(np.abs(devs) <= 1e-6))
     max_excess = float(devs.max())

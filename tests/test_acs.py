@@ -3,19 +3,20 @@ import re
 import numpy as np
 import pytest
 
+import qqmems.acs
 from oracles import vector_subproblem_loop
 from qqmems.acs import (
     STOP_INCREMENT,
     SWEEP_BLOCK,
     AcsTrace,
     acs_run,
-    acs_sweep,
     pi_objective,
     pi_step,
     rho_step,
     vector_subproblem,
 )
 from qqmems.linalg import (
+    MatrixError,
     check_density_matrix,
     eig_hermitian,
     negativity,
@@ -73,6 +74,7 @@ class TestVectorSubproblem:
             ([1.0, 0, 0, 0, 0, 0], np.nan, "purity bound"),
             ([1.0, 0, 0, 0, 0, 0], np.inf, "purity bound"),
             ([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]], [0.5, 1.5], "purity bound 1.5"),
+            ([[1.0, 0, 0, 0, 0, 0]] * 3, [0.3, 0.4], re.escape("of (3, 6), got shape (2,)")),
         ],
     )
     def test_rejects_bad_input(self, a, P, match):
@@ -203,7 +205,7 @@ class TestAcsRun:
         with pytest.raises(ValueError, match="max_rounds"):
             acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=0)
 
-    @pytest.mark.parametrize("max_rounds", [10.0, 2.5, "10", None])
+    @pytest.mark.parametrize("max_rounds", [10.0, 2.5, "10", None, True])
     def test_rejects_non_integral_rounds(self, rng, max_rounds):
         match = re.escape(f"max_rounds must be an integer, got {max_rounds!r}")
         with pytest.raises(ValueError, match=match):
@@ -235,46 +237,70 @@ class TestAcsRun:
         assert trace.rounds_used == 1
 
 
-class TestAcsSweep:
+def _acs_starts(P, seed):
+    """Starts for the bounds P drawn as the `acs` command draws them: one
+    seed per bound from the Generator `seed`."""
+    rng = np.random.default_rng(seed)
+    return random_density_fixed_purity(P, [int(rng.integers(0, 2**31 - 1)) for _ in P])
+
+
+class TestStackedAcsRun:
     def test_deterministic_and_converging(self):
-        grid = np.linspace(0.3, 0.9, 5)
-        a = acs_sweep(grid, 2, np.random.default_rng(3))
-        b = acs_sweep(grid, 2, np.random.default_rng(3))
+        P = np.repeat(np.linspace(0.3, 0.9, 5), 2)
+        a = acs_run(P, _acs_starts(P, 3))
+        b = acs_run(P, _acs_starts(P, 3))
         assert [s.best_value for s in a] == [s.best_value for s in b]
         assert len(a) == 10
         for s in a:
             assert s.converged
             assert s.best_value - n_x_p_deg(s.P) <= 1e-8
 
-    def test_round_values_are_the_runs_trace(self):
-        # 12 purities x 3 samples: the second block starts at run 32, and the
+    def test_stack_equals_the_single_calls(self):
+        # 12 purities x 3 starts: the second block starts at run 32, and the
         # low purities give PPT starts, which take the escape step
-        grid = np.linspace(0.21, 0.9, 12)
-        runs = acs_sweep(grid, 3, np.random.default_rng(5))
+        P = np.repeat(np.linspace(0.21, 0.9, 12), 3)
+        rho0 = _acs_starts(P, 5)
+        runs = acs_run(P, rho0)
         assert len(runs) == 36 > SWEEP_BLOCK
         assert any(abs(s.rounds[0]) < STOP_INCREMENT for s in runs)
-        for s, P in zip(runs, np.repeat(grid, 3)):
-            trace = acs_run(P, random_density_fixed_purity(P, np.random.default_rng(s.seed)))
-            assert isinstance(s, AcsTrace) and isinstance(s.seed, int) and trace.seed is None
-            assert s.P == trace.P == P
+        for s, p, start in zip(runs, P, rho0):
+            trace = acs_run(p, start)
+            assert isinstance(s, AcsTrace) and isinstance(trace, AcsTrace)
+            assert s.P == trace.P == p
             assert s.rounds == trace.rounds
             assert s.rounds_used == trace.rounds_used == len(s.rounds) - 1
             assert s.status == trace.status
             assert np.array_equal(s.final_state, trace.final_state)
 
     @pytest.mark.parametrize(
-        "grid,samples,match",
+        "P,shape,match",
         [
-            ([0.4], -1, "samples_per_p must be >= 0"),
-            ([0.4, np.nan], 1, "purity nan outside ACS domain"),
-            ([np.inf], 1, "purity inf outside ACS domain"),
-            ([0.1], 1, "purity 0.1 outside ACS domain"),
-            ([1.0], 0, "purity 1.0 outside ACS domain"),
-            ([0.4], 2.0, "samples_per_p must be an integer, got 2.0"),
-            ([0.4], "2", "samples_per_p must be an integer, got '2'"),
-            ([0.4], None, "samples_per_p must be an integer, got None"),
+            ([0.4, np.nan], (2, 6, 6), "purity nan outside ACS domain"),
+            ([np.inf], (1, 6, 6), "purity inf outside ACS domain"),
+            ([0.4, 0.1], (2, 6, 6), "purity 0.1 outside ACS domain"),
+            ([1.0], (1, 6, 6), "purity 1.0 outside ACS domain"),
+            ([0.4, 0.5], (3, 6, 6), "starts of shape (2, 6, 6) for purities of shape (2,)"),
+            ([0.4], (6, 6), "starts of shape (1, 6, 6) for purities of shape (1,)"),
+            (0.4, (1, 6, 6), "starts of shape (6, 6) for purities of shape ()"),
+            ([[0.4]], (1, 1, 6, 6), "a float or a 1-D array"),
         ],
     )
-    def test_rejects_bad_input_before_any_run(self, grid, samples, match):
+    def test_rejects_bad_input_before_any_run(self, monkeypatch, P, shape, match):
+        monkeypatch.setattr(qqmems.acs, "_acs_lockstep", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ValueError, match=re.escape(match)):
-            acs_sweep(grid, samples, np.random.default_rng(0))
+            acs_run(P, np.broadcast_to(np.eye(6) / 6, shape))
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.eye(6) / 5, "trace is (1.2"),
+            (random_density_fixed_purity(0.6, 1), "exceeds bound 0.3"),
+        ],
+    )
+    def test_names_the_first_bad_start(self, monkeypatch, bad, match):
+        monkeypatch.setattr(qqmems.acs, "_acs_lockstep", lambda *args: pytest.fail("a run started"))
+        rho0 = np.stack([np.eye(6) / 6] * 4).astype(complex)
+        rho0[2] = rho0[3] = bad
+        with pytest.raises(MatrixError, match=re.escape(match)) as err:
+            acs_run(np.full(4, 0.3), rho0)
+        assert err.value.index == (2,)

@@ -312,15 +312,15 @@ class TestAcs:
     )
     def test_final_state_that_is_not_a_state_is_check_failure(self, bad, named, capsys,
                                                               monkeypatch):
-        sweep, bad_P = qqmems.acs.acs_sweep, []
+        acs_run, bad_P = qqmems.acs.acs_run, []
 
-        def with_bad_run_1(p_grid, samples_per_p, rng):
-            runs = sweep(p_grid, samples_per_p, rng)
+        def with_bad_run_1(P, rho0):
+            runs = acs_run(P, rho0)
             runs[1].final_state = bad
             bad_P.append(runs[1].P)
             return runs
 
-        monkeypatch.setattr(qqmems.cli, "acs_sweep", with_bad_run_1)
+        monkeypatch.setattr(qqmems.cli, "acs_run", with_bad_run_1)
         code, out, err = run(["acs", "--runs", "3", "--seed", "1"], capsys)
         assert code == EXIT_CHECK
         assert err.startswith(f"check failure: acs@{bad_P[0]}: final state: {named}")

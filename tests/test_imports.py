@@ -11,10 +11,6 @@ import qqmems
 
 MODULES = sorted(p for p in Path(qqmems.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
-# cli imports acs_run without calling it: the benchmark's tracing self-test
-# (perfbench/tests/test_tracing.py) reads qqmems.cli.acs_run.
-ALLOWED = {("cli", "acs_run")}
-
 
 def unused_imports(source):
     """Names a module imports (at any depth) but neither uses nor lists in
@@ -40,7 +36,7 @@ def test_checker_finds_unused_names():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    unused = [name for name in unused_imports(path.read_text()) if (path.stem, name) not in ALLOWED]
+    unused = unused_imports(path.read_text())
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 

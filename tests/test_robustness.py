@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qqmems
 from qqmems import purity_mems
-from qqmems.acs import rho_step
+from qqmems.acs import AcsTrace, rho_step
 from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
 from qqmems.linalg import negativity
 from qqmems.purity_mems import (
@@ -149,6 +149,16 @@ def test_tgx_records_reject_non_finite_fields(case, bad):
     values[field] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
         record(**values)
+
+
+def test_records_with_array_fields_compare_by_identity():
+    # equal-valued records: `==` must not ask an array for its truth value
+    for make in (
+        lambda: XState([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0]),
+        lambda: AcsTrace(0.5, [0.0, 0.1], np.eye(6) / 6, "converged"),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b
 
 
 @given(k=st.integers(0, 5), bad=NON_FINITE)

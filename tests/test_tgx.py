@@ -90,7 +90,7 @@ def test_rejects_nonpositive_restarts(maximize, restarts):
 
 
 @pytest.mark.parametrize("maximize", [maximize_tgx2, maximize_tgx3])
-@pytest.mark.parametrize("restarts", [2.5, 3.0, "4", None])
+@pytest.mark.parametrize("restarts", [2.5, 3.0, "4", None, True])
 def test_rejects_nonintegral_restarts(maximize, restarts):
     with pytest.raises(DomainError, match="restarts must be an integer"):
         maximize(0.6, restarts=restarts, rng=0)
