@@ -52,10 +52,8 @@ from .tgx import (
     Tgx3Params,
     maximize_tgx2,
     maximize_tgx3,
-    tgx2_matrix,
-    tgx2_negativity,
-    tgx3_matrix,
-    tgx3_negativity,
+    tgx_matrix,
+    tgx_negativity,
 )
 from .acs import AcsTrace, acs_run, pi_step, rho_step, vector_subproblem
 

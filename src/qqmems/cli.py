@@ -54,7 +54,7 @@ from .spectrum import (
     n_x_lambda,
     validate_spectrum,
 )
-from .tgx import maximize_tgx2, maximize_tgx3, tgx2_matrix, tgx3_matrix
+from .tgx import maximize_tgx2, maximize_tgx3, tgx_matrix
 
 __all__ = ["main"]
 
@@ -254,7 +254,7 @@ def cmd_certify(cfg):
     return EXIT_OK
 
 
-def _cmd_tgx(cfg, family, maximizer, matrix_fn):
+def _cmd_tgx(cfg, family, maximizer):
     fam = FAMILIES[family]
     rng = np.random.default_rng(cfg.seed)
     grid = _grid(cfg, fam.start)
@@ -265,7 +265,7 @@ def _cmd_tgx(cfg, family, maximizer, matrix_fn):
         P = np.array([r.P for r in results])  # the purities searched, at most P_MAX
         best = _validated(
             np.array([r.best_value for r in results]),
-            np.stack([matrix_fn(r.best_params) for r in results]),
+            np.stack([tgx_matrix(r.best_params) for r in results]),
             cfg.tolerance,
             lambda i: f"tgx@{P[i]}",
         )
@@ -273,14 +273,6 @@ def _cmd_tgx(cfg, family, maximizer, matrix_fn):
         rows.extend(zip(P, best, ref, best - ref))
     _write_csv((cfg.output, ["P", "tgx_max", "x_reference", "gap"], rows))
     return EXIT_OK
-
-
-def cmd_tgx2(cfg):
-    return _cmd_tgx(cfg, "rank2", maximize_tgx2, tgx2_matrix)
-
-
-def cmd_tgx3(cfg):
-    return _cmd_tgx(cfg, "rank3", maximize_tgx3, tgx3_matrix)
 
 
 def cmd_acs(cfg):
@@ -402,8 +394,8 @@ _COMMANDS = {
     "curves": (cmd_curves, _GRID_FLAGS),
     "gap": (cmd_gap, _GRID_FLAGS),
     "certify": (cmd_certify, {**_GRID_FLAGS, "theorem": None}),
-    "tgx2": (cmd_tgx2, {**_GRID_FLAGS, "restarts": 32}),
-    "tgx3": (cmd_tgx3, {**_GRID_FLAGS, "restarts": 32}),
+    "tgx2": (lambda cfg: _cmd_tgx(cfg, "rank2", maximize_tgx2), {**_GRID_FLAGS, "restarts": 32}),
+    "tgx3": (lambda cfg: _cmd_tgx(cfg, "rank3", maximize_tgx3), {**_GRID_FLAGS, "restarts": 32}),
     "acs": (
         cmd_acs,
         {"p_min": 0.21, "p_max": 0.99, "runs": 100, "tolerance": 1e-10, "trace_output": None},

@@ -157,6 +157,10 @@ def random_spectrum(rng, count=None):
     """Random descending 6-spectrum (uniform on the simplex, then sorted);
     with `count`, a (count, 6) stack equal to `count` successive single
     draws."""
+    if count is not None and (
+        isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0
+    ):
+        raise ValueError(f"count must be None or an integer >= 0, got {count!r}")
     w = _simplex_sample(rng, count)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 

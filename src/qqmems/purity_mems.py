@@ -370,7 +370,9 @@ def verify_certificate(theorem_id, P, tol=1e-10):
     """
     if theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
-    if not (np.isfinite(tol) and tol >= 0):
+    if np.ndim(P) != 0:
+        raise ValueError(f"P must be one purity, got an array of shape {np.shape(P)}")
+    if isinstance(tol, (bool, np.bool_)) or not (np.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     fam = FAMILIES[theorem_id]
     Fs, c, x, expected = fam.primal(P)

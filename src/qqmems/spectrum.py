@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 OPTIMAL_SEQUENCE = (4, 6, 1, 5)
+LEMMA1_SLACK = 1e-12
 
 # All 90 quadruples (i, j, k, l), 0-based, i<j, k<l, pairs disjoint, in
 # lexicographic order: the column order of _pair_table.
@@ -81,7 +82,9 @@ def s_value(lam, seq):
     """
     lam = validate_spectrum(lam)
     seq = tuple(seq)
-    if len(seq) != 4 or not all(isinstance(m, (int, np.integer)) and 1 <= m <= 6 for m in seq):
+    if len(seq) != 4 or not all(
+        isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 1 <= m <= 6 for m in seq
+    ):
         raise ValueError(f"sequence {seq} must be four integer indices in 1..6")
     if len(set(seq)) != 4:
         raise ValueError(f"indices must be distinct, got {seq}")
@@ -138,11 +141,11 @@ def construct_spectrum_xmems(lam):
     return XState(a=a, b=b, r=r)
 
 
-def lemma1_check(a, b, c, slack=1e-12):
+def lemma1_check(a, b, c):
     """The three scalar inequalities behind the optimal-assignment proof.
 
     All must hold for nonnegative a, b, c; returns a 3-tuple of booleans with
-    additive slack on each comparison.
+    additive slack `LEMMA1_SLACK` on each comparison.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"a, b, c must be finite, got {(a, b, c)}")
@@ -154,4 +157,8 @@ def lemma1_check(a, b, c, slack=1e-12):
     rhs2 = np.sqrt(b**2 + c**2) + a
     lhs3 = np.sqrt(b**2 + c**2) + a
     rhs3 = np.sqrt((b + a) ** 2 + c**2)
-    return (lhs1 >= rhs1 - slack, lhs2 >= rhs2 - slack, lhs3 >= rhs3 - slack)
+    return (
+        lhs1 >= rhs1 - LEMMA1_SLACK,
+        lhs2 >= rhs2 - LEMMA1_SLACK,
+        lhs3 >= rhs3 - LEMMA1_SLACK,
+    )

@@ -1,10 +1,11 @@
 """Rank-2 and rank-3 TGX candidate states and their negativity maximization.
 
 The TGX ("true-generalized X") families are non-X sparse candidates: mixtures
-of p-weighted pure states c|0b> + s|1b'> on complementary index pairs.  Their
-negativities admit printed closed forms; maximizing them at fixed purity shows
-a strict gap over the rank-2 X ceiling and numerical coincidence with the
-rank-3 X ceiling.
+of p-weighted pure states c|0b> + s|1b'> on complementary index pairs.  A
+state is a `Tgx2Params` or `Tgx3Params` record; `tgx_matrix` builds the density
+matrix of either and `tgx_negativity` evaluates its family's printed closed
+form.  Maximizing the negativity at fixed purity shows a strict gap over the
+rank-2 X ceiling and numerical coincidence with the rank-3 X ceiling.
 """
 
 from dataclasses import dataclass, asdict
@@ -20,10 +21,8 @@ __all__ = [
     "Tgx2Params",
     "Tgx3Params",
     "MaximizationResult",
-    "tgx2_matrix",
-    "tgx3_matrix",
-    "tgx2_negativity",
-    "tgx3_negativity",
+    "tgx_matrix",
+    "tgx_negativity",
     "maximize_tgx2",
     "maximize_tgx3",
 ]
@@ -66,35 +65,36 @@ class Tgx3Params:
     __post_init__ = _check_params
 
 
-def _pure_block(rho, p, theta, i, j):
-    c, s = np.cos(theta), np.sin(theta)
-    rho[i, i] += p * c * c
-    rho[j, j] += p * s * s
-    rho[i, j] += p * s * c
-    rho[j, i] += p * s * c
+# Basis indices (i, j) of the pure state c_k|i> + s_k|j> weighted by p_k, k = 1, 2, 3.
+_PAIRS = ((0, 5), (1, 3), (2, 4))
 
 
-def tgx2_matrix(q):
-    """Density matrix p1 |v1><v1| + p2 |v2><v2| with v1 = c1|00> + s1|12>,
-    v2 = c2|01> + s2|10>."""
+def _values(q):
+    """The fields of a TGX record in order: its angles, then its probabilities."""
+    if not isinstance(q, (Tgx2Params, Tgx3Params)):
+        raise TypeError(f"expected a Tgx2Params or Tgx3Params, got {type(q).__name__}")
+    return list(vars(q).values())
+
+
+def tgx_matrix(q):
+    """Density matrix sum_k p_k |v_k><v_k| of a Tgx2Params (k = 1, 2) or
+    Tgx3Params (k = 1, 2, 3) record, with v1 = c1|00> + s1|12>,
+    v2 = c2|01> + s2|10>, v3 = c3|02> + s3|11>."""
+    values = _values(q)
+    k = len(values) // 2
     rho = np.zeros((6, 6), dtype=complex)
-    _pure_block(rho, q.p1, q.theta1, 0, 5)
-    _pure_block(rho, q.p2, q.theta2, 1, 3)
-    return rho
-
-
-def tgx3_matrix(q):
-    """Rank-3 variant, adding v3 = c3|02> + s3|11> with weight p3."""
-    rho = np.zeros((6, 6), dtype=complex)
-    _pure_block(rho, q.p1, q.theta1, 0, 5)
-    _pure_block(rho, q.p2, q.theta2, 1, 3)
-    _pure_block(rho, q.p3, q.theta3, 2, 4)
+    for (i, j), theta, p in zip(_PAIRS, values[:k], values[k:]):
+        c, s = np.cos(theta), np.sin(theta)
+        rho[i, i] += p * c * c
+        rho[j, j] += p * s * s
+        rho[i, j] += p * s * c
+        rho[j, i] += p * s * c
     return rho
 
 
 # Powers go through ``np.float_power``, not ``**``, so that the batched search
-# and the scalar tgx2_negativity/tgx3_negativity round alike (the reason is
-# spelled out at spectrum._pair_table).
+# and the scalar tgx_negativity round alike (the reason is spelled out at
+# spectrum._pair_table).
 
 
 def _tgx2_formula(theta1, theta2, p1, p2):
@@ -135,14 +135,11 @@ def _tgx3_formula(theta1, theta2, theta3, p1, p2, p3):
     return total
 
 
-def tgx2_negativity(q):
-    """Closed-form negativity of the rank-2 TGX state."""
-    return float(_tgx2_formula(q.theta1, q.theta2, q.p1, q.p2))
-
-
-def tgx3_negativity(q):
-    """Closed-form negativity of the rank-3 TGX state."""
-    return float(_tgx3_formula(q.theta1, q.theta2, q.theta3, q.p1, q.p2, q.p3))
+def tgx_negativity(q):
+    """Closed-form negativity of the TGX state of a Tgx2Params or Tgx3Params
+    record: the printed formula of its family."""
+    formula = _tgx2_formula if isinstance(q, Tgx2Params) else _tgx3_formula
+    return float(formula(*_values(q)))
 
 
 @dataclass
@@ -165,9 +162,7 @@ class MaximizationResult:
     restarts_converged: int
 
     def to_dict(self):
-        d = asdict(self)
-        d["best_params"] = asdict(self.best_params)
-        return d
+        return asdict(self)
 
 
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000}
@@ -176,15 +171,15 @@ _P_FLOOR = 1e-12
 _ARC_PHASES = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
-def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula):
+def _maximize(family, P, restarts, rng, consts, draw, objective, build):
     """The batched multistart search behind both TGX maximizers.
 
     ``consts(P)`` gives the per-purity constants of the objective, a tuple of
     (n,) arrays; ``draw(rng, restarts)`` the (restarts, N) starts of one
     purity; ``objective(x, *consts)`` the negated negativity of (K, N) points;
     ``build(x, *consts)`` the params of one point with its purity's scalar
-    constants; ``formula(params)`` the printed negativity.  Every start of
-    every purity runs in one lockstep Nelder-Mead batch.
+    constants.  Every start of every purity runs in one lockstep Nelder-Mead
+    batch.
     """
     scalar, grid, rngs = _per_purity(P, rng)
     FAMILIES[family].check(grid)
@@ -206,7 +201,7 @@ def _maximize(family, P, restarts, rng, consts, draw, objective, build, formula)
         results.append(
             MaximizationResult(
                 P=float(Pi),
-                best_value=formula(params),
+                best_value=tgx_negativity(params),
                 best_params=params,
                 restarts_used=restarts,
                 converged=bool(res.success[rows][win]),
@@ -248,7 +243,7 @@ def maximize_tgx2(P, restarts=32, rng=None):
     """
     return _maximize(
         "rank2", P, restarts, rng,
-        _tgx2_consts, _tgx2_draw, _tgx2_objective, _tgx2_build, tgx2_negativity,
+        _tgx2_consts, _tgx2_draw, _tgx2_objective, _tgx2_build,
     )
 
 
@@ -296,5 +291,5 @@ def maximize_tgx3(P, restarts=32, rng=None):
     """
     return _maximize(
         "rank3", P, restarts, rng,
-        _tgx3_consts, _tgx3_draw, _tgx3_objective, _tgx3_build, tgx3_negativity,
+        _tgx3_consts, _tgx3_draw, _tgx3_objective, _tgx3_build,
     )

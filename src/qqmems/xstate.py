@@ -136,7 +136,7 @@ def from_matrix(rho):
     return XState(a=a, b=b, r=r, phi=phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XSpectra:
     """Closed-form eigenvalues of an X state and of its partial transpose.
 

@@ -76,7 +76,7 @@ def test_criterion_03_optimal_assignment_oracle_and_inequalities():
     closed = np.array([s_value(lam, OPTIMAL_SEQUENCE) for lam in spectra])
     worst = float(np.max(np.abs(brute - closed)))
     triples = rng.exponential(size=(100_000, 3))
-    lemma_ok = all(all(lemma1_check(a, b, c, slack=1e-12)) for a, b, c in triples)
+    lemma_ok = all(all(lemma1_check(a, b, c)) for a, b, c in triples)
     _check(3, worst <= 1e-12 and lemma_ok,
            f"90-sequence enumeration equals the (4,6,1,5) value for 10^4 spectra "
            f"(worst |diff| = {worst:.2e} <= 1e-12); 10^5 inequality triples hold with slack 1e-12")

@@ -207,8 +207,8 @@ class TestTgx:
         assert all(abs(float(r[3])) < 1e-8 for r in rows)
 
     def test_formula_off_the_trace_norm_is_check_failure(self, capsys, monkeypatch):
-        exact = qqmems.tgx.tgx3_negativity
-        monkeypatch.setattr(qqmems.tgx, "tgx3_negativity", lambda q: exact(q) + 1e-6)
+        exact = qqmems.tgx.tgx_negativity
+        monkeypatch.setattr(qqmems.tgx, "tgx_negativity", lambda q: exact(q) + 1e-6)
         code, out, err = run(["tgx3", "--p-min", "0.6", "--p-steps", "1", "--restarts", "4"],
                              capsys)
         assert code == EXIT_CHECK

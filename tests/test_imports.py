@@ -1,5 +1,5 @@
-"""Stdlib stand-ins for an unused-import lint and an `__all__` check over the
-library modules."""
+"""Stdlib stand-ins for an unused-import lint, a lint against `assert` and an
+`__all__` check over the library modules."""
 
 import ast
 import importlib
@@ -38,6 +38,23 @@ def test_checker_finds_unused_names():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def assert_lines(source):
+    """Line numbers of the `assert` statements in a module, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_checker_finds_asserts():
+    source = "assert x\ndef f(y):\n    if y:\n        assert y > 0, 'y'\n    return AssertionError\n"
+    assert assert_lines(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_in_library_code(path):
+    # `python -O` strips asserts, so a runtime check written as one is no check.
+    lines = assert_lines(path.read_text())
+    assert lines == [], f"{path.name} uses assert on lines {lines}; raise an exception instead"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -12,6 +12,7 @@ from qqmems.linalg import (
     partial_transpose_qubit,
     purity,
     random_density_fixed_purity,
+    random_spectrum,
     trace_norm,
 )
 from qqmems.purity_mems import construct_rank2, n_x_p_deg
@@ -256,6 +257,13 @@ class TestHaarUnitary:
         R = U.conj().T @ z
         assert np.abs(np.tril(R, -1)).max() < 1e-12
         assert np.abs(np.diag(R).imag).max() < 1e-12 and np.diag(R).real.min() > 0
+
+
+def test_random_spectrum_rejects_a_count_that_is_not_a_size():
+    for count in (True, -1, 2.5, "3"):
+        message = f"count must be None or an integer >= 0, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_spectrum(np.random.default_rng(0), count=count)
 
 
 class TestRandomDensityFixedPurity:

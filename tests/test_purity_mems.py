@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -254,10 +256,15 @@ class TestCertificates:
         with pytest.raises(ValueError, match="unknown theorem"):
             verify_certificate("rank4", 0.5)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, np.True_])
     def test_rejects_non_finite_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
             verify_certificate("deg", 0.25, tol=tol)
+
+    @pytest.mark.parametrize("P", [np.array([0.25, 0.3]), [0.25]])
+    def test_rejects_an_array_of_purities(self, P):
+        with pytest.raises(ValueError, match=re.escape(f"array of shape {np.shape(P)}")):
+            verify_certificate("deg", P)
 
     def test_failed_check_is_reported_unverified(self):
         assert not verify_certificate("deg", 0.25, tol=1e-30).verified

@@ -48,7 +48,7 @@ class TestSValue:
     @pytest.mark.parametrize(
         "seq",
         [(0, 1, 2, 3), (6, 1, 2, 3, 4), (7, 1, 2, 3), (-1, 1, 2, 3), (4.0, 6, 1, 5), ("4", 6, 1, 5),
-         (4, 6, 1)],
+         (4, 6, 1), (True, 2, 3, 4)],
     )
     def test_rejects_indices_outside_one_to_six(self, seq):
         # index 0 would wrap round to lam_6: (0, 1, 2, 3) would equal (6, 1, 2, 3)

@@ -13,11 +13,10 @@ from qqmems.tgx import (
     Tgx3Params,
     maximize_tgx2,
     maximize_tgx3,
-    tgx2_matrix,
-    tgx2_negativity,
-    tgx3_matrix,
-    tgx3_negativity,
+    tgx_matrix,
+    tgx_negativity,
 )
+from qqmems.xstate import XState
 
 
 def random_tgx2(rng):
@@ -45,41 +44,54 @@ class TestMatrices:
     def test_density_matrix_and_purity_identity(self, rng):
         for _ in range(200):
             q2 = random_tgx2(rng)
-            rho2 = tgx2_matrix(q2)
+            rho2 = tgx_matrix(q2)
             check_density_matrix(rho2)
             assert abs(purity(rho2) - (q2.p1**2 + q2.p2**2)) < 1e-12
             q3 = random_tgx3(rng)
-            rho3 = tgx3_matrix(q3)
+            rho3 = tgx_matrix(q3)
             check_density_matrix(rho3)
             assert abs(purity(rho3) - (q3.p1**2 + q3.p2**2 + q3.p3**2)) < 1e-12
 
     def test_rank_counts_nonzero_probabilities(self, rng):
-        w2, _ = eig_hermitian(tgx2_matrix(random_tgx2(rng)))
+        w2, _ = eig_hermitian(tgx_matrix(random_tgx2(rng)))
         assert np.sum(w2 > 1e-12) == 2
-        w3, _ = eig_hermitian(tgx3_matrix(random_tgx3(rng)))
+        w3, _ = eig_hermitian(tgx_matrix(random_tgx3(rng)))
         assert np.sum(w3 > 1e-12) == 3
 
     def test_zero_angles_give_diagonal_separable(self):
-        rho = tgx3_matrix(Tgx3Params(0, 0, 0, 0.5, 0.3, 0.2))
+        rho = tgx_matrix(Tgx3Params(0, 0, 0, 0.5, 0.3, 0.2))
         assert np.max(np.abs(rho - np.diag(rho.diagonal()))) == 0.0
         assert negativity(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_limit(self):
         q = Tgx2Params(np.pi / 4, 0.0, 1.0 - 1e-12, 1e-12)
-        assert abs(negativity(tgx2_matrix(q)) - 1.0) < 1e-9
-        assert abs(tgx2_negativity(q) - 1.0) < 1e-9
+        assert abs(negativity(tgx_matrix(q)) - 1.0) < 1e-9
+        assert abs(tgx_negativity(q) - 1.0) < 1e-9
 
 
 class TestFormulas:
     def test_tgx2_matches_trace_norm_oracle(self, rng):
         for _ in range(10_000):
             q = random_tgx2(rng)
-            assert abs(tgx2_negativity(q) - negativity(tgx2_matrix(q))) < 1e-10
+            assert abs(tgx_negativity(q) - negativity(tgx_matrix(q))) < 1e-10
 
     def test_tgx3_matches_trace_norm_oracle(self, rng):
         for _ in range(10_000):
             q = random_tgx3(rng)
-            assert abs(tgx3_negativity(q) - negativity(tgx3_matrix(q))) < 1e-10
+            assert abs(tgx_negativity(q) - negativity(tgx_matrix(q))) < 1e-10
+
+
+@pytest.mark.parametrize("fn", [tgx_matrix, tgx_negativity])
+@pytest.mark.parametrize(
+    "q, name",
+    [
+        (XState([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0]), "XState"),
+        ((0.1, 0.2, 0.5, 0.5), "tuple"),
+    ],
+)
+def test_rejects_other_input_by_type(fn, q, name):
+    with pytest.raises(TypeError, match=f"Tgx2Params or Tgx3Params, got {name}$"):
+        fn(q)
 
 
 @pytest.mark.parametrize("maximize", [maximize_tgx2, maximize_tgx3])
@@ -159,9 +171,9 @@ class TestMaximizeTgx2:
         for P in np.linspace(0.5, 0.99, 8):
             res = maximize_tgx2(P, rng=0)
             assert res.best_value >= n_x_p_rank2(P) - 1e-10
-            assert abs(res.best_value - negativity(tgx2_matrix(res.best_params))) < 1e-10
+            assert abs(res.best_value - negativity(tgx_matrix(res.best_params))) < 1e-10
             # best_value is reproducible from the reported parameters
-            assert abs(res.best_value - tgx2_negativity(res.best_params)) < 1e-12
+            assert abs(res.best_value - tgx_negativity(res.best_params)) < 1e-12
 
     def test_strict_excess_in_low_purity_region(self):
         # The family genuinely beats the rank-2 X ceiling only below P
@@ -175,7 +187,7 @@ class TestMaximizeTgx2:
         f = np.sqrt(2 * P - 1)
         p1, p2 = 0.5 * (1 + f), 0.5 * (1 - f)
         best_grid = max(
-            tgx2_negativity(Tgx2Params(t1, t2, p1, p2))
+            tgx_negativity(Tgx2Params(t1, t2, p1, p2))
             for t1 in np.linspace(0, np.pi, 200)
             for t2 in np.linspace(0, np.pi, 200)
         )
@@ -216,7 +228,7 @@ class TestMaximizeTgx3:
             for t1 in grid:
                 for t2 in grid:
                     for t3 in grid:
-                        val = tgx3_negativity(Tgx3Params(t1, t2, t3, p[0], p[1], p[2]))
+                        val = tgx_negativity(Tgx3Params(t1, t2, t3, p[0], p[1], p[2]))
                         best_grid = max(best_grid, val)
         assert res.best_value >= best_grid - 1e-6
 
