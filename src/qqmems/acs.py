@@ -125,7 +125,12 @@ def vector_subproblem(a, P):
     exists = np.stack([np.ones_like(active), active], axis=2).reshape(len(a2), -1)
     pur = np.sum(cand * cand, axis=-1)
     val = np.sum(a2[:, None, :] * cand, axis=-1)
-    feasible = exists & (cand.min(axis=-1) >= -1e-12) & (pur <= P[:, None] + 1e-12)
+    feasible = (
+        exists
+        & (cand.min(axis=-1) >= -1e-12)
+        & (pur <= P[:, None] + 1e-12)
+        & (np.abs(cand.sum(axis=-1) - 1.0) <= 1e-9)
+    )
     # A row whose maximum has no other feasible candidate within 2e-15 picks
     # it under the tie rule; rows with near-ties replay the rule in order.
     best = np.max(val, axis=-1, where=feasible, initial=-np.inf)

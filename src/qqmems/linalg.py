@@ -127,6 +127,15 @@ def check_density_matrix(rho):
     return rho
 
 
+def _real_array(x, name):
+    """x as a float array; a TypeError naming x unless it holds integers or
+    floats, before any arithmetic."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} {x!r} is not a real number or an array of real numbers")
+    return np.asarray(arr, dtype=float)
+
+
 def _ginibre(dim, rng):
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
 
@@ -141,8 +150,8 @@ def _haar_from_ginibre(z):
 
 def haar_unitary(dim, rng):
     """Haar-distributed random unitary: QR of a complex Ginibre matrix with
-    the R diagonal phases folded back into Q."""
-    return _haar_from_ginibre(_ginibre(dim, rng))
+    the R diagonal phases folded back into Q.  `rng` is a seed or Generator."""
+    return _haar_from_ginibre(_ginibre(dim, np.random.default_rng(rng)))
 
 
 def _simplex_sample(rng, count=None):
@@ -156,12 +165,12 @@ def _simplex_sample(rng, count=None):
 def random_spectrum(rng, count=None):
     """Random descending 6-spectrum (uniform on the simplex, then sorted);
     with `count`, a (count, 6) stack equal to `count` successive single
-    draws."""
+    draws.  `rng` is a seed or Generator."""
     if count is not None and (
         isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0
     ):
         raise ValueError(f"count must be None or an integer >= 0, got {count!r}")
-    w = _simplex_sample(rng, count)
+    w = _simplex_sample(np.random.default_rng(rng), count)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
@@ -170,9 +179,9 @@ def _per_purity(P, rng):
     seeded routine: P as a 1-D float array and one rng per purity.  A float P
     takes `rng` itself; a 1-D array takes a sequence of one seed or Generator
     per purity."""
-    if np.ndim(P) == 0:
-        return True, np.array([P], dtype=float), [rng]
-    grid = np.asarray(P, dtype=float)
+    grid = _real_array(P, "purity")
+    if grid.ndim == 0:
+        return True, grid[None], [rng]
     if grid.ndim != 1:
         raise ValueError(f"purities must be a float or a 1-D array, got shape {grid.shape}")
     if not isinstance(rng, (Sequence, np.ndarray)):

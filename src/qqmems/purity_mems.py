@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .linalg import eig_hermitian
+from .linalg import _real_array, eig_hermitian
 from .spectrum import construct_spectrum_xmems
 
 __all__ = [
@@ -59,9 +59,10 @@ class Family:
     label in domain errors; `curves` column; public curve, spectrum and
     construction; SDP certificate.  primal(P) gives the constraint matrices
     F_0..F_m, objective c, optimal variables and the |c . x| the curve
-    predicts, dual(P) a dual-feasible matrix.  At a closed lower end the dual
-    is PSD only as z -> infinity along boundary_dual(z), whose two nonzero
-    eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
+    predicts, dual(P) a dual-feasible matrix, rank one outside its (0, 0)
+    entry: y y^T / s for a vector y and a scale s.  At a closed lower end the
+    dual is PSD only as z -> infinity along boundary_dual(z), whose two
+    nonzero eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
 
     lo: float
     lo_open: bool
@@ -90,8 +91,9 @@ class Family:
 
     def check(self, P, label=None):
         """P as a float (or float array) if all of it lies in the domain, else
-        a DomainError naming the first purity outside (NaN included)."""
-        arr = np.asarray(P, dtype=float)
+        a DomainError naming the first purity outside (NaN included); a
+        TypeError naming P if it is not real numbers."""
+        arr = _real_array(P, "purity")
         ok = self.contains(arr)
         if not ok.all():
             bad = P if arr.ndim == 0 else np.ravel(arr)[np.argmin(np.ravel(ok))]
@@ -239,13 +241,8 @@ def _rank2_primal(P):
 
 def _rank2_dual(P):
     f = _f(P)
-    return np.array(
-        [
-            [0, 0, 0],
-            [0, 1.0 + f / 2.0 + 1.0 / (2.0 * f), -0.5 * (1.0 + 1.0 / f)],
-            [0, -0.5 * (1.0 + 1.0 / f), 1.0 / (2.0 * f)],
-        ]
-    )
+    y = np.array([0.0, 1.0 + f, -1.0])
+    return np.outer(y, y) / (2.0 * f)
 
 
 def _rank3_primal(P):
@@ -257,14 +254,8 @@ def _rank3_primal(P):
 
 def _rank3_dual(P):
     g = _g(P)
-    return np.array(
-        [
-            [0, 0, 0, 0],
-            [0, 1.0 + g / 4.0 + 1.0 / g, 0.5 + 1.0 / g, -0.5 - 1.0 / g],
-            [0, 0.5 + 1.0 / g, 1.0 / g, -1.0 / g],
-            [0, -0.5 - 1.0 / g, -1.0 / g, 1.0 / g],
-        ]
-    )
+    y = np.array([0.0, 1.0 + g / 2.0, 1.0, -1.0])
+    return np.outer(y, y) / g
 
 
 def _deg_primal(P):
@@ -278,35 +269,13 @@ def _deg_primal(P):
 def _deg_dual(P):
     if P < DEG_SPLIT:
         h = _h(P)
-        w = 2.0 / 3.0 + h + 1.0 / (9.0 * h)
-        u = 0.5 + h / 2.0 + 1.0 / (9.0 * h)
-        v = 1.0 / 3.0 + h / 4.0 + 1.0 / (9.0 * h)
-        s = -1.0 - 1.0 / (3.0 * h)
-        t = -0.5 - 1.0 / (3.0 * h)
-        return np.array(
-            [
-                [0, 0, 0, 0, 0],
-                [0, w, u, u, s],
-                [0, u, v, v, t],
-                [0, u, v, v, t],
-                [0, s, t, t, 1.0 / h],
-            ]
-        )
+        y = np.array([0.0, 3.0 * h + 1.0, 1.5 * h + 1.0, 1.5 * h + 1.0, -3.0])
+        return np.outer(y, y) / (9.0 * h)
     g = _g(P)
-    w = 4.0 / 9.0 + g / 9.0 + 4.0 / (9.0 * g)
-    u = 1.0 / 9.0 - g / 18.0 + 4.0 / (9.0 * g)
-    v = -2.0 / 9.0 + g / 36.0 + 4.0 / (9.0 * g)
-    s = -1.0 / 3.0 - 2.0 / (3.0 * g)
-    t = 1.0 / 6.0 - 2.0 / (3.0 * g)
-    return np.array(
-        [
-            [4.0 / 3.0 - 2.0 / (3.0 * g), 0, 0, 0, 0],
-            [0, w, u, u, s],
-            [0, u, v, v, t],
-            [0, u, v, v, t],
-            [0, s, t, t, 1.0 / g],
-        ]
-    )
+    y = np.array([0.0, g + 2.0, 2.0 - g / 2.0, 2.0 - g / 2.0, -3.0])
+    Z = np.outer(y, y) / (9.0 * g)
+    Z[0, 0] = 4.0 / 3.0 - 2.0 / (3.0 * g)
+    return Z
 
 
 # Family(lo, lo_open, label, column, curve, spectrum, construct, primal, dual, ...)
@@ -370,7 +339,7 @@ def verify_certificate(theorem_id, P, tol=1e-10):
     """
     if theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
-    if np.ndim(P) != 0:
+    if _real_array(P, "purity").ndim != 0:
         raise ValueError(f"P must be one purity, got an array of shape {np.shape(P)}")
     if isinstance(tol, (bool, np.bool_)) or not (np.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")

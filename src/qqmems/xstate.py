@@ -154,6 +154,13 @@ class XSpectra:
         return np.sort(self.pt_eigs.reshape(self.pt_eigs.shape[:-2] + (6,)), axis=-1)
 
 
+def _fields(x):
+    """(a, b, r) of an XState, or a TypeError naming the type of x."""
+    if not isinstance(x, XState):
+        raise TypeError(f"expected an XState, got {type(x).__name__}")
+    return x.a, x.b, x.r
+
+
 def _x_block_eigs(a, b, r, transpose=False):
     """(..., 3, 2) eigenvalues (minus, plus) of the 2x2 blocks of X states
     given as (..., 3) arrays, or of their partial transposes:
@@ -178,9 +185,10 @@ def _x_pt_minus_eigs(a, b, r):
 def x_spectra(x):
     """Eigenvalues of an X state (or of each state of a stack) and of its
     partial transpose, in closed form."""
+    a, b, r = _fields(x)
     return XSpectra(
-        state_eigs=_x_block_eigs(x.a, x.b, x.r),
-        pt_eigs=_x_block_eigs(x.a, x.b, x.r, transpose=True),
+        state_eigs=_x_block_eigs(a, b, r),
+        pt_eigs=_x_block_eigs(a, b, r, transpose=True),
     )
 
 
@@ -192,7 +200,7 @@ def x_negativity(x):
     and at most one of them is, so the negativity reduces to
     2 * max(0, -lam'_1-, -lam'_3-).
     """
-    neg = -_x_pt_minus_eigs(x.a, x.b, x.r).min(axis=-1)
+    neg = -_x_pt_minus_eigs(*_fields(x)).min(axis=-1)
     values = 2.0 * np.where(neg > 0.0, neg, 0.0)  # max(0.0, neg), keeping +0.0
     return float(values) if values.ndim == 0 else values
 
@@ -205,7 +213,7 @@ def count_negative_pt_eigs(x):
     r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
     that.
     """
-    eigs = _x_pt_minus_eigs(x.a, x.b, x.r)
+    eigs = _x_pt_minus_eigs(*_fields(x))
     counts = np.sum(eigs < -1e-12, axis=-1)
     if np.any(counts > 1):
         first = eigs[counts > 1][0]
@@ -216,7 +224,8 @@ def count_negative_pt_eigs(x):
 def random_xstate(rng):
     """Random valid X state: simplex diagonal, r_k a uniform fraction of its
     positivity bound (with probability 0.1 exactly on the bound), uniform
-    phases."""
+    phases.  `rng` is a seed or Generator."""
+    rng = np.random.default_rng(rng)
     w = _simplex_sample(rng)
     a, b = w[:3], w[3:]
     frac = rng.uniform(0.0, 1.0, size=3)

@@ -104,7 +104,7 @@ def vector_subproblem_loop(a, P):
             candidates.append(1.0 / k + scale * centered)
         for cand in candidates:
             pur = float(cand @ cand)
-            if np.min(cand) < -1e-12 or pur > P + 1e-12:
+            if np.min(cand) < -1e-12 or pur > P + 1e-12 or abs(np.sum(cand) - 1.0) > 1e-9:
                 continue
             val = float(a_s @ cand)
             if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and pur < best_pur):

@@ -62,6 +62,16 @@ class TestVectorSubproblem:
         with pytest.raises(ValueError, match="purity bound"):
             vector_subproblem(np.zeros(6), 0.1)
 
+    def test_rounding_on_a_constant_support_gives_no_candidate(self):
+        # `a` is constant on {0, 1, 2} up to rounding: the centred vector is
+        # -1.1e-16 per entry, and the purity-active scaling (2.6e15) turns it
+        # into a point summing to 0.146 that scores above the true maximum.
+        a = np.array([-0.7, -0.7, -0.7, 0.0, -0.5, -1.1])
+        for solve in (vector_subproblem, lambda a, P: vector_subproblem_loop(a, P)[0]):
+            lam = solve(a, 0.5763639592033665)
+            assert abs(lam.sum() - 1.0) <= 1e-12
+            assert abs(a @ lam - -0.14784151630409) <= 1e-12
+
     @pytest.mark.parametrize(
         "a,P,match",
         [

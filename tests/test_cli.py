@@ -145,9 +145,11 @@ class TestRecordedFamilyArtifacts:
         ],
     )
     def test_stdout_matches_recorded_bytes(self, args, fixture, trace_fixture, tmp_path, capsys):
-        # certify and state were recorded before the family records replaced
-        # the per-command tables; tgx2, tgx3 and acs before the formulas moved
-        # into the modules that own their inputs.
+        # state was recorded before the family records replaced the
+        # per-command tables; tgx2, tgx3 and acs before the formulas moved
+        # into the modules that own their inputs.  certify was re-recorded
+        # when the interior duals became y y^T / s: 104 of its numeric fields
+        # moved, by at most 1.0e-15.
         trace = tmp_path / "trace.csv"
         if trace_fixture is not None:
             args = args + ["--trace-output", str(trace)]

@@ -57,6 +57,19 @@ def test_no_assert_in_library_code(path):
     assert lines == [], f"{path.name} uses assert on lines {lines}; raise an exception instead"
 
 
+def test_package_exports_the_library_modules_all():
+    # `cli` is the console entry point; the package re-exports the library.
+    lists = [
+        importlib.import_module(f"qqmems.{p.stem}").__dict__.get("__all__", [])
+        for p in MODULES
+        if p.stem != "cli"
+    ]
+    union = [name for names in lists for name in names]
+    assert sorted(qqmems.__all__) == sorted(union)
+    assert len(set(union)) == len(union), "a name is in two modules' __all__"
+    assert all(hasattr(qqmems, name) for name in union)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_name_in_all_resolves(path):
     module = importlib.import_module(f"qqmems.{path.stem}")

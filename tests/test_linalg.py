@@ -16,7 +16,7 @@ from qqmems.linalg import (
     trace_norm,
 )
 from qqmems.purity_mems import construct_rank2, n_x_p_deg
-from qqmems.xstate import XState
+from qqmems.xstate import XState, random_xstate
 
 from oracles import eigs_bisect_det, negativity_neg_eigs, trace_norm_variational
 
@@ -257,6 +257,20 @@ class TestHaarUnitary:
         R = U.conj().T @ z
         assert np.abs(np.tril(R, -1)).max() < 1e-12
         assert np.abs(np.diag(R).imag).max() < 1e-12 and np.diag(R).real.min() > 0
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: random_spectrum(rng),
+        lambda rng: random_spectrum(rng, count=4),
+        lambda rng: haar_unitary(3, rng),
+        lambda rng: random_xstate(rng).to_matrix(),
+    ],
+    ids=["random_spectrum", "random_spectrum_count", "haar_unitary", "random_xstate"],
+)
+def test_a_seed_draws_what_its_generator_draws(draw):
+    np.testing.assert_array_equal(draw(5), draw(np.random.default_rng(5)))
 
 
 def test_random_spectrum_rejects_a_count_that_is_not_a_size():

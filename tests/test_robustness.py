@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import qqmems
 from qqmems import purity_mems
-from qqmems.acs import AcsTrace, rho_step
+from qqmems.acs import AcsTrace, acs_run, rho_step
 from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
-from qqmems.linalg import negativity
+from qqmems.linalg import negativity, random_density_fixed_purity
 from qqmems.purity_mems import (
     FAMILIES,
     DomainError,
@@ -75,6 +76,23 @@ def test_curves_return_a_value_exactly_on_their_domain(key, P):
     else:
         with pytest.raises(ValueError, match="purity .* outside"):
             fn(P)
+
+
+PURITY_ENTRY_POINTS = {fn.__name__: fn for fn in PURITY_FUNCTIONS} | {
+    "verify_certificate": lambda P: purity_mems.verify_certificate("rank2", P),
+    "maximize_tgx2": maximize_tgx2,
+    "maximize_tgx3": maximize_tgx3,
+    "acs_run": lambda P: acs_run(P, np.eye(6) / 6),
+    "rho_step": lambda P: rho_step(np.eye(6), P),
+    "random_density_fixed_purity": lambda P: random_density_fixed_purity(P, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PURITY_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["0.3", ["0.3"], 0.3 + 0j], ids=["str", "str_list", "complex"])
+def test_a_purity_that_is_not_real_is_a_type_error(name, bad):
+    with pytest.raises(TypeError, match=re.escape(f"purity {bad!r} is not a real number")):
+        PURITY_ENTRY_POINTS[name](bad)
 
 
 def _accepts(fn, *args, **kwargs):

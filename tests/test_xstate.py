@@ -189,6 +189,11 @@ class TestSpectra:
             counts[count_negative_pt_eigs(random_xstate(rng))] += 1
         assert counts[1] > 0  # both outcomes occur
 
+    @pytest.mark.parametrize("fn", [x_spectra, x_negativity, count_negative_pt_eigs])
+    def test_closed_forms_reject_other_input_by_type(self, fn):
+        with pytest.raises(TypeError, match="expected an XState, got ndarray"):
+            fn(np.eye(6) / 6)
+
     def test_separable_x_state_has_zero_negativity(self):
         x = XState(a=[1 / 6] * 3, b=[1 / 6] * 3, r=[0, 0, 0])
         assert x_negativity(x) == 0.0
