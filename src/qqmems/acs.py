@@ -36,6 +36,7 @@ import numpy as np
 
 from .linalg import (
     MatrixError,
+    _real_array,
     check_density_matrix,
     eig_hermitian,
     partial_transpose_qubit,
@@ -98,13 +99,13 @@ def vector_subproblem(a, P):
     within 1e-15 resolve to the least-pure candidate, then to the first in
     support order.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, "objective coefficients")
     if a.ndim not in (1, 2) or a.shape[-1] != 6:
         raise ValueError(f"expected a (6,) vector or an (n, 6) stack, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("objective coefficients must be finite")
     a2 = a.reshape(-1, 6)
-    P = np.asarray(P, dtype=float)
+    P = _real_array(P, "purity bound")
     if P.ndim and P.shape != a.shape[:-1]:
         raise ValueError(f"expected one purity bound or one per row of {a.shape}, got shape {P.shape}")
     P = np.broadcast_to(P, a2.shape[:1])

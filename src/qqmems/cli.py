@@ -180,8 +180,8 @@ def _validated(values, matrices, tol, label):
     return values
 
 
-# Rows per stacked evaluation in curves, gap, prop1 and the TGX searches;
-# bounds peak memory.
+# Rows per stacked evaluation in curves, gap, certify, prop1 and the TGX
+# searches; bounds peak memory.
 _BLOCK = 256
 
 
@@ -241,8 +241,12 @@ def cmd_gap(cfg):
 
 def cmd_certify(cfg):
     theorems = (cfg.theorem,) if cfg.theorem else THEOREMS
-    jobs = [(th, float(P)) for th in theorems for P in _grid(cfg, FAMILIES[th].start)]
-    reports = [verify_certificate(th, P, tol=cfg.tolerance) for th, P in jobs]
+    reports = [
+        report
+        for th in theorems
+        for P in _blocks(_grid(cfg, FAMILIES[th].start))
+        for report in verify_certificate(th, P, tol=cfg.tolerance)
+    ]
     ok = all(r.verified for r in reports)
     _write_json(
         cfg.output,

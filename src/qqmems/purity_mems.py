@@ -24,7 +24,7 @@ for comparison; its printed low-purity branch has a negative radicand on most
 of (1/5, 3/8), in which case None is returned rather than a complex value.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,12 +57,13 @@ class DomainError(ValueError):
 class Family:
     """One fixed-purity family: purity domain [lo, 1), or (lo, 1) if lo_open;
     label in domain errors; `curves` column; public curve, spectrum and
-    construction; SDP certificate.  primal(P) gives the constraint matrices
-    F_0..F_m, objective c, optimal variables and the |c . x| the curve
-    predicts, dual(P) a dual-feasible matrix, rank one outside its (0, 0)
-    entry: y y^T / s for a vector y and a scale s.  At a closed lower end the
-    dual is PSD only as z -> infinity along boundary_dual(z), whose two
-    nonzero eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
+    construction; SDP certificate.  For a 1-D array of purities, primal(P)
+    gives F_0 per purity, the constant F_1..F_m, objective c, optimal
+    variables x per purity and the |c . x| the curve predicts; dual(P) gives
+    (y, s, z00) per purity for the dual-feasible matrix y y^T / s + z00 E_00,
+    rank one outside its (0, 0) entry.  At a closed lower end the dual is PSD
+    only as z -> infinity along boundary_dual(z), whose two nonzero
+    eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
 
     lo: float
     lo_open: bool
@@ -106,8 +107,9 @@ def _out(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _spectra(*entries):
-    """Six per-purity entries (arrays or constants) as (..., 6) spectra."""
+def _columns(*entries):
+    """Per-purity entries (arrays or constants) as the columns of one array:
+    six give (..., 6) spectra."""
     return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
@@ -159,13 +161,13 @@ def n_x_p_deg(P):
 
 def rank2_spectrum(P):
     l1 = 0.5 * (1.0 + _f(FAMILIES["rank2"].check(P)))
-    return _spectra(l1, 1.0 - l1, 0.0, 0.0, 0.0, 0.0)
+    return _columns(l1, 1.0 - l1, 0.0, 0.0, 0.0, 0.0)
 
 
 def rank3_spectrum(P):
     g = _g(FAMILIES["rank3"].check(P))
     l2 = _pair3(g)
-    return _spectra(_top3(g), l2, l2, 0.0, 0.0, 0.0)
+    return _columns(_top3(g), l2, l2, 0.0, 0.0, 0.0)
 
 
 def deg_spectrum(P):
@@ -173,7 +175,7 @@ def deg_spectrum(P):
     l1 = np.where(below, (1.0 + 4.0 * h) / 6.0, _top3(g))
     l2 = np.where(below, (1.0 + h) / 6.0, _pair3(g))
     ld = np.where(below, (1.0 - 2.0 * h) / 6.0, 0.0)
-    return _spectra(l1, l2, l2, ld, ld, ld)
+    return _columns(l1, l2, l2, ld, ld, ld)
 
 
 def construct_rank2(P):
@@ -213,18 +215,17 @@ def hedemann_negativity(P):
 # ---------------------------------------------------------------------------
 
 
-def _constraints(F0, corner):
-    """[F_0, F_1, ..., F_{n-2}] for n x n F_0: F_i has -1 at (0, 0), 1 at
-    (i, n-1) and (n-1, i), and `corner` at (n-1, n-1)."""
+def _constraints(F0, last, corner):
+    """(F_0 per purity, stacked [F_1, ..., F_{n-2}]) for the constant n x n
+    part F0 of F_0: F_0 takes `last` (one per purity) at (n-1, n-1); F_i has
+    -1 at (0, 0), 1 at (i, n-1) and (n-1, i), and `corner` at (n-1, n-1)."""
     n = len(F0)
-    Fs = [F0]
-    for i in range(1, n - 1):
-        Fi = np.zeros((n, n))
-        Fi[0, 0] = -1.0
-        Fi[i, -1] = Fi[-1, i] = 1.0
-        Fi[-1, -1] = corner
-        Fs.append(Fi)
-    return Fs
+    F0s = np.repeat(F0[None], len(last), axis=0)
+    F0s[:, -1, -1] = last
+    Fs = np.zeros((n - 2, n, n))
+    Fs[:, 0, 0], Fs[:, -1, -1] = -1.0, corner
+    Fs[:, 1:-1, -1] = Fs[:, -1, 1:-1] = np.eye(n - 2)
+    return F0s, Fs
 
 
 def _boundary_eigs(m, s, c):
@@ -234,48 +235,40 @@ def _boundary_eigs(m, s, c):
 
 
 def _rank2_primal(P):
-    lam = rank2_spectrum(P)
-    F0 = np.diag([1.0, 0.5, P - 1.0])
-    return _constraints(F0, 2.0), np.array([-1.0]), lam[:1], n_x_p_rank2(P)
+    F0s, Fs = _constraints(np.diag([1.0, 0.5, 0.0]), P - 1.0, 2.0)
+    return F0s, Fs, np.array([-1.0]), rank2_spectrum(P)[:, :1], n_x_p_rank2(P)
 
 
 def _rank2_dual(P):
     f = _f(P)
-    y = np.array([0.0, 1.0 + f, -1.0])
-    return np.outer(y, y) / (2.0 * f)
+    return _columns(0.0, 1.0 + f, -1.0), 2.0 * f, 0.0
 
 
 def _rank3_primal(P):
-    lam = rank3_spectrum(P)
-    F0 = np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, P - 1.0])
+    F0 = np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 0.0])
     F0[1, 2] = F0[2, 1] = -1.0 / 3.0
-    return _constraints(F0, 2.0), np.array([-1.0, 0.0]), lam[:2], n_x_p_rank3(P)
+    F0s, Fs = _constraints(F0, P - 1.0, 2.0)
+    return F0s, Fs, np.array([-1.0, 0.0]), rank3_spectrum(P)[:, :2], n_x_p_rank3(P)
 
 
 def _rank3_dual(P):
     g = _g(P)
-    y = np.array([0.0, 1.0 + g / 2.0, 1.0, -1.0])
-    return np.outer(y, y) / g
+    return _columns(0.0, 1.0 + g / 2.0, 1.0, -1.0), g, 0.0
 
 
 def _deg_primal(P):
-    lam = deg_spectrum(P)
-    F0 = np.diag([1.0, 1.0, 1.0, 1.0, P - 1.0 / 3.0])
+    F0 = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
     F0[1:4, 1:4] -= 1.0 / 6.0  # diagonal 5/6, off-diagonal -1/6
+    F0s, Fs = _constraints(F0, P - 1.0 / 3.0, 2.0 / 3.0)
     c = np.array([-2.0, -1.0, -1.0])
-    return _constraints(F0, 2.0 / 3.0), c, lam[:3], n_x_p_deg(P) + 1.0  # objective = curve + 1
+    return F0s, Fs, c, deg_spectrum(P)[:, :3], n_x_p_deg(P) + 1.0  # objective = curve + 1
 
 
 def _deg_dual(P):
-    if P < DEG_SPLIT:
-        h = _h(P)
-        y = np.array([0.0, 3.0 * h + 1.0, 1.5 * h + 1.0, 1.5 * h + 1.0, -3.0])
-        return np.outer(y, y) / (9.0 * h)
-    g = _g(P)
-    y = np.array([0.0, g + 2.0, 2.0 - g / 2.0, 2.0 - g / 2.0, -3.0])
-    Z = np.outer(y, y) / (9.0 * g)
-    Z[0, 0] = 4.0 / 3.0 - 2.0 / (3.0 * g)
-    return Z
+    below, h, g = _branches(P)
+    mid = np.where(below, 1.5 * h + 1.0, 2.0 - g / 2.0)
+    y = _columns(0.0, np.where(below, 3.0 * h + 1.0, g + 2.0), mid, mid, -3.0)
+    return y, np.where(below, 9.0 * h, 9.0 * g), np.where(below, 0.0, 4.0 / 3.0 - 2.0 / (3.0 * g))
 
 
 # Family(lo, lo_open, label, column, curve, spectrum, construct, primal, dual, ...)
@@ -323,7 +316,7 @@ class CertificateReport:
     verified: bool = False
 
     def to_dict(self):
-        return asdict(self)
+        return {k: list(v) if isinstance(v, list) else v for k, v in vars(self).items()}
 
 
 def verify_certificate(theorem_id, P, tol=1e-10):
@@ -334,70 +327,69 @@ def verify_certificate(theorem_id, P, tol=1e-10):
     asymptotic limit for the two boundary purities), and (d) a vanishing gap
     between primal and dual objective values, each within `tol`.  Returns the
     full report; ``report.verified`` is the verdict, False if any check
-    fails.  A primal objective that does not reproduce the curve value (a
-    transcription error in the certificate data) raises RuntimeError.
+    fails.  A 1-D array of purities gives a list of one report per purity,
+    each equal to the scalar call.  A primal objective that does not
+    reproduce the curve value (a transcription error in the certificate data)
+    raises RuntimeError naming the first such purity.
     """
     if theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
-    if _real_array(P, "purity").ndim != 0:
-        raise ValueError(f"P must be one purity, got an array of shape {np.shape(P)}")
-    if isinstance(tol, (bool, np.bool_)) or not (np.isfinite(tol) and tol >= 0):
+    if _real_array(P, "purity").ndim > 1:
+        raise ValueError(f"purities must be a float or a 1-D array, got shape {np.shape(P)}")
+    is_bool = isinstance(tol, (bool, np.bool_))
+    if not is_bool and (np.ndim(tol) or np.asarray(tol).dtype.kind not in "iuf"):
+        raise TypeError(f"tol {tol!r} is not a real number")
+    if is_bool or not (np.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     fam = FAMILIES[theorem_id]
-    Fs, c, x, expected = fam.primal(P)
-    Fx = Fs[0] + sum(xi * Fi for xi, Fi in zip(x, Fs[1:]))
-    w, _ = eig_hermitian(Fx)
-    primal_min = float(w[0])
-    primal_feasible = primal_min >= -tol
-    primal_obj = float(c @ x)
+    grid = np.atleast_1d(fam.check(P))
+    F0, Fs, c, x, expected = fam.primal(grid)
+    Fx = F0 + sum(x[:, i, None, None] * Fi for i, Fi in enumerate(Fs))
+    primal_min = eig_hermitian(Fx)[0][:, 0]
+    primal_obj = x @ c
+    # The dual objective equals the primal one, which maps back to the curve
+    # value: a transcription bug in the certificate data would surface here.
+    off = ~(np.abs(np.abs(primal_obj) - expected) <= 1e-9)
+    if off.any():
+        i = int(np.argmax(off))
+        raise RuntimeError(
+            f"certificate data for {theorem_id} at P={grid[i]} do not reproduce the curve: "
+            f"primal objective {float(primal_obj[i])!r}, expected "
+            f"{float(np.broadcast_to(expected, off.shape)[i])!r} up to sign"
+        )
 
-    # Closed lower ends (rank2 at 1/2, rank3 at 1/3) have asymptotic certificates.
-    asymptotic = not fam.lo_open and abs(P - fam.lo) <= 1e-12
-    Z = fam.boundary_dual(1.0) if asymptotic else fam.dual(P)
-    residuals = [float(np.trace(Fi @ Z) - ci) for Fi, ci in zip(Fs[1:], c)]
-    gap = abs(primal_obj - (-float(np.trace(Fs[0] @ Z))))
-
-    tail = []
-    if asymptotic:
+    # Closed lower ends (rank2 at 1/2, rank3 at 1/3) have asymptotic
+    # certificates; the interior dual divides by zero there and is built
+    # on the other rows only.
+    asymptotic = (np.abs(grid - fam.lo) <= 1e-12) & (not fam.lo_open)
+    y, s, z00 = fam.dual(grid[~asymptotic])
+    Z = np.zeros_like(F0)
+    Z[~asymptotic] = y[:, :, None] * y[:, None, :] / s[:, None, None]
+    Z[~asymptotic, 0, 0] += z00
+    margin = eig_hermitian(Z)[0][:, 0]
+    tail, psd_ok = [], margin >= -tol
+    if asymptotic.any():
         # PSD only in the limit: the lone negative eigenvalue must shrink to 0
         # monotonically along z, all others staying nonnegative.  Evaluated in
         # rationalized form; the naive difference cancels catastrophically.
+        Z[asymptotic] = fam.boundary_dual(1.0)
         eigs = [fam.boundary_eigs(z) for z in (1e3, 1e6, 1e9)]
         tail = [minus for minus, _ in eigs]
-        margin = tail[-1]
-        psd_ok = (
+        margin[asymptotic] = tail[-1]
+        psd_ok[asymptotic] = (
             all(t < 0.0 for t in tail)
             and tail[0] < tail[1] < tail[2]
             and tail[2] > -1e-6
             and all(plus >= 0.0 for _, plus in eigs)
         )
-    else:
-        wz, _ = eig_hermitian(Z)
-        margin = float(wz[0])
-        psd_ok = margin >= -tol
 
-    report = CertificateReport(
-        theorem_id=theorem_id,
-        P=float(P),
-        primal_feasible=primal_feasible,
-        primal_min_eig=primal_min,
-        dual_trace_residuals=residuals,
-        dual_psd_margin=margin,
-        asymptotic=asymptotic,
-        duality_gap=float(gap),
-        asymptotic_tail=tail,
-    )
-    report.verified = (
-        primal_feasible
-        and psd_ok
-        and all(abs(rr) <= tol for rr in residuals)
-        and gap <= tol
-    )
-    # The dual objective equals the primal one, which maps back to the curve
-    # value: a transcription bug in the fixture matrices would surface here.
-    if not abs(abs(primal_obj) - expected) <= 1e-9:
-        raise RuntimeError(
-            f"certificate data for {theorem_id} at P={P} do not reproduce the curve: "
-            f"primal objective {primal_obj!r}, expected {expected!r} up to sign"
-        )
-    return report
+    residuals = np.trace(Fs @ Z[:, None], axis1=-2, axis2=-1) - c
+    gap = np.abs(primal_obj + np.trace(F0 @ Z, axis1=-2, axis2=-1))
+    feasible = primal_min >= -tol
+    verified = feasible & psd_ok & np.all(np.abs(residuals) <= tol, axis=1) & (gap <= tol)
+    columns = (grid, feasible, primal_min, residuals, margin, asymptotic, gap, verified)
+    reports = [
+        CertificateReport(theorem_id, p, fe, low, res, m, asym, g, list(tail) if asym else [], ok)
+        for p, fe, low, res, m, asym, g, ok in zip(*(col.tolist() for col in columns))
+    ]
+    return reports if np.ndim(P) else reports[0]

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import TOL
+from .linalg import TOL, _real_array
 from .xstate import XState
 
 __all__ = [
@@ -57,8 +57,9 @@ def _pair_table(lams, quads=_PAIR_QUADRUPLES):
 
 def validate_spectrum(lam):
     """Check a 6-vector, or each row of an (n, 6) stack, is a descending
-    probability spectrum; return it."""
-    lam = np.asarray(lam, dtype=float)
+    probability spectrum; return it.  A TypeError names lam unless it holds
+    real numbers."""
+    lam = _real_array(lam, "spectrum")
     if lam.ndim not in (1, 2) or lam.shape[-1] != 6:
         raise ValueError(f"spectrum must have shape (6,) or (n, 6), got {lam.shape}")
     if not np.all(np.isfinite(lam)):

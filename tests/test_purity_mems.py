@@ -261,9 +261,28 @@ class TestCertificates:
         with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
             verify_certificate("deg", 0.25, tol=tol)
 
-    @pytest.mark.parametrize("P", [np.array([0.25, 0.3]), [0.25]])
-    def test_rejects_an_array_of_purities(self, P):
-        with pytest.raises(ValueError, match=re.escape(f"array of shape {np.shape(P)}")):
+    @pytest.mark.parametrize("tol", ["1e-10", 1e-10 + 0j, None, np.array([1e-10, 1e-9])])
+    def test_tol_that_is_not_real_is_a_type_error(self, tol):
+        with pytest.raises(TypeError, match=re.escape(f"tol {tol!r} is not a real number")):
+            verify_certificate("rank2", 0.7, tol=tol)
+
+    @pytest.mark.parametrize("theorem_id", ["rank2", "rank3"])
+    def test_an_array_gives_the_scalar_reports(self, theorem_id):
+        # lo and nextafter(lo, 1) take the asymptotic branch (rank 2's second
+        # point does not verify), the rest the interior dual, all in one stack.
+        lo = FAMILIES[theorem_id].lo
+        P = np.array([lo, np.nextafter(lo, 1.0), lo + 1e-11, 0.55, 0.7, 0.999])
+        reports = verify_certificate(theorem_id, P)
+        assert isinstance(reports, list) and len(reports) == len(P)
+        assert [r.to_dict() for r in reports] == [
+            verify_certificate(theorem_id, float(p)).to_dict() for p in P
+        ]
+        assert [r.asymptotic for r in reports] == [True, True, False, False, False, False]
+        assert reports[1].verified == (theorem_id == "rank3") and reports[2].verified
+
+    @pytest.mark.parametrize("P", [np.array([[0.25, 0.3]]), [[0.25]]])
+    def test_rejects_a_2d_array_of_purities(self, P):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(P)}")):
             verify_certificate("deg", P)
 
     def test_failed_check_is_reported_unverified(self):

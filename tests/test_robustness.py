@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qqmems
 from qqmems import purity_mems
-from qqmems.acs import AcsTrace, acs_run, rho_step
+from qqmems.acs import AcsTrace, acs_run, rho_step, vector_subproblem
 from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
 from qqmems.linalg import negativity, random_density_fixed_purity
 from qqmems.purity_mems import (
@@ -31,7 +31,13 @@ from qqmems.purity_mems import (
     rank2_spectrum,
     rank3_spectrum,
 )
-from qqmems.spectrum import validate_spectrum
+from qqmems.spectrum import (
+    best_sequence_bruteforce,
+    construct_spectrum_xmems,
+    n_x_lambda,
+    s_value,
+    validate_spectrum,
+)
 from qqmems.tgx import Tgx2Params, Tgx3Params, maximize_tgx2, maximize_tgx3
 from qqmems.xstate import XState, XStateError, x_spectra
 
@@ -93,6 +99,62 @@ PURITY_ENTRY_POINTS = {fn.__name__: fn for fn in PURITY_FUNCTIONS} | {
 def test_a_purity_that_is_not_real_is_a_type_error(name, bad):
     with pytest.raises(TypeError, match=re.escape(f"purity {bad!r} is not a real number")):
         PURITY_ENTRY_POINTS[name](bad)
+
+
+RNG_FREE_ENTRY_POINTS = {fn.__name__: fn for fn in PURITY_FUNCTIONS} | {
+    "verify_certificate": lambda P: purity_mems.verify_certificate("rank2", P),
+    "verify_certificate_deg": lambda P: purity_mems.verify_certificate("deg", P),
+}
+
+
+def _plain(result):
+    """A result as data that compares by value: a matrix for an XState, a
+    dict for a certificate report."""
+    if isinstance(result, XState):
+        return result.to_matrix()
+    if isinstance(result, purity_mems.CertificateReport):
+        return result.to_dict()
+    return result
+
+
+@pytest.mark.parametrize("name", list(RNG_FREE_ENTRY_POINTS))
+def test_an_array_of_purities_gives_the_scalar_results(name):
+    fn = RNG_FREE_ENTRY_POINTS[name]
+    P = np.array([0.5, 0.55, 0.7, 0.999])  # in every domain; 0.5 is asymptotic for rank 2
+    stacked = _plain(fn(P))
+    assert len(stacked) == len(P)
+    for row, p in zip(stacked, P):
+        single = _plain(fn(float(p)))
+        if isinstance(single, dict):
+            assert _plain(row) == single
+        else:
+            assert np.array_equal(row, single)
+
+
+SPECTRUM_ENTRY_POINTS = {
+    "validate_spectrum": validate_spectrum,
+    "s_value": lambda lam: s_value(lam, (1, 2, 3, 4)),
+    "best_sequence_bruteforce": best_sequence_bruteforce,
+    "n_x_lambda": n_x_lambda,
+    "construct_spectrum_xmems": construct_spectrum_xmems,
+    "vector_subproblem": lambda lam: vector_subproblem(lam, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad",
+    [["0.5", "0.5", 0, 0, 0, 0], np.array([0.5, 0.5, 0, 0, 0, 0]) + 0j],
+    ids=["str_list", "complex"],
+)
+def test_a_spectrum_that_is_not_real_is_a_type_error(name, bad):
+    with pytest.raises(TypeError, match="is not a real number"):
+        SPECTRUM_ENTRY_POINTS[name](bad)
+
+
+def test_a_purity_bound_that_is_not_real_is_a_type_error():
+    with pytest.raises(TypeError, match=re.escape("purity bound '0.5' is not a real number")):
+        vector_subproblem([1.0, 0, 0, 0, 0, 0], "0.5")
 
 
 def _accepts(fn, *args, **kwargs):

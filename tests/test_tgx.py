@@ -177,9 +177,19 @@ class TestMaximizeTgx2:
 
     def test_strict_excess_in_low_purity_region(self):
         # The family genuinely beats the rank-2 X ceiling only below P
-        # around 0.70; at higher purities the two coincide exactly.
+        # = 17/25; at higher purities the two coincide exactly.
         assert maximize_tgx2(0.55, rng=0).best_value - n_x_p_rank2(0.55) > 1e-4
         assert abs(maximize_tgx2(0.75, rng=0).best_value - n_x_p_rank2(0.75)) < 1e-10
+
+    def test_threshold_is_17_25(self):
+        # At u = cos^2 theta1 = 1/2, w = sin^2 theta2 = 0 the TGX2 value is
+        # the rank-2 X ceiling p1, and dN/dw = p2 (4 p2 / p1 - 1) <= 0 exactly
+        # when p1 >= 4 p2, i.e. f >= 3/5, i.e. P >= 17/25.  The excess just
+        # below the threshold closes quadratically.
+        P = np.array([0.679, 17 / 25, 0.6801, 0.69, 0.8])
+        gaps = [r.best_value - n_x_p_rank2(p) for r, p in zip(maximize_tgx2(P, rng=[0] * 5), P)]
+        assert gaps[0] > 1e-7
+        assert all(abs(gap) <= 1e-15 for gap in gaps[1:])
 
     def test_beats_dense_grid_scan(self, rng):
         P = 0.75
