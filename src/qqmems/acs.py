@@ -36,6 +36,7 @@ import numpy as np
 
 from .linalg import (
     MatrixError,
+    _numbers,
     _real_array,
     check_density_matrix,
     eig_hermitian,
@@ -83,7 +84,7 @@ def pi_objective(pi, rho):
     """The ascent objective -2 + 2 tr[Pi rho^Gamma] (real part): a float, or
     an (n,) array for stacks."""
     pt = partial_transpose_qubit(rho)
-    value = -2.0 + 2.0 * np.real(np.trace(pi @ pt, axis1=-2, axis2=-1))
+    value = -2.0 + 2.0 * np.real(np.trace(_numbers(pi, "projector") @ pt, axis1=-2, axis2=-1))
     return float(value) if value.ndim == 0 else value
 
 
@@ -119,46 +120,24 @@ def vector_subproblem(a, P):
     active = (slack > 0.0) & (ssq > 0.0)
     scale = np.sqrt(np.divide(slack, ssq, out=np.zeros_like(ssq), where=active))
     uniform = _SUPPORTS / _SIZES[:, None]
-    # (n, 63, 2, 6) -> (n, 126, 6): per support, uniform then purity-active
+    # (n, 63, 2, 6) -> (n, 126, 6): per support, uniform then purity-active;
+    # an inactive support's second candidate is its uniform point again
     cand = np.stack(
         [np.broadcast_to(uniform, centered.shape), uniform + scale[..., None] * centered], axis=2
-    ).reshape(len(a2), -1, 6)
-    exists = np.stack([np.ones_like(active), active], axis=2).reshape(len(a2), -1)
+    ).reshape(len(a2), 2 * len(_SUPPORTS), 6)
     pur = np.sum(cand * cand, axis=-1)
     val = np.sum(a2[:, None, :] * cand, axis=-1)
     feasible = (
-        exists
-        & (cand.min(axis=-1) >= -1e-12)
+        (cand.min(axis=-1) >= -1e-12)
         & (pur <= P[:, None] + 1e-12)
         & (np.abs(cand.sum(axis=-1) - 1.0) <= 1e-9)
     )
-    # A row whose maximum has no other feasible candidate within 2e-15 picks
-    # it under the tie rule; rows with near-ties replay the rule in order.
     best = np.max(val, axis=-1, where=feasible, initial=-np.inf)
-    near = feasible & (val >= best[:, None] - 2e-15)
-    pick = np.argmax(near, axis=-1)
-    tied = near.sum(axis=-1) > 1
-    if tied.any():
-        pick[tied] = _tie_scan(val[tied], pur[tied], feasible[tied])
+    near = feasible & (val >= best[:, None] - 1e-15)
+    least = np.min(pur, axis=-1, where=near, initial=np.inf)
+    pick = np.argmax(near & (pur == least[:, None]), axis=-1)
     lam = np.clip(cand[np.arange(len(a2)), pick], 0.0, None)
     return lam.reshape(a.shape)
-
-
-def _tie_scan(val, pur, feasible):
-    """Index of the winning candidate per row, visiting candidates in order: a
-    feasible one replaces the incumbent when its value is higher by more than
-    1e-15, or within 1e-15 and less pure."""
-    best_val = np.full(len(val), -np.inf)
-    best_pur = np.full(len(val), np.inf)
-    pick = np.zeros(len(val), dtype=int)
-    for j in range(val.shape[1]):
-        v, p = val[:, j], pur[:, j]
-        tie = (np.abs(v - best_val) <= 1e-15) & (p < best_pur)
-        take = feasible[:, j] & ((v > best_val + 1e-15) | tie)
-        best_val = np.where(take, v, best_val)
-        best_pur = np.where(take, p, best_pur)
-        pick[take] = j
-    return pick
 
 
 def rho_step(pi, P):

@@ -54,6 +54,15 @@ def _require(ok, message, values):
         raise MatrixError(message.format(values[index]), index)
 
 
+def _numbers(x, name):
+    """x as an array; a TypeError naming x unless it holds integers, floats or
+    complex numbers, before a complex conversion could parse strings."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iufc":
+        raise TypeError(f"{name} has dtype {arr.dtype}, not real or complex numbers")
+    return arr
+
+
 def _square(M):
     """M, if it is a square matrix or a (..., n, n) stack of them."""
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -68,7 +77,7 @@ def eig_hermitian(H):
     if any matrix is not Hermitian within TOL.hermiticity (NaN fails), naming
     the first such matrix's deviation.
     """
-    H = _square(np.asarray(H, dtype=complex))
+    H = _square(np.asarray(_numbers(H, "matrix"), dtype=complex))
     dev = np.abs(H - H.conj().swapaxes(-1, -2))
     if dev.size and not dev.max() <= TOL.hermiticity:  # the worst entry; NaN fails too
         dev = dev.max(axis=(-2, -1))
@@ -84,7 +93,7 @@ def partial_transpose_qubit(rho):
     out[(a,b),(a',b')] = in[(a',b),(a,b')].  An involution; preserves trace
     and Hermiticity.
     """
-    rho = np.asarray(rho)
+    rho = _numbers(rho, "matrix")
     if rho.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     return rho.reshape(-1, 2, 3, 2, 3).swapaxes(1, 3).reshape(rho.shape)
@@ -111,7 +120,7 @@ def negativity(rho):
 
 def purity(rho):
     """tr rho^2 (one per matrix of a stack), in [1/6, 1] for 6-dimensional states."""
-    rho = _square(np.asarray(rho))
+    rho = _square(_numbers(rho, "density matrix"))
     values = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
     return float(values) if values.ndim == 0 else values
 
@@ -119,7 +128,7 @@ def purity(rho):
 def check_density_matrix(rho):
     """Validate Hermiticity, then trace 1, then positive semidefiniteness,
     within the TOL tolerances, each over the whole stack (one eigh)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(_numbers(rho, "density matrix"), dtype=complex)
     w0 = eig_hermitian(rho)[0][..., 0]  # the smallest eigenvalues
     tr = np.trace(rho, axis1=-2, axis2=-1)
     _require(np.abs(tr - 1.0) <= TOL.trace, f"trace is {{}}, expected 1 within {TOL.trace}", tr)

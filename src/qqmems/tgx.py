@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._nelder_mead import nelder_mead
-from .linalg import TOL, _per_purity
+from .linalg import TOL, _per_purity, _real_array
 from .purity_mems import FAMILIES, DomainError, _f, _g
 
 __all__ = [
@@ -32,9 +32,10 @@ P_MAX = 1.0 - 1e-9
 
 
 def _check_params(q):
-    """TGX records' __post_init__: fields finite, each p_k > 0, and sum p_k = 1 within TOL.trace."""
+    """TGX records' __post_init__: fields real (a TypeError naming the field
+    otherwise) and finite, each p_k > 0, and sum p_k = 1 within TOL.trace."""
     for name, v in vars(q).items():
-        if not np.isfinite(v):
+        if not np.isfinite(_real_array(v, name)):
             raise ValueError(f"{name} must be finite, got {v}")
     probs = [v for name, v in vars(q).items() if name.startswith("p")]
     if min(probs) <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, _simplex_sample
+from .linalg import TOL, _numbers, _simplex_sample
 
 __all__ = [
     "XState",
@@ -117,7 +117,7 @@ def from_matrix(rho):
     Raises XStateError listing offending entries if the matrix has an entry
     above 1e-12 in magnitude outside the X pattern.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(_numbers(rho, "matrix"), dtype=complex)
     if rho.shape != (6, 6):
         raise XStateError(f"expected a 6x6 matrix, got shape {rho.shape}")
     mask = np.zeros((6, 6), dtype=bool)

@@ -79,19 +79,18 @@ def negativity_neg_eigs(rho):
     return float(2.0 * np.sum(np.maximum(0.0, -w)))
 
 
-def vector_subproblem_loop(a, P):
-    """The KKT support enumeration of the ACS rho-step, one support at a time.
+def vector_subproblem_candidates(a, P):
+    """The feasible KKT candidates of the ACS rho-step, one support at a time.
 
-    Maximizes a . lam over lam >= 0, sum lam = 1, sum lam^2 <= P for a (6,)
-    vector a by visiting the 63 supports in bitmask order, each with its
-    uniform point and (when P > 1/|S| and a is nonconstant on S) its
-    purity-active point; a candidate replaces the incumbent when its value is
-    higher by more than 1e-15, or within 1e-15 and less pure.  Returns
-    (lam, support bitmask of the winner).
+    For a (6,) vector a and the program max a . lam over lam >= 0,
+    sum lam = 1, sum lam^2 <= P, visits the 63 supports in bitmask order,
+    each with its uniform point and (when P > 1/|S| and a is nonconstant on
+    S) its purity-active point.  Returns the feasible ones in that order as
+    (value, purity, lam, support bitmask) tuples.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
-    best_val, best_pur, best_lam, best_mask = -np.inf, np.inf, None, None
+    found = []
     for mask in range(1, 2**n):
         idx = [i for i in range(n) if mask >> i & 1]
         k = len(idx)
@@ -106,9 +105,19 @@ def vector_subproblem_loop(a, P):
             pur = float(cand @ cand)
             if np.min(cand) < -1e-12 or pur > P + 1e-12 or abs(np.sum(cand) - 1.0) > 1e-9:
                 continue
-            val = float(a_s @ cand)
-            if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and pur < best_pur):
-                lam = np.zeros(n)
-                lam[idx] = np.clip(cand, 0.0, None)
-                best_val, best_pur, best_lam, best_mask = val, pur, lam, mask
-    return best_lam, best_mask
+            lam = np.zeros(n)
+            lam[idx] = np.clip(cand, 0.0, None)
+            found.append((float(a_s @ cand), pur, lam, mask))
+    return found
+
+
+def vector_subproblem_loop(a, P):
+    """The ACS rho-step's selection rule over `vector_subproblem_candidates`:
+    the best value; among the candidates within 1e-15 of it, the least pure;
+    among those, the first.  Returns (lam, support bitmask of the winner)."""
+    found = vector_subproblem_candidates(a, P)
+    best = max(val for val, _, _, _ in found)
+    near = [c for c in found if c[0] >= best - 1e-15]
+    least = min(pur for _, pur, _, _ in near)
+    _, _, lam, mask = next(c for c in near if c[1] == least)
+    return lam, mask

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qqmems.acs
-from oracles import vector_subproblem_loop
+from oracles import vector_subproblem_candidates, vector_subproblem_loop
 from qqmems.acs import (
     STOP_INCREMENT,
     SWEEP_BLOCK,
@@ -25,6 +25,10 @@ from qqmems.linalg import (
     random_density_fixed_purity,
 )
 from qqmems.purity_mems import construct_deg, n_x_p_deg
+
+# Pi^Gamma of Pi = I as an eigensolver returns it: constant up to rounding.
+NEAR_CONSTANT = [1.0000000000000018, 1.0000000000000007, 1.0000000000000002,
+                 0.9999999999999993, 0.9999999999999991, 0.9999999999999981]
 
 
 class TestVectorSubproblem:
@@ -120,10 +124,9 @@ class TestVectorSubproblemAgainstLoop:
             [3.0, 1.0, 1.0, 1.0, 1.0, 1.0],
             [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
             [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
-            # Pi^Gamma of Pi = I as an eigensolver returns it: constant up to
-            # rounding, where the 1e-15 tie rule decides between supports
-            [1.0000000000000018, 1.0000000000000007, 1.0000000000000002,
-             0.9999999999999993, 0.9999999999999991, 0.9999999999999981],
+            # constant up to rounding, where the 1e-15 tie rule decides
+            # between supports
+            NEAR_CONSTANT,
         ],
     )
     @pytest.mark.parametrize("P", [1 / 6, 0.2, 0.3328977812499746, 0.5, 0.9, 1 - 1e-12])
@@ -133,6 +136,44 @@ class TestVectorSubproblemAgainstLoop:
     @pytest.mark.parametrize("P", [1 / 6, 1 - 1e-12])
     def test_domain_ends(self, rng, P):
         _assert_matches_loop(rng.standard_normal((50, 6)), P)
+
+
+def _assert_obeys_rule(a, P):
+    """The kernel's pick on each row of `a` obeys the documented rule over the
+    oracle's candidate list: a value within 1e-15 of the best, and no more
+    pure than any candidate within 1e-15 of it.  Every value is summed left to
+    right, as the kernel sums it, and compared by its exact difference from
+    the best: the tolerance is a few ulps, so another summation order or a
+    rounded threshold would decide ties by itself.  A pad of 4e-16 absorbs
+    the rounding between the kernel's and the oracle's candidates."""
+    pad = 4e-16
+    for row, p, got in zip(a, P, vector_subproblem(a, P)):
+        candidates = vector_subproblem_candidates(row, float(p))
+        found = [(np.sum(row * lam), pur) for _, pur, lam, _ in candidates]
+        best = max(val for val, _ in found)
+        least = min(pur for val, pur in found if val - best >= -1e-15 + pad)
+        assert np.sum(row * got) - best >= -1e-15 - pad
+        assert got @ got <= least + pad
+
+
+class TestSelectionRule:
+    # Only the rule is checked here, not the kernel's candidate against the
+    # oracle's: on near-constant objectives the two summation orders can
+    # split a tie between supports either way.
+    def test_near_constant_objectives(self, rng):
+        a = 1.0 + rng.integers(-8, 9, (1000, 6)) * 2.0**-52
+        a[:500] = -np.sort(-a[:500])  # descending, as rho_step passes them
+        P = rng.uniform(1 / 6, 1.0, len(a))
+        P[::20], P[1::20] = 1 / 6, 1 - 1e-12
+        _assert_obeys_rule(a, P)
+
+    @pytest.mark.parametrize("P", [0.5, 1 - 1e-12])
+    def test_pinned_near_ties(self, P):
+        # The 1e-15 tolerance is not transitive here: a scan comparing each
+        # candidate with its incumbent ends 1.55e-15 below the best at
+        # P = 0.5, and at a pure point at P = 1 - 1e-12 although uniform on
+        # {0, 1, 2} lies 9e-16 from the best.
+        _assert_obeys_rule(np.array([NEAR_CONSTANT]), np.array([P]))
 
 
 class TestPiStep:
@@ -314,3 +355,12 @@ class TestStackedAcsRun:
         with pytest.raises(MatrixError, match=re.escape(match)) as err:
             acs_run(np.full(4, 0.3), rho0)
         assert err.value.index == (2,)
+
+
+def test_empty_stacks_give_empty_results():
+    empty = np.zeros((0, 6, 6))
+    assert vector_subproblem(np.zeros((0, 6)), np.array([])).shape == (0, 6)
+    assert rho_step(empty, np.array([])).shape == (0, 6, 6)
+    assert pi_step(empty).shape == (0, 6, 6)
+    assert pi_objective(empty, empty).shape == (0,)
+    assert acs_run(np.array([]), empty) == []

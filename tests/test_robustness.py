@@ -14,9 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import qqmems
 from qqmems import purity_mems
-from qqmems.acs import AcsTrace, acs_run, rho_step, vector_subproblem
+from qqmems.acs import AcsTrace, acs_run, pi_objective, pi_step, rho_step, vector_subproblem
 from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
-from qqmems.linalg import negativity, random_density_fixed_purity
+from qqmems.linalg import (
+    check_density_matrix,
+    eig_hermitian,
+    negativity,
+    purity,
+    random_density_fixed_purity,
+    trace_norm,
+)
 from qqmems.purity_mems import (
     FAMILIES,
     DomainError,
@@ -39,7 +46,7 @@ from qqmems.spectrum import (
     validate_spectrum,
 )
 from qqmems.tgx import Tgx2Params, Tgx3Params, maximize_tgx2, maximize_tgx3
-from qqmems.xstate import XState, XStateError, x_spectra
+from qqmems.xstate import XState, XStateError, from_matrix, x_spectra
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 PURITY_FUNCTIONS = [
@@ -157,6 +164,30 @@ def test_a_purity_bound_that_is_not_real_is_a_type_error():
         vector_subproblem([1.0, 0, 0, 0, 0, 0], "0.5")
 
 
+MATRIX_ENTRY_POINTS = {
+    "eig_hermitian": eig_hermitian,
+    "trace_norm": trace_norm,
+    "negativity": negativity,
+    "purity": purity,
+    "check_density_matrix": check_density_matrix,
+    "from_matrix": from_matrix,
+    "pi_step": pi_step,
+    "pi_objective": lambda m: pi_objective(m, np.eye(6) / 6),
+    "rho_step": lambda m: rho_step(m, 0.5),
+    "acs_run": lambda m: acs_run(0.5, m),
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad", [(np.eye(6) / 6).astype(str), np.full((6, 6), None)], ids=["str", "none"]
+)
+def test_a_matrix_that_is_not_numbers_is_a_type_error(name, bad):
+    # a complex conversion would parse the strings
+    with pytest.raises(TypeError, match=re.escape(f"has dtype {bad.dtype}, not real or complex")):
+        MATRIX_ENTRY_POINTS[name](bad)
+
+
 def _accepts(fn, *args, **kwargs):
     """True if fn returns, False if it rejects its input with DomainError."""
     try:
@@ -228,6 +259,16 @@ def test_tgx_records_reject_non_finite_fields(case, bad):
     record(**values)
     values[field] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+        record(**values)
+
+
+@pytest.mark.parametrize("case", TGX_FIELDS, ids=[f"{r.__name__}.{f}" for r, f in TGX_FIELDS])
+@pytest.mark.parametrize("bad", ["a", None, 1j])
+def test_tgx_records_reject_non_real_fields(case, bad):
+    record, field = case
+    values = dict(zip((f.name for f in dataclasses.fields(record)), TGX_RECORDS[record]))
+    values[field] = bad
+    with pytest.raises(TypeError, match=re.escape(f"{field} {bad!r} is not a real number")):
         record(**values)
 
 
