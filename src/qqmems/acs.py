@@ -82,9 +82,12 @@ def pi_step(rho):
 
 def pi_objective(pi, rho):
     """The ascent objective -2 + 2 tr[Pi rho^Gamma] (real part): a float, or
-    an (n,) array for stacks."""
+    an (n,) array for stacks, one projector per state."""
     pt = partial_transpose_qubit(rho)
-    value = -2.0 + 2.0 * np.real(np.trace(_numbers(pi, "projector") @ pt, axis1=-2, axis2=-1))
+    pi = _numbers(pi, "projector")
+    if pi.shape != pt.shape:
+        raise ValueError(f"expected one projector per state, got shapes {pi.shape} and {pt.shape}")
+    value = -2.0 + 2.0 * np.real(np.trace(pi @ pt, axis1=-2, axis2=-1))
     return float(value) if value.ndim == 0 else value
 
 
@@ -110,7 +113,7 @@ def vector_subproblem(a, P):
     if P.ndim and P.shape != a.shape[:-1]:
         raise ValueError(f"expected one purity bound or one per row of {a.shape}, got shape {P.shape}")
     P = np.broadcast_to(P, a2.shape[:1])
-    ok = (1.0 / 6.0 - 1e-12 <= P) & (P < 1.0 + 1e-12)
+    ok = (1.0 / 6.0 <= P) & (P < 1.0)
     if not ok.all():
         raise ValueError(f"purity bound {P[np.argmin(ok)]} outside [1/6, 1)")
     a_s = np.where(_SUPPORTS, a2[:, None, :], 0.0)

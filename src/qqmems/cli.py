@@ -282,8 +282,10 @@ def _cmd_tgx(cfg, family, maximizer):
 def cmd_acs(cfg):
     p_min, p_max = cfg.p_min, cfg.p_max
     deg = FAMILIES["deg"]
-    if not (p_min < p_max and deg.contains(p_min) and deg.contains(p_max)):
+    if not (deg.contains(p_min) and deg.contains(p_max)):
         raise UsageError(f"acs purity window [{p_min}, {p_max}] outside {deg.domain}")
+    if not p_min < p_max:
+        raise UsageError(f"acs purity window needs p_min < p_max, got [{p_min}, {p_max}]")
     if cfg.runs < 0:
         raise UsageError(f"runs must be >= 0, got {cfg.runs}")
     rng = np.random.default_rng(cfg.seed)

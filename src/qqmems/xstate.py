@@ -19,7 +19,6 @@ from .linalg import TOL, _numbers, _simplex_sample
 __all__ = [
     "XState",
     "XStateError",
-    "XSpectra",
     "from_matrix",
     "x_spectra",
     "x_negativity",
@@ -29,6 +28,7 @@ __all__ = [
 
 # Indices (row, col) of the anti-diagonal entry r_k e^{-i phi_k} for k=1,2,3.
 _OFFDIAG = ((0, 5), (1, 4), (2, 3))
+_X_PATTERN = np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1]
 
 
 class XStateError(ValueError):
@@ -120,11 +120,7 @@ def from_matrix(rho):
     rho = np.asarray(_numbers(rho, "matrix"), dtype=complex)
     if rho.shape != (6, 6):
         raise XStateError(f"expected a 6x6 matrix, got shape {rho.shape}")
-    mask = np.zeros((6, 6), dtype=bool)
-    for i in range(6):
-        mask[i, i] = True
-        mask[i, 5 - i] = True
-    bad = [(i, j) for i in range(6) for j in range(6) if not mask[i, j] and abs(rho[i, j]) > 1e-12]
+    bad = [(int(i), int(j)) for i, j in np.argwhere((np.abs(rho) > 1e-12) & ~_X_PATTERN)]
     if bad:
         raise XStateError(f"matrix is not in X form; nonzero off-pattern entries at {bad}")
     a = np.array([rho[i, i].real for i, _ in _OFFDIAG])
@@ -134,24 +130,6 @@ def from_matrix(rho):
         [-np.angle(rho[i, j]) if r[k] > 0 else 0.0 for k, (i, j) in enumerate(_OFFDIAG)]
     )
     return XState(a=a, b=b, r=r, phi=phi)
-
-
-@dataclass(frozen=True, eq=False)
-class XSpectra:
-    """Closed-form eigenvalues of an X state and of its partial transpose.
-
-    state_eigs[..., k, :] = (lam_k^-, lam_k^+); pt_eigs likewise.  The
-    *_values methods give each state's six eigenvalues ascending.
-    """
-
-    state_eigs: np.ndarray
-    pt_eigs: np.ndarray
-
-    def state_values(self):
-        return np.sort(self.state_eigs.reshape(self.state_eigs.shape[:-2] + (6,)), axis=-1)
-
-    def pt_values(self):
-        return np.sort(self.pt_eigs.reshape(self.pt_eigs.shape[:-2] + (6,)), axis=-1)
 
 
 def _fields(x):
@@ -184,11 +162,13 @@ def _x_pt_minus_eigs(a, b, r):
 
 def x_spectra(x):
     """Eigenvalues of an X state (or of each state of a stack) and of its
-    partial transpose, in closed form."""
+    partial transpose, in closed form: (state_values, pt_values), each
+    state's six eigenvalues in ascending order, two (6,) arrays for one
+    state or two (..., 6) arrays for a stack."""
     a, b, r = _fields(x)
-    return XSpectra(
-        state_eigs=_x_block_eigs(a, b, r),
-        pt_eigs=_x_block_eigs(a, b, r, transpose=True),
+    return tuple(
+        np.sort(eigs.reshape(eigs.shape[:-2] + (6,)), axis=-1)
+        for eigs in (_x_block_eigs(a, b, r), _x_block_eigs(a, b, r, transpose=True))
     )
 
 

@@ -66,6 +66,14 @@ class TestVectorSubproblem:
         with pytest.raises(ValueError, match="purity bound"):
             vector_subproblem(np.zeros(6), 0.1)
 
+    def test_domain_ends_are_exact(self):
+        a = np.arange(6.0)
+        for P in (1 / 6, np.nextafter(1.0, 0.0)):
+            assert abs(np.sum(vector_subproblem(a, P)) - 1.0) < 1e-12
+        for P in (np.nextafter(1 / 6, 0.0), 1.0):
+            with pytest.raises(ValueError, match=re.escape(f"purity bound {P} outside [1/6, 1)")):
+                vector_subproblem(a, P)
+
     def test_rounding_on_a_constant_support_gives_no_candidate(self):
         # `a` is constant on {0, 1, 2} up to rounding: the centred vector is
         # -1.1e-16 per entry, and the purity-active scaling (2.6e15) turns it
@@ -195,6 +203,15 @@ class TestPiStep:
             k = rng.integers(0, 7)
             pi = U[:, :k] @ U[:, :k].conj().T
             assert pi_objective(pi, rho) <= best + 1e-10
+
+    @pytest.mark.parametrize(
+        "pi_shape,rho_shape", [((3, 3), (6, 6)), ((2, 6, 6), (3, 6, 6))], ids=["3x3", "stacks"]
+    )
+    def test_objective_needs_one_projector_per_state(self, pi_shape, rho_shape):
+        pi, rho = np.zeros(pi_shape), np.zeros(rho_shape)
+        match = f"one projector per state, got shapes {pi_shape} and {rho_shape}"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            pi_objective(pi, rho)
 
 
 class TestRhoStep:

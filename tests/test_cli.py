@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,10 @@ class TestConfigAndErrors:
              "purity 0.4 outside rank-2 domain"),
             (["gap", "--p-min", "0.1"], "purity 0.1 outside degenerate domain"),
             (["acs", "--p-min", "0.1"], "acs purity window [0.1, 0.99]"),
+            (["acs", "--p-min", "0.3", "--p-max", "0.3"],
+             "acs purity window needs p_min < p_max, got [0.3, 0.3]"),
+            (["acs", "--p-min", "0.5", "--p-max", "0.3"],
+             "acs purity window needs p_min < p_max, got [0.5, 0.3]"),
             (["tgx2", "--restarts", "0"], "restarts must be >= 1"),
             (["state", "--family", "deg", "--p", "0.2"], "purity 0.2 outside degenerate domain"),
             (["prop1", "--seed", "-2"], "seed must be >= 0, got -2"),
@@ -477,6 +482,13 @@ class TestConfigAndErrors:
                             "-o", "/nonexistent-dir/x.csv"], capsys)
         assert code == EXIT_IO
         assert "i/o error" in err
+
+    def test_device_target_is_written_in_place(self, capsys):
+        code, out, _ = run(["curves", "--p-steps", "5", "-o", os.devnull], capsys)
+        assert code == EXIT_OK and out == ""
+        code, out, _ = run(["acs", "--runs", "2", "--trace-output", os.devnull], capsys)
+        assert code == EXIT_OK
+        assert out.count("\n") == 3 and out.startswith("P,seed,best_value,")
 
     def test_directory_target_is_io_error_and_left_alone(self, tmp_path, capsys):
         code, _, err = run(["curves", "--p-steps", "2", "-o", str(tmp_path)], capsys)

@@ -46,7 +46,7 @@ from qqmems.spectrum import (
     validate_spectrum,
 )
 from qqmems.tgx import Tgx2Params, Tgx3Params, maximize_tgx2, maximize_tgx3
-from qqmems.xstate import XState, XStateError, from_matrix, x_spectra
+from qqmems.xstate import XState, XStateError, from_matrix
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 PURITY_FUNCTIONS = [
@@ -277,7 +277,6 @@ def test_records_with_array_fields_compare_by_identity():
     for make in (
         lambda: XState([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0]),
         lambda: AcsTrace(0.5, [0.0, 0.1], np.eye(6) / 6, "converged"),
-        lambda: x_spectra(XState([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0])),
     ):
         a, b = make(), make()
         assert a == a and a != b

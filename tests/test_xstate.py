@@ -81,8 +81,8 @@ class TestStackedStates:
         for fn in (
             x_negativity,
             count_negative_pt_eigs,
-            lambda x: x_spectra(x).state_values(),
-            lambda x: x_spectra(x).pt_values(),
+            lambda x: x_spectra(x)[0],
+            lambda x: x_spectra(x)[1],
         ):
             values = fn(stack)
             singles = np.array([fn(x) for x in states])
@@ -160,11 +160,11 @@ class TestSpectra:
     @settings(max_examples=80, deadline=None)
     @given(xstate_strategy())
     def test_closed_form_eigenvalues(self, x):
-        sp = x_spectra(x)
+        state_values, pt_values = x_spectra(x)
         w, _ = eig_hermitian(x.to_matrix())
-        np.testing.assert_allclose(np.sort(sp.state_values()), w, atol=1e-12)
+        np.testing.assert_allclose(np.sort(state_values), w, atol=1e-12)
         wpt, _ = eig_hermitian(partial_transpose_qubit(x.to_matrix()))
-        np.testing.assert_allclose(np.sort(sp.pt_values()), wpt, atol=1e-12)
+        np.testing.assert_allclose(np.sort(pt_values), wpt, atol=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(xstate_strategy())
@@ -179,7 +179,7 @@ class TestSpectra:
             y = XState(a=x.a, b=x.b, r=x.r, phi=rng.uniform(0, 2 * np.pi, 3))
             assert x_negativity(x) == pytest.approx(x_negativity(y), abs=1e-15)
             np.testing.assert_allclose(
-                x_spectra(x).state_values(), x_spectra(y).state_values(), atol=1e-15
+                x_spectra(x)[0], x_spectra(y)[0], atol=1e-15
             )
             assert abs(negativity(y.to_matrix()) - x_negativity(x)) < 1e-10
 
