@@ -7,13 +7,13 @@ below is taken over the qubit and depends on this convention.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "TOL",
+    "HERMITICITY_TOL",
+    "PSD_SLACK",
+    "TRACE_TOL",
     "MatrixError",
     "eig_hermitian",
     "partial_transpose_qubit",
@@ -27,16 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric tolerances used across the package."""
-
-    hermiticity: float = 1e-12
-    psd_slack: float = 1e-12
-    trace: float = 1e-12
-
-
-TOL = Tolerances()
+# Numeric tolerances of the package's checks.
+HERMITICITY_TOL = 1e-12  # max |H - H^dag| of a Hermitian matrix
+PSD_SLACK = 1e-12  # how far below 0 an eigenvalue or weight may round
+TRACE_TOL = 1e-12  # max |trace - 1| of a state
 
 
 class MatrixError(ValueError):
@@ -74,14 +68,14 @@ def eig_hermitian(H):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises MatrixError
-    if any matrix is not Hermitian within TOL.hermiticity (NaN fails), naming
+    if any matrix is not Hermitian within HERMITICITY_TOL (NaN fails), naming
     the first such matrix's deviation.
     """
     H = _square(np.asarray(_numbers(H, "matrix"), dtype=complex))
     dev = np.abs(H - H.conj().swapaxes(-1, -2))
-    if dev.size and not dev.max() <= TOL.hermiticity:  # the worst entry; NaN fails too
+    if dev.size and not dev.max() <= HERMITICITY_TOL:  # the worst entry; NaN fails too
         dev = dev.max(axis=(-2, -1))
-        _require(dev <= TOL.hermiticity, "matrix is not Hermitian: max |H - H^dag| = {:.3e}", dev)
+        _require(dev <= HERMITICITY_TOL, "matrix is not Hermitian: max |H - H^dag| = {:.3e}", dev)
     w, v = np.linalg.eigh(H)
     return w, v
 
@@ -127,12 +121,12 @@ def purity(rho):
 
 def check_density_matrix(rho):
     """Validate Hermiticity, then trace 1, then positive semidefiniteness,
-    within the TOL tolerances, each over the whole stack (one eigh)."""
+    within TRACE_TOL and PSD_SLACK, each over the whole stack (one eigh)."""
     rho = np.asarray(_numbers(rho, "density matrix"), dtype=complex)
     w0 = eig_hermitian(rho)[0][..., 0]  # the smallest eigenvalues
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    _require(np.abs(tr - 1.0) <= TOL.trace, f"trace is {{}}, expected 1 within {TOL.trace}", tr)
-    _require(w0 >= -TOL.psd_slack, f"smallest eigenvalue {{:.3e}} below -{TOL.psd_slack}", w0)
+    _require(np.abs(tr - 1.0) <= TRACE_TOL, f"trace is {{}}, expected 1 within {TRACE_TOL}", tr)
+    _require(w0 >= -PSD_SLACK, f"smallest eigenvalue {{:.3e}} below -{PSD_SLACK}", w0)
     return rho
 
 
@@ -159,7 +153,12 @@ def _haar_from_ginibre(z):
 
 def haar_unitary(dim, rng):
     """Haar-distributed random unitary: QR of a complex Ginibre matrix with
-    the R diagonal phases folded back into Q.  `rng` is a seed or Generator."""
+    the R diagonal phases folded back into Q.  `dim` is an integer >= 1 and
+    `rng` a seed or Generator."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     return _haar_from_ginibre(_ginibre(dim, np.random.default_rng(rng)))
 
 

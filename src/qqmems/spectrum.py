@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import TOL, _real_array
+from .linalg import PSD_SLACK, TRACE_TOL, _real_array
 from .xstate import XState
 
 __all__ = [
@@ -64,12 +64,12 @@ def validate_spectrum(lam):
         raise ValueError(f"spectrum must have shape (6,) or (n, 6), got {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum entries must be finite")
-    if np.any(lam < -TOL.psd_slack):
+    if np.any(lam < -PSD_SLACK):
         raise ValueError("spectrum entries must be nonnegative")
-    if np.any(np.diff(lam, axis=-1) > TOL.psd_slack):
+    if np.any(np.diff(lam, axis=-1) > PSD_SLACK):
         raise ValueError("spectrum must be descending")
     sums = lam.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > TOL.trace
+    bad = np.abs(sums - 1.0) > TRACE_TOL
     if np.any(bad):
         raise ValueError(f"spectrum sums to {np.ravel(sums)[np.ravel(bad)][0]}, expected 1")
     return lam

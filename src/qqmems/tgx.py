@@ -2,10 +2,11 @@
 
 The TGX ("true-generalized X") families are non-X sparse candidates: mixtures
 of p-weighted pure states c|0b> + s|1b'> on complementary index pairs.  A
-state is a `Tgx2Params` or `Tgx3Params` record; `tgx_matrix` builds the density
-matrix of either and `tgx_negativity` evaluates its family's printed closed
-form.  Maximizing the negativity at fixed purity shows a strict gap over the
-rank-2 X ceiling and numerical coincidence with the rank-3 X ceiling.
+state is a `TgxParams(theta, p)` record of k = 2 or 3 angles and weights;
+`tgx_matrix` builds its density matrix and `tgx_negativity` evaluates the
+printed closed form of its rank-k family.  Maximizing the negativity at fixed
+purity shows a strict gap over the rank-2 X ceiling and numerical coincidence
+with the rank-3 X ceiling.
 """
 
 from dataclasses import dataclass, asdict
@@ -13,13 +14,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._nelder_mead import nelder_mead
-from .linalg import TOL, _per_purity, _real_array
+from .linalg import TRACE_TOL, _per_purity, _real_array
 from .purity_mems import FAMILIES, DomainError, _f, _g
 
 __all__ = [
     "P_MAX",
-    "Tgx2Params",
-    "Tgx3Params",
+    "TgxParams",
     "MaximizationResult",
     "tgx_matrix",
     "tgx_negativity",
@@ -31,60 +31,51 @@ __all__ = [
 P_MAX = 1.0 - 1e-9
 
 
-def _check_params(q):
-    """TGX records' __post_init__: fields real (a TypeError naming the field
-    otherwise) and finite, each p_k > 0, and sum p_k = 1 within TOL.trace."""
-    for name, v in vars(q).items():
-        if not np.isfinite(_real_array(v, name)):
-            raise ValueError(f"{name} must be finite, got {v}")
-    probs = [v for name, v in vars(q).items() if name.startswith("p")]
-    if min(probs) <= 0:
-        raise ValueError("probabilities must be positive")
-    if abs(sum(probs) - 1.0) > TOL.trace:
-        raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
-
-
 @dataclass(frozen=True)
-class Tgx2Params:
-    theta1: float
-    theta2: float
-    p1: float
-    p2: float
+class TgxParams:
+    """The TGX state sum_k p_k |v_k><v_k|: k = 2 or 3 angles theta_k and
+    probabilities p_k, each field a k-tuple of floats.
 
-    __post_init__ = _check_params
+    A field that is not real is a TypeError naming it; the fields must have
+    one length, 2 or 3, finite entries, every p_k > 0 and sum p_k = 1 within
+    TRACE_TOL."""
 
+    theta: tuple
+    p: tuple
 
-@dataclass(frozen=True)
-class Tgx3Params:
-    theta1: float
-    theta2: float
-    theta3: float
-    p1: float
-    p2: float
-    p3: float
-
-    __post_init__ = _check_params
+    def __post_init__(self):
+        theta, p = (_real_array(getattr(self, name), name) for name in ("theta", "p"))
+        if theta.shape not in ((2,), (3,)) or p.shape != theta.shape:
+            raise ValueError(
+                f"theta and p need one length, 2 or 3; got shapes {theta.shape} and {p.shape}"
+            )
+        for name, arr in (("theta", theta), ("p", p)):
+            object.__setattr__(self, name, tuple(arr.tolist()))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if min(self.p) <= 0:
+            raise ValueError("probabilities must be positive")
+        if abs(sum(self.p) - 1.0) > TRACE_TOL:
+            raise ValueError(f"probabilities sum to {sum(self.p)}, expected 1")
 
 
 # Basis indices (i, j) of the pure state c_k|i> + s_k|j> weighted by p_k, k = 1, 2, 3.
 _PAIRS = ((0, 5), (1, 3), (2, 4))
 
 
-def _values(q):
-    """The fields of a TGX record in order: its angles, then its probabilities."""
-    if not isinstance(q, (Tgx2Params, Tgx3Params)):
-        raise TypeError(f"expected a Tgx2Params or Tgx3Params, got {type(q).__name__}")
-    return list(vars(q).values())
+def _checked(q):
+    if not isinstance(q, TgxParams):
+        raise TypeError(f"expected a TgxParams, got {type(q).__name__}")
+    return q
 
 
 def tgx_matrix(q):
-    """Density matrix sum_k p_k |v_k><v_k| of a Tgx2Params (k = 1, 2) or
-    Tgx3Params (k = 1, 2, 3) record, with v1 = c1|00> + s1|12>,
-    v2 = c2|01> + s2|10>, v3 = c3|02> + s3|11>."""
-    values = _values(q)
-    k = len(values) // 2
+    """Density matrix sum_k p_k |v_k><v_k| of a TgxParams record (k = 1, 2 or
+    k = 1, 2, 3), with v1 = c1|00> + s1|12>, v2 = c2|01> + s2|10>,
+    v3 = c3|02> + s3|11>."""
+    q = _checked(q)
     rho = np.zeros((6, 6), dtype=complex)
-    for (i, j), theta, p in zip(_PAIRS, values[:k], values[k:]):
+    for (i, j), theta, p in zip(_PAIRS, q.theta, q.p):
         c, s = np.cos(theta), np.sin(theta)
         rho[i, i] += p * c * c
         rho[j, j] += p * s * s
@@ -136,11 +127,14 @@ def _tgx3_formula(theta1, theta2, theta3, p1, p2, p3):
     return total
 
 
+_FORMULAS = {2: _tgx2_formula, 3: _tgx3_formula}
+
+
 def tgx_negativity(q):
-    """Closed-form negativity of the TGX state of a Tgx2Params or Tgx3Params
-    record: the printed formula of its family."""
-    formula = _tgx2_formula if isinstance(q, Tgx2Params) else _tgx3_formula
-    return float(formula(*_values(q)))
+    """Closed-form negativity of the TGX state of a TgxParams record: the
+    printed formula of its rank-k family."""
+    q = _checked(q)
+    return float(_FORMULAS[len(q.p)](*q.theta, *q.p))
 
 
 @dataclass
@@ -167,23 +161,23 @@ class MaximizationResult:
 
 
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000}
-# Smallest probability on the searched rank-3 arc: Tgx3Params needs p_i > 0.
+# Smallest probability on the searched rank-3 arc: TgxParams needs p_i > 0.
 _P_FLOOR = 1e-12
 _ARC_PHASES = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
-def _maximize(family, P, restarts, rng, consts, draw, objective, build):
-    """The batched multistart search behind both TGX maximizers.
+def _maximize(k, P, restarts, rng, consts, weights):
+    """The batched multistart search behind both TGX maximizers, over the
+    rank-k family.
 
-    ``consts(P)`` gives the per-purity constants of the objective, a tuple of
-    (n,) arrays; ``draw(rng, restarts)`` the (restarts, N) starts of one
-    purity; ``objective(x, *consts)`` the negated negativity of (K, N) points;
-    ``build(x, *consts)`` the params of one point with its purity's scalar
-    constants.  Every start of every purity runs in one lockstep Nelder-Mead
-    batch.
+    Each start draws k angles uniform in [0, pi), and for k = 3 then the arc
+    coordinate uniform in [-pi, pi), from its purity's rng.  ``consts(P)``
+    gives the per-purity constants of the family, a tuple of (n,) arrays;
+    ``weights(x, *consts)`` the k probabilities at the points x, one entry per
+    p_k.  Every start of every purity runs in one lockstep Nelder-Mead batch.
     """
     scalar, grid, rngs = _per_purity(P, rng)
-    FAMILIES[family].check(grid)
+    FAMILIES[f"rank{k}"].check(grid)
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)):
         raise DomainError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
@@ -192,13 +186,25 @@ def _maximize(family, P, restarts, rng, consts, draw, objective, build):
         return []
     grid = np.minimum(grid, P_MAX)
     c = consts(grid)
-    starts = np.concatenate([draw(np.random.default_rng(r), restarts) for r in rngs])
-    res = nelder_mead(objective, starts, **_NM_OPTIONS, args=[np.repeat(v, restarts) for v in c])
+    starts = []
+    for r in map(np.random.default_rng, rngs):
+        x = r.uniform(0.0, np.pi, size=(restarts, k))
+        if k == 3:
+            x = np.column_stack([x, r.uniform(-np.pi, np.pi, size=restarts)])
+        starts.append(x)
+    formula = _FORMULAS[k]
+
+    def objective(x, *args):
+        return -formula(*x[:, :k].T, *weights(x, *args))
+
+    args = [np.repeat(v, restarts) for v in c]
+    res = nelder_mead(objective, np.concatenate(starts), **_NM_OPTIONS, args=args)
     results = []
     for i, Pi in enumerate(grid):
         rows = slice(i * restarts, (i + 1) * restarts)
         win = int(np.argmin(res.fun[rows]))  # first best, as a strict ">" scan picks
-        params = build(res.x[rows][win], *(v[i] for v in c))
+        x = res.x[rows][win]
+        params = TgxParams(x[:k], weights(x, *(v[i] for v in c)))
         results.append(
             MaximizationResult(
                 P=float(Pi),
@@ -218,16 +224,8 @@ def _tgx2_consts(P):
     return 0.5 * (1.0 + f), 0.5 * (1.0 - f)
 
 
-def _tgx2_draw(rng, restarts):
-    return rng.uniform(0.0, np.pi, size=(restarts, 2))
-
-
-def _tgx2_objective(th, p1, p2):
-    return -_tgx2_formula(th[:, 0], th[:, 1], p1, p2)
-
-
-def _tgx2_build(th, p1, p2):
-    return Tgx2Params(*map(float, th), float(p1), float(p2))
+def _tgx2_weights(x, p1, p2):
+    return p1, p2
 
 
 def maximize_tgx2(P, restarts=32, rng=None):
@@ -242,10 +240,7 @@ def maximize_tgx2(P, restarts=32, rng=None):
     its own rng, so a purity's result does not depend on the rest of the
     grid; the starts of every purity run in one lockstep batch.
     """
-    return _maximize(
-        "rank2", P, restarts, rng,
-        _tgx2_consts, _tgx2_draw, _tgx2_objective, _tgx2_build,
-    )
+    return _maximize(2, P, restarts, rng, _tgx2_consts, _tgx2_weights)
 
 
 def _tgx3_consts(P):
@@ -257,23 +252,9 @@ def _tgx3_consts(P):
     return g, alpha
 
 
-def _tgx3_draw(rng, restarts):
-    return np.column_stack(
-        [rng.uniform(0.0, np.pi, size=(restarts, 3)), rng.uniform(-np.pi, np.pi, size=restarts)]
-    )
-
-
-def _tgx3_probs(s, g, alpha):
-    beta = (alpha * np.sin(s))[..., None]
-    return 1.0 / 3.0 + g[..., None] / 3.0 * np.cos(beta - _ARC_PHASES)
-
-
-def _tgx3_objective(x, g, alpha):
-    return -_tgx3_formula(*x[:, :3].T, *_tgx3_probs(x[:, 3], g, alpha).T)
-
-
-def _tgx3_build(x, g, alpha):
-    return Tgx3Params(*map(float, x[:3]), *map(float, _tgx3_probs(x[3], g, alpha)))
+def _tgx3_weights(x, g, alpha):
+    beta = (alpha * np.sin(x[..., 3]))[..., None]
+    return (1.0 / 3.0 + g[..., None] / 3.0 * np.cos(beta - _ARC_PHASES)).T
 
 
 def maximize_tgx3(P, restarts=32, rng=None):
@@ -290,7 +271,4 @@ def maximize_tgx3(P, restarts=32, rng=None):
     random starts.  P and ``rng`` take the scalar or the array form of
     `maximize_tgx2`, with the same per-purity rngs and one lockstep batch.
     """
-    return _maximize(
-        "rank3", P, restarts, rng,
-        _tgx3_consts, _tgx3_draw, _tgx3_objective, _tgx3_build,
-    )
+    return _maximize(3, P, restarts, rng, _tgx3_consts, _tgx3_weights)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, _numbers, _simplex_sample
+from .linalg import PSD_SLACK, TRACE_TOL, _numbers, _real_array, _simplex_sample
 
 __all__ = [
     "XState",
@@ -49,7 +49,7 @@ class XState:
         shape = np.shape(self.a)
         for name in ("a", "b", "r", "phi"):
             value = getattr(self, name)
-            arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            arr = np.zeros(shape) if value is None else _real_array(value, name)
             if arr.shape != shape or shape[-1:] != (3,):
                 raise XStateError(
                     f"{name} has shape {arr.shape}; a, b, r and phi need one shape (..., 3)"
@@ -61,13 +61,13 @@ class XState:
 
     def validate(self):
         """Raise XStateError naming the first offending state (NaN fails):
-        signs and positivity within TOL.psd_slack, the trace within TOL.trace."""
+        signs and positivity within PSD_SLACK, the trace within TRACE_TOL."""
         a, b, r = self.a, self.b, self.r
-        tol = TOL.psd_slack
+        tol = PSD_SLACK
         if not (np.all(a >= -tol) and np.all(b >= -tol) and np.all(r >= -tol)):
             raise XStateError("a, b, r must be nonnegative")
         total = np.sum(a, axis=-1) + np.sum(b, axis=-1)
-        bad = ~(np.abs(total - 1.0) <= TOL.trace)
+        bad = ~(np.abs(total - 1.0) <= TRACE_TOL)
         if np.any(bad):
             total = float(np.ravel(total)[np.ravel(bad)][0])
             raise XStateError(f"normalization sum(a) + sum(b) = {total}, expected 1")
@@ -104,10 +104,7 @@ class XState:
 
     @classmethod
     def from_dict(cls, d):
-        vals = {
-            name: np.array([d[f"{name}{k + 1}"] for k in range(3)], dtype=float)
-            for name in ("a", "b", "r", "phi")
-        }
+        vals = {name: [d[f"{name}{k + 1}"] for k in range(3)] for name in ("a", "b", "r", "phi")}
         return cls(**vals)
 
 

@@ -248,6 +248,20 @@ class TestHaarUnitary:
         assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-11
         np.testing.assert_allclose(np.linalg.norm(U, axis=0), np.ones(dim), atol=1e-11)
 
+    @pytest.mark.parametrize(
+        "dim, match",
+        [
+            (True, "dim must be an integer, got True"),
+            ("3", "dim must be an integer, got '3'"),
+            (3.0, "dim must be an integer, got 3.0"),
+            (0, "dim must be >= 1, got 0"),
+            (-2, "dim must be >= 1, got -2"),
+        ],
+    )
+    def test_rejects_a_dim_that_is_not_a_positive_integer(self, dim, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            haar_unitary(dim, 0)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_phases_leave_a_positive_r_diagonal(self, seed):
         # U is the Q of the Ginibre draw's QR with R's diagonal made positive.

@@ -1,6 +1,5 @@
 """Non-finite and out-of-domain input, and internal checks under ``python -O``."""
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -45,7 +44,7 @@ from qqmems.spectrum import (
     s_value,
     validate_spectrum,
 )
-from qqmems.tgx import Tgx2Params, Tgx3Params, maximize_tgx2, maximize_tgx3
+from qqmems.tgx import TgxParams, maximize_tgx2, maximize_tgx3
 from qqmems.xstate import XState, XStateError, from_matrix
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -235,41 +234,47 @@ def test_every_consumer_agrees_on_the_domain(key, capsys):
         assert got == dict.fromkeys(consumers, _in_domain(key, P)), P
 
 
-@settings(max_examples=60, deadline=None)
-@given(field=st.sampled_from(["a", "b", "r", "phi"]), k=st.integers(0, 2), bad=NON_FINITE)
-def test_xstate_rejects_non_finite_parameters(field, k, bad):
-    params = {name: np.array([0.2, 0.1, 0.2]) for name in ("a", "b")}
-    params["r"] = np.zeros(3)
-    params["phi"] = np.zeros(3)
-    params[field][k] = bad
-    with pytest.raises(XStateError, match=f"{field} must be finite"):
-        XState(**params)
-
-
-# A valid record of each TGX family, field by field: the angles, then the probabilities.
-TGX_RECORDS = {Tgx2Params: (0.3, 0.2, 0.4, 0.6), Tgx3Params: (0.3, 0.2, 0.1, 0.5, 0.3, 0.2)}
-TGX_FIELDS = [(record, f.name) for record in TGX_RECORDS for f in dataclasses.fields(record)]
+# A valid record of each type whose fields must be real: its class and fields.
+REAL_RECORDS = {
+    "TgxParams2": (TgxParams, {"theta": (0.3, 0.2), "p": (0.4, 0.6)}),
+    "TgxParams3": (TgxParams, {"theta": (0.3, 0.2, 0.1), "p": (0.5, 0.3, 0.2)}),
+    "XState": (XState, {"a": (0.2, 0.1, 0.2), "b": (0.2, 0.1, 0.2), "r": (0, 0, 0), "phi": (0, 0, 0)}),
+}
+REAL_FIELDS = [(key, field) for key, (_, fields) in REAL_RECORDS.items() for field in fields]
+# Ways a field can fail to be real, each made from the valid field v.
+NOT_REAL = {
+    "str": lambda v: "a",
+    "str_list": lambda v: [str(x) for x in v],
+    "none_list": lambda v: [None] * len(v),
+    "bool_list": lambda v: [bool(x) for x in v],
+    "complex": lambda v: np.array(v) + 0j,
+}
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=st.sampled_from(TGX_FIELDS), bad=NON_FINITE)
-def test_tgx_records_reject_non_finite_fields(case, bad):
-    record, field = case
-    values = dict(zip((f.name for f in dataclasses.fields(record)), TGX_RECORDS[record]))
-    record(**values)
-    values[field] = bad
-    with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
-        record(**values)
+@given(case=st.sampled_from(REAL_FIELDS), k=st.integers(0, 2), bad=NON_FINITE)
+def test_records_reject_non_finite_fields(case, k, bad):
+    (record, fields), field = REAL_RECORDS[case[0]], case[1]
+    record(**fields)
+    value = list(fields[field])
+    value[k % len(value)] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+        record(**(fields | {field: value}))
 
 
-@pytest.mark.parametrize("case", TGX_FIELDS, ids=[f"{r.__name__}.{f}" for r, f in TGX_FIELDS])
-@pytest.mark.parametrize("bad", ["a", None, 1j])
-def test_tgx_records_reject_non_real_fields(case, bad):
-    record, field = case
-    values = dict(zip((f.name for f in dataclasses.fields(record)), TGX_RECORDS[record]))
-    values[field] = bad
-    with pytest.raises(TypeError, match=re.escape(f"{field} {bad!r} is not a real number")):
-        record(**values)
+@pytest.mark.parametrize("case", REAL_FIELDS, ids=[f"{key}.{field}" for key, field in REAL_FIELDS])
+@pytest.mark.parametrize("bad", list(NOT_REAL))
+def test_records_reject_non_real_fields(case, bad):
+    (record, fields), field = REAL_RECORDS[case[0]], case[1]
+    value = NOT_REAL[bad](fields[field])
+    with pytest.raises(TypeError, match=re.escape(f"{field} {value!r} is not a real number")):
+        record(**(fields | {field: value}))
+
+
+def test_xstate_from_dict_rejects_non_real_entries():
+    d = XState(*REAL_RECORDS["XState"][1].values()).to_dict()
+    with pytest.raises(TypeError, match=re.escape("r ['0.0', 0.0, 0.0] is not a real number")):
+        XState.from_dict(d | {"r1": "0.0"})
 
 
 def test_records_with_array_fields_compare_by_identity():

@@ -9,8 +9,7 @@ from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, purit
 from qqmems.purity_mems import FAMILIES, DomainError, n_x_p_rank2, n_x_p_rank3
 from qqmems.tgx import (
     P_MAX,
-    Tgx2Params,
-    Tgx3Params,
+    TgxParams,
     maximize_tgx2,
     maximize_tgx3,
     tgx_matrix,
@@ -21,23 +20,36 @@ from qqmems.xstate import XState
 
 def random_tgx2(rng):
     p1 = rng.uniform(0.05, 0.95)
-    return Tgx2Params(rng.uniform(0, np.pi), rng.uniform(0, np.pi), p1, 1.0 - p1)
+    return TgxParams(tuple(rng.uniform(0, np.pi, 2)), (p1, 1.0 - p1))
 
 
 def random_tgx3(rng):
     p = rng.dirichlet(np.ones(3))
     th = rng.uniform(0, np.pi, 3)
-    return Tgx3Params(th[0], th[1], th[2], p[0], p[1], p[2])
+    return TgxParams(th, p)
 
 
 class TestParams:
     def test_rejects_nonpositive_probability(self):
         with pytest.raises(ValueError, match="positive"):
-            Tgx2Params(0.0, 0.0, 0.0, 1.0)
+            TgxParams((0.0, 0.0), (0.0, 1.0))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="expected 1"):
-            Tgx3Params(0, 0, 0, 0.5, 0.5, 0.5)
+            TgxParams((0, 0, 0), (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "theta, p",
+        [((0.1,), (1.0,)), ((0.1,) * 4, (0.25,) * 4), ((0.1, 0.2), (0.2, 0.3, 0.5)), (0.1, 1.0)],
+    )
+    def test_rejects_other_lengths(self, theta, p):
+        with pytest.raises(ValueError, match="theta and p need one length, 2 or 3"):
+            TgxParams(theta, p)
+
+    def test_fields_are_tuples_of_floats(self):
+        q = TgxParams(np.array([0.3, 1]), [np.float64(0.25), 0.75])
+        assert q == TgxParams((0.3, 1.0), (0.25, 0.75))
+        assert all(type(v) is float for v in q.theta + q.p)
 
 
 class TestMatrices:
@@ -46,11 +58,11 @@ class TestMatrices:
             q2 = random_tgx2(rng)
             rho2 = tgx_matrix(q2)
             check_density_matrix(rho2)
-            assert abs(purity(rho2) - (q2.p1**2 + q2.p2**2)) < 1e-12
+            assert abs(purity(rho2) - sum(np.square(q2.p))) < 1e-12
             q3 = random_tgx3(rng)
             rho3 = tgx_matrix(q3)
             check_density_matrix(rho3)
-            assert abs(purity(rho3) - (q3.p1**2 + q3.p2**2 + q3.p3**2)) < 1e-12
+            assert abs(purity(rho3) - sum(np.square(q3.p))) < 1e-12
 
     def test_rank_counts_nonzero_probabilities(self, rng):
         w2, _ = eig_hermitian(tgx_matrix(random_tgx2(rng)))
@@ -59,12 +71,12 @@ class TestMatrices:
         assert np.sum(w3 > 1e-12) == 3
 
     def test_zero_angles_give_diagonal_separable(self):
-        rho = tgx_matrix(Tgx3Params(0, 0, 0, 0.5, 0.3, 0.2))
+        rho = tgx_matrix(TgxParams((0, 0, 0), (0.5, 0.3, 0.2)))
         assert np.max(np.abs(rho - np.diag(rho.diagonal()))) == 0.0
         assert negativity(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_limit(self):
-        q = Tgx2Params(np.pi / 4, 0.0, 1.0 - 1e-12, 1e-12)
+        q = TgxParams((np.pi / 4, 0.0), (1.0 - 1e-12, 1e-12))
         assert abs(negativity(tgx_matrix(q)) - 1.0) < 1e-9
         assert abs(tgx_negativity(q) - 1.0) < 1e-9
 
@@ -90,7 +102,7 @@ class TestFormulas:
     ],
 )
 def test_rejects_other_input_by_type(fn, q, name):
-    with pytest.raises(TypeError, match=f"Tgx2Params or Tgx3Params, got {name}$"):
+    with pytest.raises(TypeError, match=f"expected a TgxParams, got {name}$"):
         fn(q)
 
 
@@ -197,7 +209,7 @@ class TestMaximizeTgx2:
         f = np.sqrt(2 * P - 1)
         p1, p2 = 0.5 * (1 + f), 0.5 * (1 - f)
         best_grid = max(
-            tgx_negativity(Tgx2Params(t1, t2, p1, p2))
+            tgx_negativity(TgxParams((t1, t2), (p1, p2)))
             for t1 in np.linspace(0, np.pi, 200)
             for t2 in np.linspace(0, np.pi, 200)
         )
@@ -238,13 +250,13 @@ class TestMaximizeTgx3:
             for t1 in grid:
                 for t2 in grid:
                     for t3 in grid:
-                        val = tgx_negativity(Tgx3Params(t1, t2, t3, p[0], p[1], p[2]))
+                        val = tgx_negativity(TgxParams((t1, t2, t3), p))
                         best_grid = max(best_grid, val)
         assert res.best_value >= best_grid - 1e-6
 
     def test_result_serialization(self):
         d = maximize_tgx3(0.5, rng=0).to_dict()
-        assert set(d["best_params"]) == {"theta1", "theta2", "theta3", "p1", "p2", "p3"}
+        assert set(d["best_params"]) == {"theta", "p"}
         assert d["converged"] in (True, False)
         # 32 starts, each at least its 5-vertex initial simplex
         assert 0 <= d["restarts_converged"] <= 32
@@ -271,7 +283,6 @@ class TestMaximizeTgx3:
         "P", [1 / 3, np.nextafter(1 / 3, 1), 0.5, np.nextafter(0.5, 1), P_MAX]
     )
     def test_reported_probabilities_at_domain_edges(self, P):
-        q = maximize_tgx3(float(P), rng=0).best_params
-        p = np.array([q.p1, q.p2, q.p3])
+        p = np.array(maximize_tgx3(float(P), rng=0).best_params.p)
         assert np.all(p > 0)
         assert abs(np.sum(p**2) - P) <= 1e-12
