@@ -234,13 +234,16 @@ def test_every_consumer_agrees_on_the_domain(key, capsys):
         assert got == dict.fromkeys(consumers, _in_domain(key, P)), P
 
 
-# A valid record of each type whose fields must be real: its class and fields.
+# A valid record of each type whose fields must be real: its class, its
+# error for a non-finite field, and its fields.
 REAL_RECORDS = {
-    "TgxParams2": (TgxParams, {"theta": (0.3, 0.2), "p": (0.4, 0.6)}),
-    "TgxParams3": (TgxParams, {"theta": (0.3, 0.2, 0.1), "p": (0.5, 0.3, 0.2)}),
-    "XState": (XState, {"a": (0.2, 0.1, 0.2), "b": (0.2, 0.1, 0.2), "r": (0, 0, 0), "phi": (0, 0, 0)}),
+    "TgxParams2": (TgxParams, ValueError, {"theta": (0.3, 0.2), "p": (0.4, 0.6)}),
+    "TgxParams3": (TgxParams, ValueError, {"theta": (0.3, 0.2, 0.1), "p": (0.5, 0.3, 0.2)}),
+    "XState": (XState, XStateError,
+               {"a": (0.2, 0.1, 0.2), "b": (0.2, 0.1, 0.2), "r": (0, 0, 0), "phi": (0, 0, 0)}),
 }
-REAL_FIELDS = [(key, field) for key, (_, fields) in REAL_RECORDS.items() for field in fields]
+REAL_FIELDS = [(key, field) for key, (*_, fields) in REAL_RECORDS.items() for field in fields]
+TGX_FIELDS = [(key, field) for key, field in REAL_FIELDS if key != "XState"]
 # Ways a field can fail to be real, each made from the valid field v.
 NOT_REAL = {
     "str": lambda v: "a",
@@ -254,25 +257,36 @@ NOT_REAL = {
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(REAL_FIELDS), k=st.integers(0, 2), bad=NON_FINITE)
 def test_records_reject_non_finite_fields(case, k, bad):
-    (record, fields), field = REAL_RECORDS[case[0]], case[1]
+    (record, error, fields), field = REAL_RECORDS[case[0]], case[1]
     record(**fields)
     value = list(fields[field])
     value[k % len(value)] = bad
-    with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+    # the message shows the field, so it names the bad entry: (nan, 0.2) or [0.2 nan 0.2]
+    match = re.escape(f"{field} must be finite, got ") + ".*" + re.escape(str(bad))
+    with pytest.raises(error, match=match):
         record(**(fields | {field: value}))
 
 
 @pytest.mark.parametrize("case", REAL_FIELDS, ids=[f"{key}.{field}" for key, field in REAL_FIELDS])
 @pytest.mark.parametrize("bad", list(NOT_REAL))
 def test_records_reject_non_real_fields(case, bad):
-    (record, fields), field = REAL_RECORDS[case[0]], case[1]
+    (record, _, fields), field = REAL_RECORDS[case[0]], case[1]
     value = NOT_REAL[bad](fields[field])
     with pytest.raises(TypeError, match=re.escape(f"{field} {value!r} is not a real number")):
         record(**(fields | {field: value}))
 
 
+# A scalar None or 1j as a whole TGX field (for XState, None means zeros).
+@pytest.mark.parametrize("case", TGX_FIELDS, ids=[f"{key}.{field}" for key, field in TGX_FIELDS])
+@pytest.mark.parametrize("bad", [None, 1j])
+def test_tgx_records_reject_scalar_non_real_fields(case, bad):
+    (record, _, fields), field = REAL_RECORDS[case[0]], case[1]
+    with pytest.raises(TypeError, match=re.escape(f"{field} {bad!r} is not a real number")):
+        record(**(fields | {field: bad}))
+
+
 def test_xstate_from_dict_rejects_non_real_entries():
-    d = XState(*REAL_RECORDS["XState"][1].values()).to_dict()
+    d = XState(*REAL_RECORDS["XState"][2].values()).to_dict()
     with pytest.raises(TypeError, match=re.escape("r ['0.0', 0.0, 0.0] is not a real number")):
         XState.from_dict(d | {"r1": "0.0"})
 
