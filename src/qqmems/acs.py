@@ -230,9 +230,9 @@ def acs_run(P, rho0, max_rounds=MAX_ROUNDS):
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer)):
         raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     P = FAMILIES["deg"].check(P, "ACS")
-    if np.ndim(P) > 1 or np.shape(rho0) != np.shape(P) + (6, 6):
+    if np.shape(rho0) != np.shape(P) + (6, 6):
         raise ValueError(
             f"expected starts of shape {np.shape(P) + (6, 6)} for purities of shape "
             f"{np.shape(P)} (a float or a 1-D array), got shape {np.shape(rho0)}"

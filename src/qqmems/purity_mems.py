@@ -40,6 +40,8 @@ __all__ = [
     "construct_rank2",
     "construct_rank3",
     "construct_deg",
+    "rank2_spectrum",
+    "rank3_spectrum",
     "deg_spectrum",
     "hedemann_negativity",
     "CertificateReport",
@@ -57,13 +59,18 @@ class DomainError(ValueError):
 class Family:
     """One fixed-purity family: purity domain [lo, 1), or (lo, 1) if lo_open;
     label in domain errors; `curves` column; public curve, spectrum and
-    construction; SDP certificate.  For a 1-D array of purities, primal(P)
-    gives F_0 per purity, the constant F_1..F_m, objective c, optimal
-    variables x per purity and the |c . x| the curve predicts; dual(P) gives
-    (y, s, z00) per purity for the dual-feasible matrix y y^T / s + z00 E_00,
-    rank one outside its (0, 0) entry.  At a closed lower end the dual is PSD
-    only as z -> infinity along boundary_dual(z), whose two nonzero
-    eigenvalues are boundary_eigs(z) = (lambda_-, lambda_+)."""
+    construction; SDP certificate data.
+
+    The primal SDP is n x n in m = len(c) = n - 2 variables x, optimal at
+    the top m eigenvalues of spectrum(P): F(x) = F_0(P) + sum_i x_i F_i is
+    PSD, where F_0(P) is the constant F0 (rows as tuples) with P - shift at
+    (n-1, n-1), and F_i has -1 at (0, 0), 1 at (i, n-1) and (n-1, i), and
+    corner at (n-1, n-1); there |c . x| = curve(P) + offset.  For a 1-D
+    array of purities, dual(P) gives (y, s, z00) per purity for the
+    dual-feasible matrix y y^T / s + z00 E_00, rank one outside its (0, 0)
+    entry.  At a closed lower end the dual is PSD only as z -> infinity
+    along boundary_dual(z), whose two nonzero eigenvalues are
+    boundary_eigs(z) = (lambda_-, lambda_+)."""
 
     lo: float
     lo_open: bool
@@ -72,8 +79,12 @@ class Family:
     curve: object
     spectrum: object
     construct: object
-    primal: object
+    F0: tuple
+    shift: float
+    corner: float
+    c: tuple
     dual: object
+    offset: float = 0.0
     boundary_dual: object = None
     boundary_eigs: object = None
 
@@ -93,8 +104,11 @@ class Family:
     def check(self, P, label=None):
         """P as a float (or float array) if all of it lies in the domain, else
         a DomainError naming the first purity outside (NaN included); a
-        TypeError naming P if it is not real numbers."""
+        TypeError naming P if it is not real numbers; a ValueError if it has
+        more than one dimension."""
         arr = _real_array(P, "purity")
+        if arr.ndim > 1:
+            raise ValueError(f"purities must be a float or a 1-D array, got shape {arr.shape}")
         ok = self.contains(arr)
         if not ok.all():
             bad = P if arr.ndim == 0 else np.ravel(arr)[np.argmin(np.ravel(ok))]
@@ -211,21 +225,8 @@ def hedemann_negativity(P):
 
 
 # ---------------------------------------------------------------------------
-# Dual-certificate data, one set per family
+# Certificate data, one set per family: primal constants on the records below
 # ---------------------------------------------------------------------------
-
-
-def _constraints(F0, last, corner):
-    """(F_0 per purity, stacked [F_1, ..., F_{n-2}]) for the constant n x n
-    part F0 of F_0: F_0 takes `last` (one per purity) at (n-1, n-1); F_i has
-    -1 at (0, 0), 1 at (i, n-1) and (n-1, i), and `corner` at (n-1, n-1)."""
-    n = len(F0)
-    F0s = np.repeat(F0[None], len(last), axis=0)
-    F0s[:, -1, -1] = last
-    Fs = np.zeros((n - 2, n, n))
-    Fs[:, 0, 0], Fs[:, -1, -1] = -1.0, corner
-    Fs[:, 1:-1, -1] = Fs[:, -1, 1:-1] = np.eye(n - 2)
-    return F0s, Fs
 
 
 def _boundary_eigs(m, s, c):
@@ -234,34 +235,14 @@ def _boundary_eigs(m, s, c):
     return float(-c / (m + s)), float(m + s)
 
 
-def _rank2_primal(P):
-    F0s, Fs = _constraints(np.diag([1.0, 0.5, 0.0]), P - 1.0, 2.0)
-    return F0s, Fs, np.array([-1.0]), rank2_spectrum(P)[:, :1], n_x_p_rank2(P)
-
-
 def _rank2_dual(P):
     f = _f(P)
     return _columns(0.0, 1.0 + f, -1.0), 2.0 * f, 0.0
 
 
-def _rank3_primal(P):
-    F0 = np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 0.0])
-    F0[1, 2] = F0[2, 1] = -1.0 / 3.0
-    F0s, Fs = _constraints(F0, P - 1.0, 2.0)
-    return F0s, Fs, np.array([-1.0, 0.0]), rank3_spectrum(P)[:, :2], n_x_p_rank3(P)
-
-
 def _rank3_dual(P):
     g = _g(P)
     return _columns(0.0, 1.0 + g / 2.0, 1.0, -1.0), g, 0.0
-
-
-def _deg_primal(P):
-    F0 = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
-    F0[1:4, 1:4] -= 1.0 / 6.0  # diagonal 5/6, off-diagonal -1/6
-    F0s, Fs = _constraints(F0, P - 1.0 / 3.0, 2.0 / 3.0)
-    c = np.array([-2.0, -1.0, -1.0])
-    return F0s, Fs, c, deg_spectrum(P)[:, :3], n_x_p_deg(P) + 1.0  # objective = curve + 1
 
 
 def _deg_dual(P):
@@ -271,18 +252,20 @@ def _deg_dual(P):
     return y, np.where(below, 9.0 * h, 9.0 * g), np.where(below, 0.0, 4.0 / 3.0 - 2.0 / (3.0 * g))
 
 
-# Family(lo, lo_open, label, column, curve, spectrum, construct, primal, dual, ...)
+# Family(lo, lo_open, label, column, curve, spectrum, construct, F0, shift, corner, c, dual, ...)
 FAMILIES = {
     "rank2": Family(
         0.5, False, "rank-2", "N2", n_x_p_rank2, rank2_spectrum, construct_rank2,
-        _rank2_primal, _rank2_dual,
+        ((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.0)), 1.0, 2.0, (-1.0,), _rank2_dual,
         boundary_dual=lambda z: np.array([[0, 0, 0], [0, z, 0.5 - z], [0, 0.5 - z, z - 1.0]]),
         # z - 1/2 -+ sqrt(z^2 - z + 1/2)
         boundary_eigs=lambda z: _boundary_eigs(z - 0.5, np.sqrt(z * z - z + 0.5), 0.25),
     ),
     "rank3": Family(
         1.0 / 3.0, False, "rank-3", "N3", n_x_p_rank3, rank3_spectrum, construct_rank3,
-        _rank3_primal, _rank3_dual,
+        ((1.0, 0.0, 0.0, 0.0), (0.0, 2.0 / 3.0, -1.0 / 3.0, 0.0),
+         (0.0, -1.0 / 3.0, 2.0 / 3.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+        1.0, 2.0, (-1.0, 0.0), _rank3_dual,
         boundary_dual=lambda z: np.array(
             [[0, 0, 0, 0], [0, z, z - 0.5, -z + 0.5],
              [0, z - 0.5, z - 1.0, -z + 1.0], [0, -z + 0.5, -z + 1.0, z - 1.0]]
@@ -294,7 +277,11 @@ FAMILIES = {
     ),
     "deg": Family(
         0.2, True, "degenerate", "Ndeg", n_x_p_deg, deg_spectrum, construct_deg,
-        _deg_primal, _deg_dual,
+        # F0: 5/6 on the diagonal and -1/6 off it in rows 1..3; |c . x| = curve + 1
+        ((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 5.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0, 0.0),
+         (0.0, -1.0 / 6.0, 5.0 / 6.0, -1.0 / 6.0, 0.0),
+         (0.0, -1.0 / 6.0, -1.0 / 6.0, 5.0 / 6.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)),
+        1.0 / 3.0, 2.0 / 3.0, (-2.0, -1.0, -1.0), _deg_dual, offset=1.0,
     ),
 }
 THEOREMS = tuple(FAMILIES)
@@ -332,10 +319,8 @@ def verify_certificate(theorem_id, P, tol=1e-10):
     reproduce the curve value (a transcription error in the certificate data)
     raises RuntimeError naming the first such purity.
     """
-    if theorem_id not in FAMILIES:
+    if not isinstance(theorem_id, str) or theorem_id not in FAMILIES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
-    if _real_array(P, "purity").ndim > 1:
-        raise ValueError(f"purities must be a float or a 1-D array, got shape {np.shape(P)}")
     is_bool = isinstance(tol, (bool, np.bool_))
     if not is_bool and (np.ndim(tol) or np.asarray(tol).dtype.kind not in "iuf"):
         raise TypeError(f"tol {tol!r} is not a real number")
@@ -343,7 +328,14 @@ def verify_certificate(theorem_id, P, tol=1e-10):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     fam = FAMILIES[theorem_id]
     grid = np.atleast_1d(fam.check(P))
-    F0, Fs, c, x, expected = fam.primal(grid)
+    F0 = np.repeat(np.array(fam.F0)[None], len(grid), axis=0)
+    F0[:, -1, -1] = grid - fam.shift
+    n, m = len(fam.F0), len(fam.c)
+    Fs = np.zeros((m, n, n))
+    Fs[:, 0, 0], Fs[:, -1, -1] = -1.0, fam.corner
+    Fs[:, 1:-1, -1] = Fs[:, -1, 1:-1] = np.eye(m)
+    c, x = np.array(fam.c), fam.spectrum(grid)[:, :m]
+    expected = fam.curve(grid) + fam.offset
     Fx = F0 + sum(x[:, i, None, None] * Fi for i, Fi in enumerate(Fs))
     primal_min = eig_hermitian(Fx)[0][:, 0]
     primal_obj = x @ c

@@ -269,9 +269,10 @@ class TestAcsRun:
         with pytest.raises(ValueError, match=match):
             acs_run(0.5, rho0)
 
-    def test_rejects_zero_rounds(self, rng):
-        with pytest.raises(ValueError, match="max_rounds"):
-            acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=0)
+    @pytest.mark.parametrize("max_rounds", [0, -2])
+    def test_rejects_zero_rounds(self, rng, max_rounds):
+        with pytest.raises(ValueError, match=f"max_rounds must be >= 1, got {max_rounds}$"):
+            acs_run(0.3, random_density_fixed_purity(0.3, rng), max_rounds=max_rounds)
 
     @pytest.mark.parametrize("max_rounds", [10.0, 2.5, "10", None, True])
     def test_rejects_non_integral_rounds(self, rng, max_rounds):

@@ -75,3 +75,8 @@ def test_every_name_in_all_resolves(path):
     module = importlib.import_module(f"qqmems.{path.stem}")
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == [], f"{path.name} lists {missing} in __all__ but does not define them"
+
+
+def test_the_fixed_purity_spectra_are_exported():
+    for name in ("rank2_spectrum", "rank3_spectrum", "deg_spectrum"):
+        assert getattr(qqmems, name) is getattr(qqmems.purity_mems, name)

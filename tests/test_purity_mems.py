@@ -252,9 +252,44 @@ class TestCertificates:
                 assert abs(w[0] - lambda_minus) < 1e-10
                 assert abs(w[-1] - lambda_plus) < 1e-8
 
-    def test_unknown_theorem(self):
-        with pytest.raises(ValueError, match="unknown theorem"):
-            verify_certificate("rank4", 0.5)
+    @pytest.mark.parametrize("theorem_id", ["rank4", ["deg"], np.array(["deg"]), None])
+    def test_unknown_theorem(self, theorem_id):
+        match = re.escape(f"unknown theorem id {theorem_id!r}; expected one of {THEOREMS}")
+        with pytest.raises(ValueError, match=match):
+            verify_certificate(theorem_id, 0.5)
+
+    @pytest.mark.parametrize(
+        "theorem_id,lo,hi,zeros",
+        [
+            ("rank2", 0.51, 0.99, 1),
+            ("rank3", 1.0 / 3.0 + 0.01, 0.99, 1),
+            ("deg", 0.21, 0.37, 1),
+            ("deg", DEG_SPLIT, 0.99, 2),
+        ],
+    )
+    def test_primal_optimum_structure_from_the_record(self, theorem_id, lo, hi, zeros):
+        # F(x) = F_0(P) + sum_i x_i F_i, assembled here from the record's
+        # constants at x = the top m eigenvalues of the closed-form spectrum:
+        # PSD with exactly `zeros` zero eigenvalues, attaining curve + offset.
+        fam = FAMILIES[theorem_id]
+        P = np.linspace(lo, hi, 50)
+        m = len(fam.c)
+        x = fam.spectrum(P)[:, :m]
+        F = np.tile(np.array(fam.F0), (len(P), 1, 1))
+        F[:, 0, 0] -= x.sum(axis=1)
+        F[:, -1, -1] = P - fam.shift + fam.corner * x.sum(axis=1)
+        F[:, 1:-1, -1] += x
+        F[:, -1, 1:-1] += x
+        assert np.array_equal(F, F.transpose(0, 2, 1))
+        w = np.linalg.eigvalsh(F)
+        assert np.all(np.abs(w[:, :zeros]) <= 1e-12)
+        assert np.all(w[:, zeros] >= 1e-3)
+        objective = np.abs(x @ np.array(fam.c))
+        assert np.all(np.abs(objective - (fam.curve(P) + fam.offset)) <= 1e-12)
+
+    @pytest.mark.parametrize("theorem_id", THEOREMS)
+    def test_the_record_is_hashable(self, theorem_id):
+        assert isinstance(hash(FAMILIES[theorem_id]), int)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, np.True_])
     def test_rejects_non_finite_or_negative_tol(self, tol):

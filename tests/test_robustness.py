@@ -78,6 +78,12 @@ def test_non_finite_purity_is_rejected_naming_the_purity(fn, bad, as_array):
         fn(P)
 
 
+@pytest.mark.parametrize("fn", PURITY_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_a_2d_array_of_purities_is_rejected_naming_its_shape(fn):
+    with pytest.raises(ValueError, match=re.escape("a float or a 1-D array, got shape (1, 2)")):
+        fn(np.array([[0.3, 0.4]]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(key=st.sampled_from(sorted(LOWER_ENDS)), P=st.floats())
 def test_curves_return_a_value_exactly_on_their_domain(key, P):
@@ -336,6 +342,7 @@ def test_internal_checks_survive_optimize_flag():
     # Both invariants are raised explicitly, so `python -O` cannot strip them.
     code = textwrap.dedent(
         """
+        import dataclasses
         import sys
         import numpy as np
         from qqmems import purity_mems
@@ -349,7 +356,9 @@ def test_internal_checks_survive_optimize_flag():
             count_negative_pt_eigs(x)
         except RuntimeError as exc:
             print("count:", exc)
-        purity_mems.n_x_p_rank2 = lambda P: 0.25  # a transcription error in the curve
+        # a transcription error in the certificate data
+        fams = purity_mems.FAMILIES
+        fams["rank2"] = dataclasses.replace(fams["rank2"], offset=0.25)
         try:
             purity_mems.verify_certificate("rank2", 0.7)
         except RuntimeError as exc:
