@@ -159,8 +159,7 @@ def _write_csv(*tables):
 
 def _write_json(path, obj):
     with _output(path) as (fh,):
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _validated(values, matrices, tol, label):

@@ -149,8 +149,10 @@ class TestRecordedFamilyArtifacts:
         # state was recorded before the family records replaced the
         # per-command tables; tgx2, tgx3 and acs before the formulas moved
         # into the modules that own their inputs.  certify was re-recorded
-        # when the interior duals became y y^T / s: 104 of its numeric fields
-        # moved, by at most 1.0e-15.
+        # when the interior duals became y y^T / s (104 numeric fields moved,
+        # by at most 1.0e-15), and again when their PSD margin was read from
+        # that structure instead of eigh: 43 interior dual_psd_margin fields
+        # went from eigh rounding (|v| <= 1.83e-15) to 0.0.
         trace = tmp_path / "trace.csv"
         if trace_fixture is not None:
             args = args + ["--trace-output", str(trace)]
@@ -177,6 +179,16 @@ class TestCertify:
         data = json.loads(out)
         assert data["reports"][0]["asymptotic"]
         assert data["reports"][0]["verified"]
+
+    def test_purity_just_above_rank3_lower_end_verifies(self, capsys):
+        # 5e-12 above 1/3, just outside the asymptotic band: the interior
+        # dual's margin is read from its structure, not from eigh rounding.
+        code, out, _ = run(["certify", "--theorem", "rank3", "--p-min", "0.33333333333833333",
+                            "--p-steps", "1"], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)["reports"][0]
+        assert report["verified"] and not report["asymptotic"]
+        assert report["dual_psd_margin"] == 0.0
 
     def test_out_of_domain_is_usage_error(self, capsys):
         code, _, err = run(["certify", "--theorem", "rank2", "--p-min", "0.4", "--p-steps", "1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -286,6 +287,61 @@ class TestCertificates:
         assert np.all(w[:, zeros] >= 1e-3)
         objective = np.abs(x @ np.array(fam.c))
         assert np.all(np.abs(objective - (fam.curve(P) + fam.offset)) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "theorem_id,lo,hi",
+        [
+            ("rank2", 0.5, 1.0),
+            ("rank3", 1.0 / 3.0, 1.0),
+            ("deg", 0.2, DEG_SPLIT),
+            ("deg", DEG_SPLIT, 1.0),
+        ],
+    )
+    def test_dual_structure_behind_the_psd_rule(self, theorem_id, lo, hi):
+        # The margin min(0, z00, y.y / s) is the least eigenvalue of
+        # y y^T / s + z00 E_00 only if y_0 = 0; it reads PSD only if s > 0
+        # and z00 >= 0.  Checked inside each open branch, close to both ends
+        # and (deg) at the split itself, where z00 = 0.
+        near = np.concatenate([lo + np.logspace(-11, -2, 10), hi - np.logspace(-11, -2, 10)])
+        P = np.concatenate([np.linspace(lo, hi, 202)[1:-1], near])
+        if (theorem_id, lo) == ("deg", DEG_SPLIT):
+            P = np.append(P, [DEG_SPLIT, np.nextafter(DEG_SPLIT, 1.0)])
+        y, s, z00 = FAMILIES[theorem_id].dual(P)
+        assert y.shape == (len(P), len(FAMILIES[theorem_id].F0))
+        assert np.all(y[:, 0] == 0.0)
+        assert np.all(s > 0.0)
+        assert np.all(np.broadcast_to(z00, s.shape) >= 0.0)
+
+    @pytest.mark.parametrize("theorem_id,P", [("rank2", 0.6), ("rank3", 0.4), ("deg", 0.3),
+                                              ("deg", 0.6)])
+    @pytest.mark.parametrize("flip", ["s", "z00"])
+    def test_a_dual_that_is_not_psd_is_unverified(self, theorem_id, P, flip, monkeypatch):
+        # A transcription error that makes s or z00 negative: the margin is
+        # then min(z00, y.y / s) < 0, and the certificate fails.
+        fam = FAMILIES[theorem_id]
+
+        def bad_dual(grid):
+            y, s, z00 = fam.dual(grid)
+            return (y, -s, z00) if flip == "s" else (y, s, np.full_like(s, -0.5))
+
+        monkeypatch.setitem(FAMILIES, theorem_id, dataclasses.replace(fam, dual=bad_dual))
+        report = verify_certificate(theorem_id, P)
+        (y,), (s,), z00 = bad_dual(np.array([P]))
+        expected = min(float(np.min(z00)), float(y @ y / s))
+        assert expected < -1e-10
+        assert not report.verified
+        assert report.dual_psd_margin == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("theorem_id", THEOREMS)
+    def test_purities_just_above_the_lower_end_verify(self, theorem_id):
+        # lo + 10**u for u in [-11, -6]: above the 1e-12 asymptotic band the
+        # interior dual's entries grow like 1/f, 1/g, and an eigh of it read
+        # a margin down to -1.1e-10 on rank 3.  The structural margin is 0.
+        lo = FAMILIES[theorem_id].lo
+        P = lo + 10.0 ** np.random.default_rng(2026).uniform(-11.0, -6.0, 2000)
+        reports = verify_certificate(theorem_id, P)
+        assert all(r.verified for r in reports)
+        assert all(r.dual_psd_margin == 0.0 for r in reports)
 
     @pytest.mark.parametrize("theorem_id", THEOREMS)
     def test_the_record_is_hashable(self, theorem_id):
