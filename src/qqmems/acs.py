@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 STOP_INCREMENT = 1e-12
+# Peak RSS of a fresh `acs --runs 400 --trace-output F` (Linux, numpy 2.4): 39.0 MB
+# at 32; 41.5 MB at 128, 44.2 at 256, 48.3 at 400, past acs_sweep's 5% RSS bound.
 SWEEP_BLOCK = 32
 MAX_ROUNDS = 200
 

@@ -114,8 +114,11 @@ def _output(*paths):
     A regular file (or a new one) is written to a temporary file next to it,
     and every target is replaced only once all streams are written, so a
     failed run leaves each target as it was.  Other existing paths, such as
-    devices, are written in place.
+    devices, are written in place.  Two paths to one file are a usage error.
     """
+    files = [os.path.realpath(path) for path in paths if path not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise UsageError(f"artifact paths {' and '.join(map(str, paths))} name one file")
     streams, pending, named = [], [], {}
     try:
         try:
@@ -330,8 +333,8 @@ def cmd_prop1(cfg):
     rng = np.random.default_rng(cfg.seed)
     violations = 0
     worst = 0.0
-    for start in range(0, cfg.count, _BLOCK):
-        lams = random_spectrum(rng, count=min(_BLOCK, cfg.count - start))
+    for block in _blocks(range(cfg.count)):
+        lams = random_spectrum(rng, count=len(block))
         _, brute = best_sequence_bruteforce(lams)
         dev = np.abs(brute - n_x_lambda(lams))
         worst = max(worst, float(dev.max()))

@@ -311,8 +311,8 @@ def verify_certificate(theorem_id, P, tol=1e-10):
     """Check the optimality certificate of one closed-form curve at purity P.
 
     Verifies (a) primal feasibility of the closed-form spectrum, (b) the dual
-    trace conditions, (c) positive semidefiniteness of the dual matrix (or its
-    asymptotic limit for the two boundary purities), and (d) a vanishing gap
+    trace conditions, (c) positive semidefiniteness of the dual matrix (or,
+    where its scale s is 0, of its asymptotic limit), and (d) a vanishing gap
     between primal and dual objective values, each within `tol`.  The
     interior dual's PSD margin is min(0, z00, y.y / s), read from its
     structure (PSD exactly when s > 0 and z00 >= 0, as y_0 = 0) without an
@@ -353,16 +353,12 @@ def verify_certificate(theorem_id, P, tol=1e-10):
             f"{float(np.broadcast_to(expected, off.shape)[i])!r} up to sign"
         )
 
-    # Closed lower ends (rank2 at 1/2, rank3 at 1/3) have asymptotic
-    # certificates; the interior dual divides by zero there and is built
-    # on the other rows only.
-    asymptotic = (np.abs(grid - fam.lo) <= 1e-12) & (not fam.lo_open)
-    y, s, z00 = fam.dual(grid[~asymptotic])
-    Z = np.zeros_like(F0)
-    Z[~asymptotic] = y[:, :, None] * y[:, None, :] / s[:, None, None]
-    Z[~asymptotic, 0, 0] += z00
-    margin = np.zeros(len(grid))
-    margin[~asymptotic] = np.minimum(0.0, np.minimum(z00, np.sum(y * y, axis=1) / s))
+    y, s, z00 = fam.dual(grid)
+    asymptotic = s == 0  # the closed lower ends, where y y^T / s does not exist
+    s = np.where(asymptotic, np.inf, s)  # Z and margin 0 there until set below
+    Z = y[:, :, None] * y[:, None, :] / s[:, None, None]
+    Z[:, 0, 0] += z00
+    margin = np.minimum(0.0, np.minimum(z00, np.sum(y * y, axis=1) / s))
     tail, psd_ok = [], margin >= -tol
     if asymptotic.any():
         # PSD only in the limit: the lone negative eigenvalue must shrink to 0

@@ -190,6 +190,15 @@ class TestCertify:
         assert report["verified"] and not report["asymptotic"]
         assert report["dual_psd_margin"] == 0.0
 
+    def test_purity_just_above_rank2_lower_end_verifies(self, capsys):
+        # nextafter(0.5, 1): s = 2 sqrt(2P - 1) > 0, so the interior dual
+        # certifies it; only P = 0.5 itself takes the asymptotic branch.
+        code, out, _ = run(["certify", "--theorem", "rank2", "--p-min", "0.5000000000000001",
+                            "--p-steps", "1"], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)["reports"][0]
+        assert report["verified"] and not report["asymptotic"]
+
     def test_out_of_domain_is_usage_error(self, capsys):
         code, _, err = run(["certify", "--theorem", "rank2", "--p-min", "0.4", "--p-steps", "1"],
                            capsys)
@@ -298,6 +307,26 @@ class TestAcs:
         assert out.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["acs.csv"]
         assert stdout == ""
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_summary_and_trace_on_one_file_is_usage_error(self, tmp_path, capsys, link):
+        out = tmp_path / "acs.csv"
+        out.write_text("previous\n")
+        trace = out
+        if link:
+            trace = tmp_path / "link.csv"
+            trace.symlink_to(out)
+        code, stdout, err = run(["acs", "--runs", "2", "-o", str(out),
+                                 "--trace-output", str(trace)], capsys)
+        assert code == EXIT_USAGE and err.startswith("usage error: ")
+        assert "name one file" in err and str(trace) in err
+        assert out.read_text() == "previous\n" and stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({out.name, trace.name})
+
+    def test_summary_and_trace_both_on_stdout(self, capsys):
+        code, out, _ = run(["acs", "--runs", "2", "-o", "-", "--trace-output", "-"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("P,seed,best_value,") and "run_index,P,round,value\n" in out
 
     def test_round_value_off_the_trace_norm_is_check_failure(self, capsys, monkeypatch):
         exact = qqmems.acs.pi_objective

@@ -359,17 +359,27 @@ class TestCertificates:
 
     @pytest.mark.parametrize("theorem_id", ["rank2", "rank3"])
     def test_an_array_gives_the_scalar_reports(self, theorem_id):
-        # lo and nextafter(lo, 1) take the asymptotic branch (rank 2's second
-        # point does not verify), the rest the interior dual, all in one stack.
-        lo = FAMILIES[theorem_id].lo
-        P = np.array([lo, np.nextafter(lo, 1.0), lo + 1e-11, 0.55, 0.7, 0.999])
+        # The rows where the dual's scale s is 0 take the asymptotic branch:
+        # lo, and for rank 3 also nextafter(lo, 1), where 6P - 2 rounds to 0;
+        # the rest the interior dual, all in one stack.
+        fam = FAMILIES[theorem_id]
+        P = np.array([fam.lo, np.nextafter(fam.lo, 1.0), fam.lo + 1e-11, 0.55, 0.7, 0.999])
         reports = verify_certificate(theorem_id, P)
         assert isinstance(reports, list) and len(reports) == len(P)
         assert [r.to_dict() for r in reports] == [
             verify_certificate(theorem_id, float(p)).to_dict() for p in P
         ]
-        assert [r.asymptotic for r in reports] == [True, True, False, False, False, False]
-        assert reports[1].verified == (theorem_id == "rank3") and reports[2].verified
+        asymptotic = [True, theorem_id == "rank3", False, False, False, False]
+        assert [r.asymptotic for r in reports] == asymptotic == (fam.dual(P)[1] == 0).tolist()
+        assert reports[1].verified and reports[2].verified
+
+    @pytest.mark.parametrize("theorem_id", ["rank2", "rank3"])
+    def test_only_lo_is_asymptotic_within_1e_12(self, theorem_id):
+        lo = FAMILIES[theorem_id].lo
+        reports = verify_certificate(theorem_id, lo + np.array([0.0, 1e-13, 5e-13, 1e-12]))
+        assert [r.asymptotic for r in reports] == [True, False, False, False]
+        assert reports[0].verified and reports[0].asymptotic_tail
+        assert not any(r.asymptotic_tail for r in reports[1:])
 
     @pytest.mark.parametrize("P", [np.array([[0.25, 0.3]]), [[0.25]]])
     def test_rejects_a_2d_array_of_purities(self, P):
