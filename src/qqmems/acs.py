@@ -22,12 +22,13 @@ one; either way it returns the loop's records, one AcsTrace per run.
 At a PPT state (round value, the negativity, below STOP_INCREMENT) the
 projector is I, whose rho-step returns I/6: a trivial fixed point.  From a
 PPT state the rho-step therefore takes I - |v_min><v_min| instead, v_min the
-eigenvector of the smallest eigenvalue of rho^Gamma; the round values are
-still the negativities, so the trace stays monotone.  A run ends with status
-"converged", "stalled_ppt" (it stopped at a PPT state all the same) or
-"max_rounds", and keeps its final state, whose trace-norm negativity its
-last round value should equal.  Checking the final states and comparing runs
-with the degenerate X ceiling are left to the caller.
+eigenvector of the smallest eigenvalue of rho^Gamma, which the Pi-step's own
+eigendecomposition gives; the round values are still the negativities, so the
+trace stays monotone.  A run ends with status "converged", "stalled_ppt"
+(it stopped at a PPT state all the same) or "max_rounds", and keeps its
+final state, whose trace-norm negativity its last round value should equal.
+Checking the final states and comparing runs with the degenerate X ceiling
+are left to the caller.
 """
 
 from dataclasses import dataclass
@@ -70,6 +71,15 @@ def _herm(m):
     return m.conj().swapaxes(-1, -2)
 
 
+def _pi_half_step(rho):
+    """pi_step's projector and the PPT escape I - |v_min><v_min|, both from
+    one eigendecomposition of rho^Gamma."""
+    w, v = eig_hermitian(partial_transpose_qubit(rho))
+    cols = v * (w > 1e-12)[..., None, :]
+    v_min = v[..., :1]
+    return cols @ _herm(cols), np.eye(6) - v_min @ _herm(v_min)
+
+
 def pi_step(rho):
     """Projector onto the strictly positive eigenspace of rho^Gamma, for a
     6x6 matrix or each of an (n, 6, 6) stack.
@@ -77,9 +87,7 @@ def pi_step(rho):
     Eigenvalues within [-1e-12, 1e-12] are excluded; their inclusion would be
     objective-neutral.
     """
-    w, v = eig_hermitian(partial_transpose_qubit(rho))
-    cols = v * (w > 1e-12)[..., None, :]
-    return cols @ _herm(cols)
+    return _pi_half_step(rho)[0]
 
 
 def pi_objective(pi, rho):
@@ -159,18 +167,6 @@ def rho_step(pi, P):
     return (v * lam[..., None, :]) @ _herm(v)
 
 
-def _escape(pi, rho, ppt):
-    """The projectors for the next rho-step: pi, except on the PPT rows,
-    which get I - |v><v| with v the eigenvector of the smallest eigenvalue of
-    rho^Gamma."""
-    if ppt.any():
-        pi = pi.copy()
-        _, v = eig_hermitian(partial_transpose_qubit(rho[ppt]))
-        v_min = v[..., :1]
-        pi[ppt] = np.eye(6) - v_min @ _herm(v_min)
-    return pi
-
-
 @dataclass(eq=False)
 class AcsTrace:
     """One run of the scheme: its purity bound, round values, final state,
@@ -200,23 +196,23 @@ def _acs_lockstep(P, rho0, max_rounds):
     round increment drops below STOP_INCREMENT.  Returns one AcsTrace per
     start."""
     rho = np.array(rho0, dtype=complex)
-    pi = pi_step(rho)
+    pi, escape = _pi_half_step(rho)
     last = pi_objective(pi, rho)
     rounds = [[v] for v in last.tolist()]
     status = ["max_rounds"] * len(P)
     live = np.arange(len(P))
     for _ in range(max_rounds):
-        step = _escape(pi[live], rho[live], last[live] < STOP_INCREMENT)
-        rho[live] = rho_step(step, P[live])
-        pi[live] = pi_step(rho[live])
-        value = pi_objective(pi[live], rho[live])
+        ppt = last[live] < STOP_INCREMENT
+        rho[live] = rho_step(np.where(ppt[:, None, None], escape, pi), P[live])
+        pi, escape = _pi_half_step(rho[live])
+        value = pi_objective(pi, rho[live])
         done = value - last[live] < STOP_INCREMENT
         last[live] = value
         for i, v in zip(live, value.tolist()):
             rounds[i].append(v)
         for i in live[done]:
             status[i] = "stalled_ppt" if last[i] < STOP_INCREMENT else "converged"
-        live = live[~done]
+        live, pi, escape = live[~done], pi[~done], escape[~done]
         if not live.size:
             break
     return [AcsTrace(float(p), r, s, st) for p, r, s, st in zip(P, rounds, rho, status)]

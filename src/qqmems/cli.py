@@ -114,11 +114,9 @@ def _output(*paths):
     A regular file (or a new one) is written to a temporary file next to it,
     and every target is replaced only once all streams are written, so a
     failed run leaves each target as it was.  Other existing paths, such as
-    devices, are written in place.  Two paths to one file are a usage error.
+    devices, are written in place.  `main` rejects two paths to one file
+    before any work.
     """
-    files = [os.path.realpath(path) for path in paths if path not in (None, "-")]
-    if len(set(files)) < len(files):
-        raise UsageError(f"artifact paths {' and '.join(map(str, paths))} name one file")
     streams, pending, named = [], [], {}
     try:
         try:
@@ -453,6 +451,10 @@ def main(argv=None):
             raise UsageError(f"seed must be >= 0, got {cfg.seed}")
         if "tolerance" in cfg and not (np.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
             raise UsageError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
+        paths = (cfg.output, getattr(cfg, "trace_output", None))
+        files = [os.path.realpath(path) for path in paths if path not in (None, "-")]
+        if len(set(files)) < len(files):
+            raise UsageError(f"artifact paths {' and '.join(paths)} name one file")
         return _COMMANDS[cfg.command][0](cfg)
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -306,6 +306,38 @@ class TestAcsRun:
         assert trace.rounds_used == 1
 
 
+def _count_eighs(monkeypatch):
+    """Record the shape of each eigendecomposition the ACS module makes."""
+    calls = []
+
+    def counting(H):
+        calls.append(np.shape(H))
+        return eig_hermitian(H)
+
+    monkeypatch.setattr(qqmems.acs, "eig_hermitian", counting)
+    return calls
+
+
+class TestOneEighPerHalfStep:
+    def test_ppt_start(self, monkeypatch):
+        # I/6 is PPT: its first rho-step takes the escape, which must come
+        # from the initial Pi-step's eigendecomposition, not a second one
+        calls = _count_eighs(monkeypatch)
+        trace = acs_run(0.3, np.eye(6) / 6)
+        assert abs(trace.rounds[0]) < STOP_INCREMENT
+        assert len(calls) == 1 + 2 * trace.rounds_used
+
+    def test_stack(self, monkeypatch):
+        P = np.repeat(np.linspace(0.21, 0.9, 10), 3)
+        rho0 = _acs_starts(P, 5)
+        calls = _count_eighs(monkeypatch)
+        runs = acs_run(P, rho0)
+        assert len(runs) <= SWEEP_BLOCK
+        assert any(abs(s.rounds[0]) < STOP_INCREMENT for s in runs)
+        assert len(calls) == 1 + 2 * max(s.rounds_used for s in runs)
+        assert calls[0] == (len(P), 6, 6)
+
+
 def _acs_starts(P, seed):
     """Starts for the bounds P drawn as the `acs` command draws them: one
     seed per bound from the Generator `seed`."""

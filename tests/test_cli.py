@@ -323,6 +323,15 @@ class TestAcs:
         assert out.read_text() == "previous\n" and stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({out.name, trace.name})
 
+    def test_summary_and_trace_on_one_file_is_rejected_before_any_run(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        monkeypatch.setattr(qqmems.cli, "acs_run", lambda *args: pytest.fail("a run started"))
+        out = tmp_path / "acs.csv"
+        code, stdout, err = run(["acs", "--runs", "400", "-o", str(out),
+                                 "--trace-output", str(out)], capsys)
+        assert code == EXIT_USAGE and "name one file" in err
+        assert stdout == "" and not out.exists()
+
     def test_summary_and_trace_both_on_stdout(self, capsys):
         code, out, _ = run(["acs", "--runs", "2", "-o", "-", "--trace-output", "-"], capsys)
         assert code == EXIT_OK
@@ -393,6 +402,14 @@ class TestProp1:
         run(["prop1", "--count", "100", "--seed", "9", "-o", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_closed_form_off_the_brute_force_is_check_failure(self, capsys, monkeypatch):
+        exact = qqmems.cli.n_x_lambda
+        monkeypatch.setattr(qqmems.cli, "n_x_lambda", lambda lams: exact(lams) + 1e-9)
+        code, out, err = run(["prop1", "--count", "20"], capsys)
+        assert code == EXIT_CHECK
+        assert err.startswith("check failure: ") and "spectra violated" in err
+        assert "violations (|brute-force - closed form| > 1e-12): 20" in out
+
 
 class TestState:
     def test_deg_lower_branch_spectrum(self, capsys):
@@ -451,6 +468,13 @@ class TestConfigAndErrors:
              "--family spectrum ignores --p"),
             (["state", "--family", "rank2", "--p", "0.7", "--spectrum", "0.5,0.5,0,0,0,0"],
              "--family rank2 ignores --spectrum"),
+            (["curves", "--p-steps", "0"], "p_steps must be >= 1, got 0"),
+            (["curves", "--p-min", "0.6", "--p-max", "0.5", "--p-steps", "1"],
+             "purity grid needs p_min <= p_max"),
+            (["acs", "--runs", "-1"], "runs must be >= 0, got -1"),
+            (["prop1", "--count", "-1"], "count must be >= 0, got -1"),
+            (["state", "--family", "spectrum"], "requires --spectrum"),
+            (["state", "--family", "spectrum", "--spectrum", "0.5,0.5"], "spectrum must have shape"),
         ],
     )
     def test_rejected_input_is_usage_error_naming_it(self, args, named, capsys):

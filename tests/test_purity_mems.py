@@ -332,6 +332,14 @@ class TestCertificates:
         assert not report.verified
         assert report.dual_psd_margin == pytest.approx(expected, rel=1e-15)
 
+    def test_certificate_data_off_the_curve_is_an_error(self, monkeypatch):
+        # a transcription error in the primal data: the primal objective no
+        # longer maps back to the curve value
+        monkeypatch.setitem(FAMILIES, "rank2", dataclasses.replace(FAMILIES["rank2"], offset=0.5))
+        match = "certificate data for rank2 at P=0.7 do not reproduce the curve"
+        with pytest.raises(RuntimeError, match=re.escape(match)):
+            verify_certificate("rank2", 0.7)
+
     @pytest.mark.parametrize("theorem_id", THEOREMS)
     def test_purities_just_above_the_lower_end_verify(self, theorem_id):
         # lo + 10**u for u in [-11, -6]: above the 1e-12 asymptotic band the
