@@ -15,9 +15,9 @@ Each half-step is an exact maximization, so the round values never decrease.
 The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
 eigendecomposition per half-step for every live run, each run freezing once
 its round increment drops below STOP_INCREMENT, or after MAX_ROUNDS rounds.
-`acs_run` feeds a stack of starts to the loop in blocks of at most
-SWEEP_BLOCK runs, which bounds its working set, and one start as a block of
-one; either way it returns the loop's records, one AcsTrace per run.
+`acs_run` hands its whole stack of starts (one start as a stack of one) to
+that loop and returns its records, one AcsTrace per run; a caller bounds the
+working set by the stacks it passes.
 
 At a PPT state (round value, the negativity, below STOP_INCREMENT) the
 projector is I, whose rho-step returns I/6: a trivial fixed point.  From a
@@ -56,9 +56,6 @@ __all__ = [
 ]
 
 STOP_INCREMENT = 1e-12
-# Peak RSS of a fresh `acs --runs 400 --trace-output F` (Linux, numpy 2.4): 39.0 MB
-# at 32; 41.5 MB at 128, 44.2 at 256, 48.3 at 400, past acs_sweep's 5% RSS bound.
-SWEEP_BLOCK = 32
 MAX_ROUNDS = 200
 
 # Row m - 1 is the support {i : bit i of m is set}, m = 1..63, in the order
@@ -243,8 +240,5 @@ def acs_run(P, rho0, max_rounds=MAX_ROUNDS):
         i = int(np.argmax(over))
         index = (i,) if np.ndim(P) else ()
         raise MatrixError(f"initial state purity {pur[i]} exceeds bound {bounds[i]}", index)
-    traces = []
-    for start in range(0, len(bounds), SWEEP_BLOCK):
-        block = slice(start, start + SWEEP_BLOCK)
-        traces.extend(_acs_lockstep(bounds[block], rho0[block], max_rounds))
+    traces = _acs_lockstep(bounds, rho0, max_rounds)
     return traces if np.ndim(P) else traces[0]

@@ -50,10 +50,14 @@ def _require(ok, message, values):
 
 def _numbers(x, name):
     """x as an array; a TypeError naming x unless it holds integers, floats or
-    complex numbers, before a complex conversion could parse strings."""
+    complex numbers, before a complex conversion could parse strings; a
+    MatrixError at the first matrix with a NaN or infinite entry."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "iufc":
         raise TypeError(f"{name} has dtype {arr.dtype}, not real or complex numbers")
+    if not np.isfinite(arr).all():
+        worst = np.abs(arr).max(axis=(-2, -1) if arr.ndim >= 2 else None)  # NaN if any is NaN
+        _require(np.isfinite(worst), f"{name} has a non-finite entry: max |entry| = {{}}", worst)
     return arr
 
 

@@ -93,11 +93,6 @@ class Family:
     def domain(self):
         return f"{'(' if self.lo_open else '['}{self.lo}, 1)"
 
-    @property
-    def start(self):
-        """Default first grid purity: lo, or 1e-9 above an open lo."""
-        return self.lo + 1e-9 if self.lo_open else self.lo
-
     def contains(self, P):
         """Elementwise domain membership of P; False for NaN."""
         return ((self.lo < P) if self.lo_open else (self.lo <= P)) & (P < 1.0)

@@ -7,7 +7,6 @@ import qqmems.acs
 from oracles import vector_subproblem_candidates, vector_subproblem_loop
 from qqmems.acs import (
     STOP_INCREMENT,
-    SWEEP_BLOCK,
     AcsTrace,
     acs_run,
     pi_objective,
@@ -260,7 +259,7 @@ class TestAcsRun:
             (np.zeros((6, 6)), "trace is 0"),
             (np.diag([0.5, 0.5, 0.25, 0.0, 0.0, -0.25]), "smallest eigenvalue"),
             (np.triu(np.ones((6, 6))) / 6, "not Hermitian"),
-            (np.full((6, 6), np.nan), "not Hermitian"),
+            (np.full((6, 6), np.nan), "non-finite entry"),
             (np.stack([np.eye(6) / 6] * 2), re.escape("got shape (2, 6, 6)")),
             (np.eye(4) / 4, re.escape("got shape (4, 4)")),
         ],
@@ -332,10 +331,20 @@ class TestOneEighPerHalfStep:
         rho0 = _acs_starts(P, 5)
         calls = _count_eighs(monkeypatch)
         runs = acs_run(P, rho0)
-        assert len(runs) <= SWEEP_BLOCK
         assert any(abs(s.rounds[0]) < STOP_INCREMENT for s in runs)
         assert len(calls) == 1 + 2 * max(s.rounds_used for s in runs)
         assert calls[0] == (len(P), 6, 6)
+
+    def test_stack_past_the_cli_block_is_one_lockstep(self, monkeypatch):
+        # 36 runs, more than the `acs` command hands over at once: still one
+        # stack, whose first eigendecomposition takes every start
+        P = np.repeat(np.linspace(0.21, 0.9, 12), 3)
+        rho0 = _acs_starts(P, 5)
+        calls = _count_eighs(monkeypatch)
+        runs = acs_run(P, rho0)
+        assert len(runs) == 36
+        assert len(calls) == 1 + 2 * max(s.rounds_used for s in runs)
+        assert calls[0] == (36, 6, 6)
 
 
 def _acs_starts(P, seed):
@@ -357,12 +366,12 @@ class TestStackedAcsRun:
             assert s.best_value - n_x_p_deg(s.P) <= 1e-8
 
     def test_stack_equals_the_single_calls(self):
-        # 12 purities x 3 starts: the second block starts at run 32, and the
-        # low purities give PPT starts, which take the escape step
+        # 12 purities x 3 starts, more than the `acs` command hands over at
+        # once; the low purities give PPT starts, which take the escape step
         P = np.repeat(np.linspace(0.21, 0.9, 12), 3)
         rho0 = _acs_starts(P, 5)
         runs = acs_run(P, rho0)
-        assert len(runs) == 36 > SWEEP_BLOCK
+        assert len(runs) == 36
         assert any(abs(s.rounds[0]) < STOP_INCREMENT for s in runs)
         for s, p, start in zip(runs, P, rho0):
             trace = acs_run(p, start)

@@ -332,6 +332,22 @@ class TestAcs:
         assert code == EXIT_USAGE and "name one file" in err
         assert stdout == "" and not out.exists()
 
+    def test_summary_and_trace_on_one_device_are_written_in_place(self, capsys):
+        code, stdout, err = run(["acs", "--runs", "2", "-o", os.devnull,
+                                 "--trace-output", os.devnull], capsys)
+        assert code == EXIT_OK and stdout == "" and err == ""
+
+    def test_sweep_reaches_acs_run_in_blocks_of_32(self, capsys, monkeypatch):
+        sizes = []
+
+        def recording(P, rho0):
+            sizes.append(len(P))
+            return qqmems.acs.acs_run(P, rho0)
+
+        monkeypatch.setattr(qqmems.cli, "acs_run", recording)
+        code, _, _ = run(["acs", "--runs", "100", "--seed", "1", "-o", os.devnull], capsys)
+        assert code == EXIT_OK and sizes == [32, 32, 32, 4]
+
     def test_summary_and_trace_both_on_stdout(self, capsys):
         code, out, _ = run(["acs", "--runs", "2", "-o", "-", "--trace-output", "-"], capsys)
         assert code == EXIT_OK

@@ -100,8 +100,10 @@ class TestStacks:
             eig_hermitian(stack)
         assert exc.value.index == (3,)
         stack[3, 0, 1] = np.nan
-        with pytest.raises(ValueError, match="= nan"):
+        match = re.escape("non-finite entry: max |entry| = nan")
+        with pytest.raises(MatrixError, match=match) as exc:
             eig_hermitian(stack)
+        assert exc.value.index == (3,)
 
     def test_state_checks_on_a_stack_equal_per_matrix_calls(self):
         stack = random_density_fixed_purity(np.linspace(0.17, 0.999, 33), list(range(33)))
@@ -122,7 +124,7 @@ class TestStacks:
         "bad,message",
         [
             (np.triu(np.ones((6, 6))) / 6, "matrix is not Hermitian: max |H - H^dag| = 1.667e-01"),
-            (np.full((6, 6), np.nan), "matrix is not Hermitian: max |H - H^dag| = nan"),
+            (np.full((6, 6), np.nan), "density matrix has a non-finite entry: max |entry| = nan"),
             (np.eye(6) / 5, "trace is (1.2+0j), expected 1 within 1e-12"),
             (np.diag([0.5, 0.5, 0.25, 0, 0, -0.25]), "smallest eigenvalue -2.500e-01 below -1e-12"),
         ],

@@ -16,6 +16,7 @@ from qqmems import purity_mems
 from qqmems.acs import AcsTrace, acs_run, pi_objective, pi_step, rho_step, vector_subproblem
 from qqmems.cli import CheckError, EXIT_CHECK, EXIT_OK, EXIT_USAGE, _validated, main
 from qqmems.linalg import (
+    MatrixError,
     check_density_matrix,
     eig_hermitian,
     negativity,
@@ -191,6 +192,35 @@ def test_a_matrix_that_is_not_numbers_is_a_type_error(name, bad):
     # a complex conversion would parse the strings
     with pytest.raises(TypeError, match=re.escape(f"has dtype {bad.dtype}, not real or complex")):
         MATRIX_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("name", list(MATRIX_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_matrix_with_a_non_finite_entry_is_a_matrix_error(name, value):
+    # before any arithmetic, so no RuntimeWarning and no wrong cause such as
+    # "not Hermitian"
+    bad = np.eye(6) / 6
+    bad[1, 2] = value
+    match = re.escape(f"has a non-finite entry: max |entry| = {value}")
+    with pytest.raises(MatrixError, match=match) as exc:
+        MATRIX_ENTRY_POINTS[name](bad)
+    assert exc.value.index == ()
+
+
+STACK_ENTRY_POINTS = {
+    name: MATRIX_ENTRY_POINTS[name]
+    for name in ("eig_hermitian", "check_density_matrix", "negativity", "purity", "pi_objective")
+} | {"acs_run": lambda m: acs_run(np.full(len(m), 0.5), m)}
+
+
+@pytest.mark.parametrize("name", list(STACK_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_stack_names_its_first_matrix_with_a_non_finite_entry(name, value):
+    stack = np.stack([np.eye(6) / 6] * 4).astype(complex)
+    stack[2, 0, 0] = stack[3, 5, 4] = value
+    with pytest.raises(MatrixError, match="has a non-finite entry") as exc:
+        STACK_ENTRY_POINTS[name](stack)
+    assert exc.value.index == (2,)
 
 
 def _accepts(fn, *args, **kwargs):

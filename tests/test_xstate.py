@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qqmems.xstate
 from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, partial_transpose_qubit
 from qqmems.xstate import (
     XState,
@@ -198,3 +199,10 @@ class TestSpectra:
         x = XState(a=[1 / 6] * 3, b=[1 / 6] * 3, r=[0, 0, 0])
         assert x_negativity(x) == 0.0
         assert count_negative_pt_eigs(x) == 0
+
+
+def test_two_negative_pt_eigenvalues_are_an_internal_error(monkeypatch):
+    # a valid X state cannot have them; the guard reports a broken formula
+    monkeypatch.setattr(qqmems.xstate, "_x_pt_minus_eigs", lambda a, b, r: np.array([-0.1, -0.2]))
+    with pytest.raises(RuntimeError, match="two negative PT eigenvalues"):
+        count_negative_pt_eigs(random_xstate(0))
