@@ -9,7 +9,9 @@ updates:
   norm), so -2 + 2 tr[Pi rho^Gamma] equals the negativity of rho.
 * rho-step: for fixed Pi, the optimal rho commutes with Pi^Gamma, reducing the
   update to a 6-variable vector program (linear objective over the simplex
-  intersected with a purity ball) solved exactly by KKT support enumeration.
+  intersected with a purity ball) solved exactly by KKT support enumeration
+  over the six prefix supports of the objective sorted in descending order,
+  the only supports an optimum can have.
 
 Each half-step is an exact maximization, so the round values never decrease.
 The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
@@ -58,10 +60,10 @@ __all__ = [
 STOP_INCREMENT = 1e-12
 MAX_ROUNDS = 200
 
-# Row m - 1 is the support {i : bit i of m is set}, m = 1..63, in the order
-# the KKT enumeration visits them.
-_SUPPORTS = np.array([[m >> i & 1 for i in range(6)] for m in range(1, 64)], dtype=bool)
-_SIZES = _SUPPORTS.sum(axis=1)
+# Row k - 1 is the prefix support {1..k} of the descending objective,
+# k = 1..6, in the order the KKT enumeration visits them.
+_SUPPORTS = np.tri(6, dtype=bool)
+_SIZES = np.arange(1, 7)
 
 
 def _herm(m):
@@ -101,14 +103,17 @@ def pi_objective(pi, rho):
 def vector_subproblem(a, P):
     """Maximize a . lam over lam >= 0, sum lam = 1, sum lam^2 <= P, exactly.
 
-    `a` is a (6,) vector or an (n, 6) stack, P a bound or one per row.  Every
-    nonempty support S is a candidate set.  Its KKT points are the uniform
-    point 1/|S| (purity constraint slack) and, when P > 1/|S| and a is
-    nonconstant on S, the purity-active point
-    lam_i = 1/|S| + (a_i - mean_S a) / mu with mu > 0 fixed by sum lam^2 = P.
-    The best feasible candidate over all supports is the exact optimum; ties
-    within 1e-15 resolve to the least-pure candidate, then to the first in
-    support order.
+    `a` is a (6,) vector or an (n, 6) stack, P a bound or one per row.  Each
+    row is sorted in descending order (a stable sort) and only its prefix
+    supports S = {1..k}, k = 1..6, are candidate sets: with the purity
+    constraint active, KKT gives lam_i = max(0, a_i - nu) / (2 mu), supported
+    on {i : a_i > nu}; with it slack, the least-pure optimum is uniform on the
+    maximal a_i.  Both are prefixes of the sorted a.  A support's KKT points
+    are the uniform point 1/|S| and, when P > 1/|S| and a is nonconstant on
+    S, the purity-active point lam_i = 1/|S| + (a_i - mean_S a) / mu with
+    mu > 0 fixed by sum lam^2 = P.  The best feasible candidate is the exact
+    optimum; ties within 1e-15 resolve to the least-pure candidate, then to
+    the shortest prefix.  lam comes back in the caller's order.
     """
     a = _real_array(a, "objective coefficients")
     if a.ndim not in (1, 2) or a.shape[-1] != 6:
@@ -123,6 +128,8 @@ def vector_subproblem(a, P):
     ok = (1.0 / 6.0 <= P) & (P < 1.0)
     if not ok.all():
         raise ValueError(f"purity bound {P[np.argmin(ok)]} outside [1/6, 1)")
+    order = np.argsort(-a2, axis=-1, kind="stable")
+    a2 = np.take_along_axis(a2, order, axis=-1)
     a_s = np.where(_SUPPORTS, a2[:, None, :], 0.0)
     centered = np.where(_SUPPORTS, a_s - (a_s.sum(axis=-1) / _SIZES)[..., None], 0.0)
     ssq = np.sum(centered * centered, axis=-1)
@@ -130,7 +137,7 @@ def vector_subproblem(a, P):
     active = (slack > 0.0) & (ssq > 0.0)
     scale = np.sqrt(np.divide(slack, ssq, out=np.zeros_like(ssq), where=active))
     uniform = _SUPPORTS / _SIZES[:, None]
-    # (n, 63, 2, 6) -> (n, 126, 6): per support, uniform then purity-active;
+    # (n, 6, 2, 6) -> (n, 12, 6): per support, uniform then purity-active;
     # an inactive support's second candidate is its uniform point again
     cand = np.stack(
         [np.broadcast_to(uniform, centered.shape), uniform + scale[..., None] * centered], axis=2
@@ -146,7 +153,8 @@ def vector_subproblem(a, P):
     near = feasible & (val >= best[:, None] - 1e-15)
     least = np.min(pur, axis=-1, where=near, initial=np.inf)
     pick = np.argmax(near & (pur == least[:, None]), axis=-1)
-    lam = np.clip(cand[np.arange(len(a2)), pick], 0.0, None)
+    lam = np.empty_like(a2)
+    np.put_along_axis(lam, order, np.clip(cand[np.arange(len(a2)), pick], 0.0, None), axis=-1)
     return lam.reshape(a.shape)
 
 

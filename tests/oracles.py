@@ -83,41 +83,43 @@ def vector_subproblem_candidates(a, P):
     """The feasible KKT candidates of the ACS rho-step, one support at a time.
 
     For a (6,) vector a and the program max a . lam over lam >= 0,
-    sum lam = 1, sum lam^2 <= P, visits the 63 supports in bitmask order,
-    each with its uniform point and (when P > 1/|S| and a is nonconstant on
-    S) its purity-active point.  Returns the feasible ones in that order as
-    (value, purity, lam, support bitmask) tuples.
+    sum lam = 1, sum lam^2 <= P, visits the prefix supports {1..k},
+    k = 1..6, of a sorted in descending order (a stable sort), each with its
+    uniform point and (when P > 1/k and a is nonconstant on the support) its
+    purity-active point.  Every step mirrors the kernel's arithmetic, so that
+    the tie rule can be tested on rows where rounding decides it.  Returns
+    the feasible ones in that order as (value, purity, lam, k) tuples, lam in
+    the caller's order.
     """
     a = np.asarray(a, dtype=float)
-    n = a.size
+    order = np.argsort(-a, kind="stable")
     found = []
-    for mask in range(1, 2**n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        k = len(idx)
+    for k in range(1, a.size + 1):
+        idx = order[:k]
         a_s = a[idx]
         candidates = [np.full(k, 1.0 / k)]
-        centered = a_s - a_s.mean()
-        ssq = float(centered @ centered)
-        if P > 1.0 / k and ssq > 0.0:
+        centered = a_s - a_s.sum() / k
+        ssq = float(np.sum(centered * centered))
+        if P - 1.0 / k > 0.0 and ssq > 0.0:
             scale = np.sqrt((P - 1.0 / k) / ssq)
             candidates.append(1.0 / k + scale * centered)
         for cand in candidates:
-            pur = float(cand @ cand)
+            pur = float(np.sum(cand * cand))
             if np.min(cand) < -1e-12 or pur > P + 1e-12 or abs(np.sum(cand) - 1.0) > 1e-9:
                 continue
-            lam = np.zeros(n)
+            lam = np.zeros(a.size)
             lam[idx] = np.clip(cand, 0.0, None)
-            found.append((float(a_s @ cand), pur, lam, mask))
+            found.append((float(np.sum(a_s * cand)), pur, lam, k))
     return found
 
 
 def vector_subproblem_loop(a, P):
     """The ACS rho-step's selection rule over `vector_subproblem_candidates`:
     the best value; among the candidates within 1e-15 of it, the least pure;
-    among those, the first.  Returns (lam, support bitmask of the winner)."""
+    among those, the first.  Returns (lam, prefix size k of the winner)."""
     found = vector_subproblem_candidates(a, P)
     best = max(val for val, _, _, _ in found)
     near = [c for c in found if c[0] >= best - 1e-15]
     least = min(pur for _, pur, _, _ in near)
-    _, _, lam, mask = next(c for c in near if c[1] == least)
-    return lam, mask
+    _, _, lam, k = next(c for c in near if c[1] == least)
+    return lam, k

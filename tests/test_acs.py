@@ -148,18 +148,20 @@ class TestVectorSubproblemAgainstLoop:
 def _assert_obeys_rule(a, P):
     """The kernel's pick on each row of `a` obeys the documented rule over the
     oracle's candidate list: a value within 1e-15 of the best, and no more
-    pure than any candidate within 1e-15 of it.  Every value is summed left to
-    right, as the kernel sums it, and compared by its exact difference from
-    the best: the tolerance is a few ulps, so another summation order or a
-    rounded threshold would decide ties by itself.  A pad of 4e-16 absorbs
-    the rounding between the kernel's and the oracle's candidates."""
+    pure than any candidate within 1e-15 of it.  Every value is summed in the
+    row's stable descending order, as the kernel sums it, and compared by its
+    exact difference from the best: the tolerance is a few ulps, so another
+    summation order or a rounded threshold would decide ties by itself.  A
+    pad of 4e-16 absorbs the rounding between the kernel's and the oracle's
+    candidates."""
     pad = 4e-16
     for row, p, got in zip(a, P, vector_subproblem(a, P)):
+        order = np.argsort(-row, kind="stable")
         candidates = vector_subproblem_candidates(row, float(p))
-        found = [(np.sum(row * lam), pur) for _, pur, lam, _ in candidates]
+        found = [(np.sum(row[order] * lam[order]), pur) for _, pur, lam, _ in candidates]
         best = max(val for val, _ in found)
         least = min(pur for val, pur in found if val - best >= -1e-15 + pad)
-        assert np.sum(row * got) - best >= -1e-15 - pad
+        assert np.sum(row[order] * got[order]) - best >= -1e-15 - pad
         assert got @ got <= least + pad
 
 
