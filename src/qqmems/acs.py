@@ -11,7 +11,8 @@ updates:
   update to a 6-variable vector program (linear objective over the simplex
   intersected with a purity ball) solved exactly by KKT support enumeration
   over the six prefix supports of the objective sorted in descending order,
-  the only supports an optimum can have.
+  the only supports an optimum can have.  Its answer does not change when
+  the objective is shifted or scaled by a positive factor, up to rounding.
 
 Each half-step is an exact maximization, so the round values never decrease.
 The steps take (n, 6, 6) stacks, and runs advance in lockstep: one stacked
@@ -114,6 +115,14 @@ def vector_subproblem(a, P):
     mu > 0 fixed by sum lam^2 = P.  The best feasible candidate is the exact
     optimum; ties within 1e-15 resolve to the least-pure candidate, then to
     the shortest prefix.  lam comes back in the caller's order.
+
+    Since sum lam = 1, lam(c a + t) = lam(a) for c > 0.  The kernel keeps
+    that in floating point: it works on a less its maximum, so an exact
+    shift changes no bit of lam and values round relative to the spread of
+    a, not its size; it centres each candidate twice, so that the centred
+    vector sums to zero to rounding however large the scale of the
+    purity-active point; and it scores each candidate clipped at 0, as it
+    returns it.
     """
     a = _real_array(a, "objective coefficients")
     if a.ndim not in (1, 2) or a.shape[-1] != 6:
@@ -130,8 +139,10 @@ def vector_subproblem(a, P):
         raise ValueError(f"purity bound {P[np.argmin(ok)]} outside [1/6, 1)")
     order = np.argsort(-a2, axis=-1, kind="stable")
     a2 = np.take_along_axis(a2, order, axis=-1)
-    a_s = np.where(_SUPPORTS, a2[:, None, :], 0.0)
-    centered = np.where(_SUPPORTS, a_s - (a_s.sum(axis=-1) / _SIZES)[..., None], 0.0)
+    a2 = a2 - a2[:, :1]
+    centered = np.where(_SUPPORTS, a2[:, None, :], 0.0)
+    for _ in range(2):  # the second pass takes out the first mean's rounding
+        centered = np.where(_SUPPORTS, centered - (centered.sum(axis=-1) / _SIZES)[..., None], 0.0)
     ssq = np.sum(centered * centered, axis=-1)
     slack = P[:, None] - 1.0 / _SIZES
     active = (slack > 0.0) & (ssq > 0.0)
@@ -142,19 +153,18 @@ def vector_subproblem(a, P):
     cand = np.stack(
         [np.broadcast_to(uniform, centered.shape), uniform + scale[..., None] * centered], axis=2
     ).reshape(len(a2), 2 * len(_SUPPORTS), 6)
+    # sum and sign are judged before the clip, value and purity after it
+    feasible = (cand.min(axis=-1) >= -1e-12) & (np.abs(cand.sum(axis=-1) - 1.0) <= 1e-9)
+    cand = np.clip(cand, 0.0, None)
     pur = np.sum(cand * cand, axis=-1)
     val = np.sum(a2[:, None, :] * cand, axis=-1)
-    feasible = (
-        (cand.min(axis=-1) >= -1e-12)
-        & (pur <= P[:, None] + 1e-12)
-        & (np.abs(cand.sum(axis=-1) - 1.0) <= 1e-9)
-    )
+    feasible &= pur <= P[:, None] + 1e-12
     best = np.max(val, axis=-1, where=feasible, initial=-np.inf)
     near = feasible & (val >= best[:, None] - 1e-15)
     least = np.min(pur, axis=-1, where=near, initial=np.inf)
     pick = np.argmax(near & (pur == least[:, None]), axis=-1)
     lam = np.empty_like(a2)
-    np.put_along_axis(lam, order, np.clip(cand[np.arange(len(a2)), pick], 0.0, None), axis=-1)
+    np.put_along_axis(lam, order, cand[np.arange(len(a2)), pick], axis=-1)
     return lam.reshape(a.shape)
 
 

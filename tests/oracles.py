@@ -3,9 +3,13 @@
 These deliberately avoid the code paths under test: eigenvalues come from
 bisection on the characteristic determinant, trace norms from a variational
 projector maximization and from a matrix square root, negativities from the
-sum of negative partial-transpose eigenvalues.
+sum of negative partial-transpose eigenvalues, the ACS rho-step's optimum
+from every support in 60-digit decimal arithmetic.  The exceptions are the
+rho-step's candidate list and selection rule, which mirror the kernel's
+arithmetic on purpose.
 """
 
+import decimal
 import itertools
 
 import numpy as np
@@ -86,29 +90,36 @@ def vector_subproblem_candidates(a, P):
     sum lam = 1, sum lam^2 <= P, visits the prefix supports {1..k},
     k = 1..6, of a sorted in descending order (a stable sort), each with its
     uniform point and (when P > 1/k and a is nonconstant on the support) its
-    purity-active point.  Every step mirrors the kernel's arithmetic, so that
-    the tie rule can be tested on rows where rounding decides it.  Returns
-    the feasible ones in that order as (value, purity, lam, k) tuples, lam in
-    the caller's order.
+    purity-active point, centred twice.  Every step mirrors the kernel's
+    arithmetic, so that the tie rule can be tested on rows where rounding
+    decides it: values are taken against the sorted a less its maximum, and
+    value and purity are those of the clipped point.  Returns the feasible
+    ones in that order as (value, purity, lam, k) tuples, lam in the caller's
+    order.
     """
     a = np.asarray(a, dtype=float)
     order = np.argsort(-a, kind="stable")
+    shifted = a[order] - a[order[0]]
     found = []
     for k in range(1, a.size + 1):
-        idx = order[:k]
-        a_s = a[idx]
+        a_s = shifted[:k]
         candidates = [np.full(k, 1.0 / k)]
-        centered = a_s - a_s.sum() / k
+        centered = a_s
+        for _ in range(2):
+            centered = centered - centered.sum() / k
         ssq = float(np.sum(centered * centered))
         if P - 1.0 / k > 0.0 and ssq > 0.0:
             scale = np.sqrt((P - 1.0 / k) / ssq)
             candidates.append(1.0 / k + scale * centered)
         for cand in candidates:
+            if np.min(cand) < -1e-12 or abs(np.sum(cand) - 1.0) > 1e-9:
+                continue
+            cand = np.clip(cand, 0.0, None)
             pur = float(np.sum(cand * cand))
-            if np.min(cand) < -1e-12 or pur > P + 1e-12 or abs(np.sum(cand) - 1.0) > 1e-9:
+            if pur > P + 1e-12:
                 continue
             lam = np.zeros(a.size)
-            lam[idx] = np.clip(cand, 0.0, None)
+            lam[order[:k]] = cand
             found.append((float(np.sum(a_s * cand)), pur, lam, k))
     return found
 
@@ -123,3 +134,39 @@ def vector_subproblem_loop(a, P):
     least = min(pur for _, pur, _, _ in near)
     _, _, lam, k = next(c for c in near if c[1] == least)
     return lam, k
+
+
+def vector_subproblem_exact(a, P):
+    """The optimum of max a . lam over lam >= 0, sum lam = 1, sum lam^2 <= P,
+    independent of the kernel's candidate list and arithmetic.
+
+    Visits all 63 supports S of the (6,) vector a, each with its uniform point
+    (feasible when 1/|S| <= P) and, when P > 1/|S| and a is nonconstant on S,
+    its purity-active KKT point; the best one with no negative entry is the
+    optimum.  Works in 60-digit decimal arithmetic from the exact values of
+    the float inputs.  Returns (value, lam) as Decimals.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a = [decimal.Decimal(float(x)) for x in a]
+        P = decimal.Decimal(float(P))
+        best = None
+        for mask in range(1, 2 ** len(a)):
+            idx = [i for i in range(len(a)) if mask >> i & 1]
+            k = len(idx)
+            mean = sum(a[i] for i in idx) / k
+            centered = [a[i] - mean for i in idx]
+            ssq = sum(c * c for c in centered)
+            slack = P - decimal.Decimal(1) / k
+            points = [[decimal.Decimal(1) / k] * k] if slack >= 0 else []
+            if slack > 0 and ssq > 0:
+                scale = (slack / ssq).sqrt()
+                points.append([decimal.Decimal(1) / k + scale * c for c in centered])
+            for point in points:
+                value = sum(a[i] * x for i, x in zip(idx, point))
+                if min(point) >= 0 and (best is None or value > best[0]):
+                    lam = [decimal.Decimal(0)] * len(a)
+                    for i, x in zip(idx, point):
+                        lam[i] = x
+                    best = (value, lam)
+        return best

@@ -1,10 +1,15 @@
+import decimal
 import re
 
 import numpy as np
 import pytest
 
 import qqmems.acs
-from oracles import vector_subproblem_candidates, vector_subproblem_loop
+from oracles import (
+    vector_subproblem_candidates,
+    vector_subproblem_exact,
+    vector_subproblem_loop,
+)
 from qqmems.acs import (
     STOP_INCREMENT,
     AcsTrace,
@@ -148,27 +153,28 @@ class TestVectorSubproblemAgainstLoop:
 def _assert_obeys_rule(a, P):
     """The kernel's pick on each row of `a` obeys the documented rule over the
     oracle's candidate list: a value within 1e-15 of the best, and no more
-    pure than any candidate within 1e-15 of it.  Every value is summed in the
-    row's stable descending order, as the kernel sums it, and compared by its
-    exact difference from the best: the tolerance is a few ulps, so another
-    summation order or a rounded threshold would decide ties by itself.  A
-    pad of 4e-16 absorbs the rounding between the kernel's and the oracle's
-    candidates."""
+    pure than any candidate within 1e-15 of it.  Every value is summed over
+    the row in stable descending order less its maximum, as the kernel sums
+    it, and compared by its exact difference from the best: the tolerance is
+    a few ulps, so another summation order or a rounded threshold would
+    decide ties by itself.  A pad of 4e-16 absorbs the rounding between the
+    kernel's and the oracle's candidates."""
     pad = 4e-16
     for row, p, got in zip(a, P, vector_subproblem(a, P)):
         order = np.argsort(-row, kind="stable")
+        shifted = row[order] - row[order[0]]
         candidates = vector_subproblem_candidates(row, float(p))
-        found = [(np.sum(row[order] * lam[order]), pur) for _, pur, lam, _ in candidates]
+        found = [(np.sum(shifted * lam[order]), pur) for _, pur, lam, _ in candidates]
         best = max(val for val, _ in found)
         least = min(pur for val, pur in found if val - best >= -1e-15 + pad)
-        assert np.sum(row[order] * got[order]) - best >= -1e-15 - pad
+        assert np.sum(shifted * got[order]) - best >= -1e-15 - pad
         assert got @ got <= least + pad
 
 
 class TestSelectionRule:
-    # Only the rule is checked here, not the kernel's candidate against the
-    # oracle's: on near-constant objectives the two summation orders can
-    # split a tie between supports either way.
+    # The documented rule is checked here over the oracle's candidate list,
+    # apart from the loop oracle's own selection code: on near-constant
+    # objectives the 1e-15 window decides between supports.
     def test_near_constant_objectives(self, rng):
         a = 1.0 + rng.integers(-8, 9, (1000, 6)) * 2.0**-52
         a[:500] = -np.sort(-a[:500])  # descending, as rho_step passes them
@@ -183,6 +189,107 @@ class TestSelectionRule:
         # P = 0.5, and at a pure point at P = 1 - 1e-12 although uniform on
         # {0, 1, 2} lies 9e-16 from the best.
         _assert_obeys_rule(np.array([NEAR_CONSTANT]), np.array([P]))
+
+
+def _near_ties(delta):
+    # (t, t - delta) and four entries 0.5 to 1.5 lower, for a random t: with
+    # t = 2 exactly, delta = 1e-5 rounds cleanly and shows nothing
+    def rows(rng):
+        t = rng.uniform(-10.0, 10.0, 200)
+        a = np.column_stack([t, t - delta, t[:, None] - rng.uniform(0.5, 1.5, (200, 4))])
+        return rng.permuted(a, axis=1), rng.uniform(0.6, 0.999, 200)
+
+    return rows
+
+
+def _just_above_one_over_k(d):
+    # P = 1/k + d, k = 2..6, with k entries in sqrt(d) * [-1, 1] and the rest
+    # below -1 (for k = 6, any six entries): KKT puts the optimum on exactly
+    # those k, since nu = mean - sqrt(ssq / d) / k > -1.  Skipping the
+    # purity-active point of a support whose slack is this small loses
+    # sqrt(d * ssq).
+    def rows(rng):
+        a = rng.uniform(-1.0, 1.0, (100, 6))
+        k = np.repeat(np.arange(2, 7), 20)
+        top = np.arange(6) < k[:, None]
+        a = np.where(top, a * np.where(k < 6, np.sqrt(d), 1.0)[:, None], a - 2.0)
+        return rng.permuted(a, axis=1), 1.0 / k + d
+
+    return rows
+
+
+def _offset(c, t):
+    def rows(rng):
+        return c * rng.standard_normal((1000, 6)) + t, rng.uniform(1 / 6, 1.0, 1000)
+
+    return rows
+
+
+def _one_decimal(rng):
+    return np.round(rng.uniform(-1.0, 1.0, (500, 6)), 1), rng.uniform(1 / 6, 1.0, 500)
+
+
+EXACT_ORACLE_ROWS = {
+    **{f"near_tie_{delta:g}": _near_ties(delta) for delta in (1e-4, 1e-5, 1e-6, 1e-8)},
+    "a_plus_100": _offset(1.0, 100.0),
+    "3e-5_a_plus_5": _offset(3e-5, 5.0),
+    "one_decimal": _one_decimal,
+    **{f"P_1_over_k_plus_{d:g}": _just_above_one_over_k(d) for d in (1e-15, 1e-12, 1e-10)},
+}
+
+
+class TestVectorSubproblemAgainstExactOracle:
+    @pytest.mark.parametrize("rows", EXACT_ORACLE_ROWS.values(), ids=EXACT_ORACLE_ROWS.keys())
+    def test_loss_is_within_rounding(self, rows, rng):
+        # The loss is the exact optimum minus a . lam / sum lam, in 60-digit
+        # decimals; dividing by sum lam makes it shift-invariant, as the
+        # optimum is.  Bound: 1e-15 is the tie window.  Each value the kernel
+        # compares is a six-term sum of weights summing to 1 times entries of
+        # a less its maximum, within [-spread, 0], so it rounds by a few ulps
+        # of the spread; 16 eps spread covers the two values compared and the
+        # rounding of the candidate itself.  That includes 1/k in its slack:
+        # for k < 6 the KKT gap to the next entry keeps sqrt(ssq / slack) / k
+        # below the spread, and fl(1/6) < 1/6 only adds purity.
+        a, P = rows(rng)
+        eps = np.finfo(float).eps
+        for row, p, lam in zip(a, P, vector_subproblem(a, P)):
+            assert abs(lam.sum() - 1.0) <= 1e-12 and lam.min() >= 0.0
+            assert lam @ lam <= p + 1e-12
+            optimum, _ = vector_subproblem_exact(row, p)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                got = sum(decimal.Decimal(x) * decimal.Decimal(y) for x, y in zip(row, lam))
+                loss = float(optimum - got / sum(decimal.Decimal(y) for y in lam))
+            assert loss <= 1e-15 + 16 * eps * np.ptp(row), (row, p)
+
+    def test_rows_just_above_one_over_k_have_support_k(self, rng):
+        for d in (1e-15, 1e-12, 1e-10):
+            a, P = _just_above_one_over_k(d)(rng)
+            for row, p in zip(a, P):
+                k = sum(x > 0 for x in vector_subproblem_exact(row, p)[1])
+                assert p == 1.0 / k + d
+
+
+class TestShiftAndScaleInvariance:
+    @pytest.mark.parametrize(
+        "c,t", [(1.0, 100.0), (1.0, -1000.0), (2.0**-15, 5.0), (2.0**10, -3.0), (3.0, 0.0)]
+    )
+    def test_lambda_is_unchanged(self, rng, c, t):
+        # sum lam = 1 makes lam(c a + t) = lam(a) for c > 0.  The rows are
+        # multiples of 2^-30 (standard normal) or of 1/4 (exact ties), so
+        # c a + t is exact.  The kernel works on a less its maximum, whose
+        # entries an exact shift leaves bit for bit: lam is identical.  A
+        # scaling may round those entries differently, by an ulp each, which
+        # moves each entry of lam (at most 1) by a few ulps of 1: 8 eps.
+        a = np.concatenate([
+            np.round(rng.standard_normal((1000, 6)) * 2.0**30) / 2.0**30,
+            np.round(rng.uniform(-2.0, 2.0, (200, 6)) * 4.0) / 4.0,
+        ])
+        P = rng.uniform(1 / 6, 1.0, len(a))
+        b = c * a + t
+        assert np.array_equal((b - t) / c, a)
+        moved = np.abs(vector_subproblem(b, P) - vector_subproblem(a, P))
+        assert moved.max() <= (0.0 if c == 1.0 else 8 * np.finfo(float).eps)
 
 
 class TestPiStep:

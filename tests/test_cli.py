@@ -152,7 +152,10 @@ class TestRecordedFamilyArtifacts:
         # when the interior duals became y y^T / s (104 numeric fields moved,
         # by at most 1.0e-15), and again when their PSD margin was read from
         # that structure instead of eigh: 43 interior dual_psd_margin fields
-        # went from eigh rounding (|v| <= 1.83e-15) to 0.0.
+        # went from eigh rounding (|v| <= 1.83e-15) to 0.0.  acs was
+        # re-recorded when the rho-step began to work on each objective less
+        # its maximum, centred twice: 83 best values moved, by at most
+        # 6.7e-15, and 13 trace values, by at most 3.6e-15.
         trace = tmp_path / "trace.csv"
         if trace_fixture is not None:
             args = args + ["--trace-output", str(trace)]
