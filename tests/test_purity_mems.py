@@ -397,5 +397,38 @@ class TestCertificates:
     def test_failed_check_is_reported_unverified(self):
         assert not verify_certificate("deg", 0.25, tol=1e-30).verified
 
+    def test_zero_tol_is_accepted(self):
+        # tol >= 0 is inclusive: the asymptotic rank-2 end passes exactly, an
+        # interior rank-3 point fails on rounding without raising
+        assert verify_certificate("rank2", 0.5, tol=0).verified
+        assert not verify_certificate("rank3", 0.6, tol=0).verified
+
+    @pytest.mark.parametrize(
+        "tail,plus",
+        [
+            ((-1e-7, -1e-8, 1e-9), 1.0),
+            ((-1e-7, -1e-7, -1e-9), 1.0),
+            ((-3e-6, -2e-6, -1e-6), 1.0),
+            (None, -1.0),
+        ],
+        ids=["positive_entry", "not_increasing", "last_at_minus_1e-6", "negative_plus"],
+    )
+    def test_each_asymptotic_clause_fails_on_its_own(self, monkeypatch, tail, plus):
+        # Each record breaks one clause of the asymptotic PSD test and keeps
+        # the others: the tail (lambda_- at z = 1e3, 1e6, 1e9) negative,
+        # increasing and last above -1e-6, and lambda_+ >= 0.
+        fam = FAMILIES["rank2"]
+        zs = (1e3, 1e6, 1e9)
+
+        def boundary_eigs(z):
+            minus, lam_plus = fam.boundary_eigs(z)
+            return (minus if tail is None else tail[zs.index(z)]), plus * lam_plus
+
+        monkeypatch.setitem(FAMILIES, "rank2", dataclasses.replace(fam, boundary_eigs=boundary_eigs))
+        report = verify_certificate("rank2", 0.5)
+        assert report.asymptotic and not report.verified
+        if tail is not None:
+            assert report.asymptotic_tail == list(tail)
+
     def test_theorem_registry(self):
         assert THEOREMS == ("rank2", "rank3", "deg")
