@@ -369,10 +369,10 @@ def cmd_state(cfg):
             raise UsageError("--family spectrum ignores --p")
         try:
             lam = validate_spectrum([float(t) for t in cfg.spectrum.split(",")])
-            state = construct_spectrum_xmems(lam)
-            expected = max(0.0, n_x_lambda(lam))
         except ValueError as exc:
             raise UsageError(str(exc))
+        state = construct_spectrum_xmems(lam)
+        expected = max(0.0, n_x_lambda(lam))
     else:
         raise UsageError(f"unknown family {cfg.family!r}; expected rank2|rank3|deg|spectrum")
     rho = state.to_matrix()
@@ -414,18 +414,9 @@ _COMMANDS = {
     "prop1": (cmd_prop1, {"count": 10_000}),
     "state": (cmd_state, {"family": None, "p": None, "spectrum": None, "tolerance": 1e-10}),
 }
-# argparse keywords of the flags that are not plain strings.
-_FLAG_KWARGS = {
-    "p_min": {"type": float},
-    "p_max": {"type": float},
-    "p_steps": {"type": int},
-    "tolerance": {"type": float},
-    "restarts": {"type": int},
-    "runs": {"type": int},
-    "count": {"type": int},
-    "theorem": {"choices": THEOREMS},
-    "p": {"type": float},
-}
+# argparse keywords of the flags whose default is None; every other flag
+# takes the type of its default.
+_FLAG_KWARGS = {"p_min": {"type": float}, "theorem": {"choices": THEOREMS}, "p": {"type": float}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -442,7 +433,8 @@ def build_parser():
         p.add_argument("-o", "--output", default="-")
         for dest, default in flags.items():
             flag = "--" + dest.replace("_", "-")
-            p.add_argument(flag, default=default, **_FLAG_KWARGS.get(dest, {}))
+            kwargs = {} if default is None else {"type": type(default)}
+            p.add_argument(flag, default=default, **_FLAG_KWARGS.get(dest, kwargs))
     return parser
 
 

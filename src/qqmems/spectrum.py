@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .linalg import PSD_SLACK, TRACE_TOL, _real_array
-from .xstate import XState
+from .xstate import XState, _x_block_eigs
 
 __all__ = [
     "validate_spectrum",
@@ -45,14 +45,12 @@ def _pair_table(lams, quads=_PAIR_QUADRUPLES):
     """-(lam_i + lam_j) + sqrt((lam_i - lam_j)^2 + (lam_k - lam_l)^2) for (n, 6)
     spectra lams and (q, 4) 0-based quadruples (i, j, k, l): an (n, q) table.
 
-    Squares go through ``np.float_power`` (libm ``pow`` for scalars and arrays
-    alike), not ``**``: on float64 arrays that takes a SIMD loop or an
-    ``x * x`` fast path, which round differently from the libm ``pow`` numpy
-    uses on float64 scalars, so a table row would differ in the last bit from
-    the same formula on one spectrum's scalars.
+    Each entry is -2 times the lower partial-transpose eigenvalue of block 1 of
+    the X state with (lam_i, lam_j) on block 1's diagonal and (lam_k, lam_l)
+    mixed maximally in block 3: r_3 = (lam_k - lam_l)/2 moves to block 1.
     """
     li, lj, lk, ll = (lams[:, quads[:, c]] for c in range(4))
-    return -(li + lj) + np.sqrt(np.float_power(li - lj, 2) + np.float_power(lk - ll, 2))
+    return -2.0 * _x_block_eigs(li, lj, 0.5 * (lk - ll))[..., 0]
 
 
 def validate_spectrum(lam):
@@ -129,16 +127,19 @@ def n_x_lambda(lam):
 def construct_spectrum_xmems(lam):
     """Explicit X state of spectrum lam attaining max(0, n_x_lambda(lam)).
 
-    Block 1 carries (lam_4, lam_6) diagonally, block 2 carries (lam_2, lam_3),
-    and block 3 mixes (lam_1, lam_5) maximally on the anti-diagonal.  For an
+    With (i, j, k, l) = OPTIMAL_SEQUENCE = (4, 6, 1, 5), block 1 carries
+    (lam_i, lam_j) diagonally, block 2 the other two, (lam_2, lam_3), and block
+    3 mixes (lam_k, lam_l) maximally on the anti-diagonal.  For an
     (n, 6) stack of spectra the XState holds the n states.
     """
     lam = validate_spectrum(lam)
-    mid = 0.5 * (lam[..., 0] + lam[..., 4])
+    li, lj, lk, ll = (lam[..., m - 1] for m in OPTIMAL_SEQUENCE)
+    lm, ln = (lam[..., m - 1] for m in range(1, 7) if m not in OPTIMAL_SEQUENCE)
+    mid = 0.5 * (lk + ll)
     zero = np.zeros_like(mid)
-    a = np.stack([lam[..., 3], lam[..., 1], mid], axis=-1)
-    b = np.stack([lam[..., 5], lam[..., 2], mid], axis=-1)
-    r = np.stack([zero, zero, 0.5 * (lam[..., 0] - lam[..., 4])], axis=-1)
+    a = np.stack([li, lm, mid], axis=-1)
+    b = np.stack([lj, ln, mid], axis=-1)
+    r = np.stack([zero, zero, 0.5 * (lk - ll)], axis=-1)
     return XState(a=a, b=b, r=r)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from ._nelder_mead import nelder_mead
 from .linalg import TRACE_TOL, _per_purity, _real_array
 from .purity_mems import FAMILIES, DomainError, _f, _g
+from .xstate import _pair_blocks
 
 __all__ = [
     "P_MAX",
@@ -59,8 +60,8 @@ class TgxParams:
             raise ValueError(f"probabilities sum to {sum(self.p)}, expected 1")
 
 
-# Basis indices (i, j) of the pure state c_k|i> + s_k|j> weighted by p_k, k = 1, 2, 3.
-_PAIRS = ((0, 5), (1, 3), (2, 4))
+# Rows i_k, j_k: the basis pair of the state c_k|i_k> + s_k|j_k> of weight p_k.
+_PAIRS = np.array([[0, 1, 2], [5, 3, 4]])
 
 
 def _checked(q):
@@ -74,19 +75,14 @@ def tgx_matrix(q):
     k = 1, 2, 3), with v1 = c1|00> + s1|12>, v2 = c2|01> + s2|10>,
     v3 = c3|02> + s3|11>."""
     q = _checked(q)
-    rho = np.zeros((6, 6), dtype=complex)
-    for (i, j), theta, p in zip(_PAIRS, q.theta, q.p):
-        c, s = np.cos(theta), np.sin(theta)
-        rho[i, i] += p * c * c
-        rho[j, j] += p * s * s
-        rho[i, j] += p * s * c
-        rho[j, i] += p * s * c
-    return rho
+    theta, p = np.array(q.theta), np.array(q.p)
+    c, s = np.cos(theta), np.sin(theta)
+    return _pair_blocks(_PAIRS[:, : len(p)], p * c * c, p * s * s, p * s * c)
 
 
-# Powers go through ``np.float_power``, not ``**``, so that the batched search
-# and the scalar tgx_negativity round alike (the reason is spelled out at
-# spectrum._pair_table).
+# Powers go through ``np.float_power`` (libm ``pow`` on scalars and arrays
+# alike), not ``**``, which takes SIMD or ``x * x`` paths on float64 arrays:
+# so the batched search and the scalar tgx_negativity round alike.
 
 
 def _tgx2_formula(theta1, theta2, p1, p2):

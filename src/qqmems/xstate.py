@@ -26,8 +26,8 @@ __all__ = [
     "random_xstate",
 ]
 
-# Indices (row, col) of the anti-diagonal entry r_k e^{-i phi_k} for k=1,2,3.
-_OFFDIAG = ((0, 5), (1, 4), (2, 3))
+# Rows i_k, j_k: the (row, col) of block k's anti-diagonal entry r_k e^{-i phi_k}.
+_OFFDIAG = np.array([[0, 1, 2], [5, 4, 3]])
 _X_PATTERN = np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1]
 
 
@@ -83,14 +83,7 @@ class XState:
     def to_matrix(self):
         """Dense (6, 6) density matrix with the X sparsity pattern, or the
         (..., 6, 6) stack of them."""
-        off = self.r * np.exp(-1j * self.phi)
-        rho = np.zeros(self.a.shape[:-1] + (6, 6), dtype=complex)
-        for k, (i, j) in enumerate(_OFFDIAG):
-            rho[..., i, i] = self.a[..., k]
-            rho[..., j, j] = self.b[..., k]
-            rho[..., i, j] = off[..., k]
-            rho[..., j, i] = np.conj(off[..., k])
-        return rho
+        return _pair_blocks(_OFFDIAG, self.a, self.b, self.r * np.exp(-1j * self.phi))
 
     def to_dict(self):
         """Flat JSON-friendly record with keys a1..a3, b1..b3, r1..r3, phi1..phi3."""
@@ -120,13 +113,25 @@ def from_matrix(rho):
     bad = [(int(i), int(j)) for i, j in np.argwhere((np.abs(rho) > 1e-12) & ~_X_PATTERN)]
     if bad:
         raise XStateError(f"matrix is not in X form; nonzero off-pattern entries at {bad}")
-    a = np.array([rho[i, i].real for i, _ in _OFFDIAG])
-    b = np.array([rho[j, j].real for _, j in _OFFDIAG])
-    r = np.array([abs(rho[i, j]) for i, j in _OFFDIAG])
-    phi = np.array(
-        [-np.angle(rho[i, j]) if r[k] > 0 else 0.0 for k, (i, j) in enumerate(_OFFDIAG)]
-    )
-    return XState(a=a, b=b, r=r, phi=phi)
+    i, j = _OFFDIAG
+    off = rho[i, j]
+    r = np.hypot(off.real, off.imag)  # rounds as scalar abs does; array np.abs may not
+    phi = np.where(r > 0, -np.angle(off), 0.0)
+    return XState(a=rho[i, i].real, b=rho[j, j].real, r=r, phi=phi)
+
+
+def _pair_blocks(pairs, diag_i, diag_j, off):
+    """(..., 6, 6) Hermitian matrix, zero but on the 2x2 blocks of the index
+    pairs (i_k, j_k), the columns of the (2, k) array pairs: diag_i[..., k]
+    at (i_k, i_k), diag_j[..., k] at (j_k, j_k), off[..., k] at (i_k, j_k) and
+    its conjugate at (j_k, i_k)."""
+    i, j = pairs
+    rho = np.zeros(np.shape(off)[:-1] + (6, 6), dtype=complex)
+    rho[..., i, i] = diag_i
+    rho[..., j, j] = diag_j
+    rho[..., i, j] = off
+    rho[..., j, i] = np.conj(off)
+    return rho
 
 
 def _fields(x):
@@ -141,7 +146,8 @@ def _x_block_eigs(a, b, r, transpose=False):
     given as (..., 3) arrays, or of their partial transposes:
     (a_k + b_k)/2 -+ sqrt(r^2 + d_k^2) with d_k = (b_k - a_k)/2 and r = r_k,
     or r = r_{4-k} with transpose=True (the partial transpose swaps r_1 and
-    r_3).  Phases drop out."""
+    r_3).  Phases drop out.  Without transpose the formula is elementwise,
+    so a, b, r may be any arrays of one shape, one block per entry."""
     if transpose:
         r = r[..., ::-1]
     d = 0.5 * (b - a)

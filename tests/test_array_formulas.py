@@ -9,7 +9,7 @@ time, and against the independent oracles where one applies.
 import numpy as np
 
 from qqmems.cli import _BLOCK, main
-from qqmems.linalg import partial_transpose_qubit, random_spectrum
+from qqmems.linalg import negativity, partial_transpose_qubit, random_spectrum
 from qqmems.purity_mems import (
     deg_spectrum,
     hedemann_negativity,
@@ -24,10 +24,12 @@ from qqmems.spectrum import (
     _pair_table,
     all_sequences,
     best_sequence_bruteforce,
+    construct_spectrum_xmems,
+    n_x_lambda,
     s_value,
 )
 from qqmems.tgx import _tgx2_formula, _tgx3_formula
-from qqmems.xstate import XState, _x_pt_minus_eigs
+from qqmems.xstate import XState, _x_pt_minus_eigs, x_negativity
 
 from oracles import negativity_neg_eigs
 
@@ -41,8 +43,43 @@ def _random_params(rng, n):
 
 
 def _pair_value(lam, i, j, k, el):
-    """The fixed-spectrum pair value for one spectrum, in float64 scalars."""
-    return -(lam[i] + lam[j]) + np.sqrt((lam[i] - lam[j]) ** 2 + (lam[k] - lam[el]) ** 2)
+    """The fixed-spectrum pair value for one spectrum, in float64 scalars,
+    squaring by products as the X-block eigenvalues do (scalar ``**`` calls
+    libm ``pow``, which can round differently)."""
+    dij, dkl = lam[i] - lam[j], lam[k] - lam[el]
+    return -(lam[i] + lam[j]) + np.sqrt(dij * dij + dkl * dkl)
+
+
+def _assignment_states(lams):
+    """(n, 90, 6, 6) X states, one per spectrum of the (n, 6) stack and per
+    assignment (i, j, k, l) of all_sequences(): (lam_i, lam_j) on block 1's
+    diagonal, (lam_k, lam_l) mixed maximally in block 3, the other two on
+    block 2's diagonal."""
+    rho = np.zeros((len(lams), 90, 6, 6))
+    for q, seq in enumerate(all_sequences()):
+        i, j, k, el = (m - 1 for m in seq)
+        m, n = (x for x in range(6) if x not in (i, j, k, el))
+        rho[:, q, 0, 0], rho[:, q, 5, 5] = lams[:, i], lams[:, j]
+        rho[:, q, 1, 1], rho[:, q, 4, 4] = lams[:, m], lams[:, n]
+        rho[:, q, 2, 2] = rho[:, q, 3, 3] = 0.5 * (lams[:, k] + lams[:, el])
+        rho[:, q, 2, 3] = rho[:, q, 3, 2] = 0.5 * (lams[:, k] - lams[:, el])
+    return rho
+
+
+def _tied_and_rank_deficient_spectra(rng, count):
+    """The uniform, pure and other tied spectra, then `count` descending
+    spectra of small integer weights: ties and zero eigenvalues throughout."""
+    w = rng.integers(0, 4, size=(count, 6)).astype(float)
+    w[w.sum(axis=1) == 0.0] = 1.0
+    drawn = -np.sort(-w / w.sum(axis=1, keepdims=True), axis=1)
+    fixed = [
+        np.full(6, 1.0 / 6.0),
+        [0.4, 0.2, 0.2, 0.1, 0.1, 0.0],
+        [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0],
+    ]
+    return np.vstack([fixed, drawn])
 
 
 def _scan_loop(lam):
@@ -79,6 +116,24 @@ def test_pair_table_equals_scalar_formula_bitwise(rng):
     quads = [tuple(s - 1 for s in seq) for seq in all_sequences()]
     expected = [[_pair_value(lam, *quad) for quad in quads] for lam in spectra]
     assert np.array_equal(table, expected)
+
+
+def test_pair_table_is_the_negativity_of_each_assignments_state(rng):
+    # The table's own X-block arithmetic against the dense trace norm of the
+    # state each of the 90 assignments defines.
+    lams = np.vstack([random_spectrum(rng, count=200), _tied_and_rank_deficient_spectra(rng, 60)])
+    rho = _assignment_states(lams)
+    assert np.abs(np.linalg.eigvalsh(rho)[..., ::-1] - lams[:, None, :]).max() <= 1e-12
+    dense = negativity(rho)
+    assert np.abs(np.maximum(0.0, _pair_table(lams)) - dense).max() <= 1e-12
+
+
+def test_n_x_lambda_is_the_closed_form_negativity_of_its_state_bitwise(rng):
+    lams = np.vstack(
+        [random_spectrum(rng, count=20_000), _tied_and_rank_deficient_spectra(rng, 200)]
+    )
+    closed = x_negativity(construct_spectrum_xmems(lams))
+    assert np.array_equal(np.maximum(0.0, n_x_lambda(lams)), closed)
 
 
 def test_argmax_keeps_lexicographic_tie_rule(rng):

@@ -21,6 +21,7 @@ from qqmems.cli import (
 from qqmems.tgx import P_MAX
 
 FIXTURES = Path(__file__).parent / "fixtures"
+_SPECTRUM_STATE = ["state", "--family", "spectrum", "--spectrum", "0.4,0.3,0.1,0.1,0.1,0"]
 
 
 def run(args, capsys):
@@ -502,13 +503,21 @@ class TestConfigAndErrors:
         assert err.startswith("usage error: ") and named in err
         assert out == ""
 
-    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("negativity", ["curves", "--p-steps", "3"]),
+            ("construct_spectrum_xmems", _SPECTRUM_STATE),
+            ("n_x_lambda", _SPECTRUM_STATE),
+        ],
+    )
+    def test_internal_value_error_is_not_a_usage_error(self, name, args, capsys, monkeypatch):
         def broken(_):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr("qqmems.cli.negativity", broken)
+        monkeypatch.setattr(f"qqmems.cli.{name}", broken)
         with pytest.raises(ValueError, match="internal bug"):
-            main(["curves", "--p-steps", "3"])
+            main(args)
         assert "usage error" not in capsys.readouterr().err
 
     def test_each_subcommand_takes_the_flags_it_reads(self):

@@ -4,7 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from qqmems.linalg import eig_hermitian, negativity, purity
+from qqmems.acs import acs_run
+from qqmems.linalg import (
+    check_density_matrix,
+    eig_hermitian,
+    negativity,
+    partial_transpose_qubit,
+    purity,
+    random_density_fixed_purity,
+)
 from qqmems.purity_mems import (
     DEG_SPLIT,
     FAMILIES,
@@ -117,6 +125,46 @@ class TestSpectraAndConstructions:
                 assert abs(np.sum(rank2_spectrum(P) ** 2) - P) < 1e-12
             if P >= 1 / 3:
                 assert abs(np.sum(rank3_spectrum(P) ** 2) - P) < 1e-12
+
+
+def _pt_spectrum_bound(P, k):
+    """B_k(P) = 2kx with kx^2 + (1 + kx)^2/(6 - k) = P: no 2x3 state of
+    purity P whose partial transpose has k negative eigenvalues has a larger
+    negativity."""
+    return (np.sqrt(k * k - 6 * k + 6 * k * (6 - k) * P) - k) / 3.0
+
+
+class TestAllStatesBelowThreeEighths:
+    """The triply degenerate X ceiling bounds every 2x3 state on (1/5, 3/8].
+
+    The partial transpose keeps the trace and tr rho^2, so its eigenvalues
+    sum to 1 and their squares to P.  With k of them negative, summing to
+    -N/2, the squares are least when the negative ones are equal and the
+    6 - k others are equal: hence N <= B_k(P), and B_1 is the ceiling."""
+
+    GRID = np.linspace(0.2, DEG_SPLIT, 20_002)[1:]
+
+    def test_b1_is_the_ceiling_and_bounds_every_b_k(self):
+        b1 = _pt_spectrum_bound(self.GRID, 1)
+        assert np.abs(b1 - n_x_p_deg(self.GRID)).max() <= 1e-15
+        for k in range(2, 6):
+            assert np.all(_pt_spectrum_bound(self.GRID, k) <= b1), k
+
+    def test_random_states_and_their_ascents_stay_below(self):
+        rng = np.random.default_rng(38)
+        P = rng.uniform(0.2, DEG_SPLIT, 4000)
+        rho = random_density_fixed_purity(P, rng.integers(0, 2**31 - 1, size=len(P)))
+        pt = partial_transpose_qubit(rho)
+        assert np.array_equal(np.trace(pt, axis1=-2, axis2=-1), np.trace(rho, axis1=-2, axis2=-1))
+        assert np.abs(purity(pt) - purity(rho)).max() <= 1e-15
+        N = negativity(rho)
+        assert (N - n_x_p_deg(P)).max() <= 1e-12
+        k = np.sum(np.linalg.eigvalsh(pt) < 0.0, axis=-1)
+        entangled = k > 0
+        assert np.all(N[entangled] <= _pt_spectrum_bound(P[entangled], k[entangled]) + 1e-12)
+        runs = acs_run(P[:400], rho[:400])
+        final = check_density_matrix(np.stack([run.final_state for run in runs]))
+        assert (negativity(final) - n_x_p_deg(P[:400])).max() <= 1e-12
 
 
 class TestHierarchy:
