@@ -166,7 +166,7 @@ def _write_json(path, obj):
 
 def _validated(values, matrices, tol, label):
     """Gate emitted negativities (one, or an (m,) array) against the generic
-    trace-norm values of their states (one stacked eigh); the first row off by
+    trace-norm values of their states (one stacked eigvalsh); the first row off by
     more than `tol`, or NaN, raises CheckError named by `label(row)`."""
     flat = np.ravel(values)
     oracle = np.ravel(negativity(matrices))
@@ -182,10 +182,11 @@ def _validated(values, matrices, tol, label):
 
 
 # Rows per stacked evaluation in curves, gap, certify, prop1 and the TGX
-# searches, and runs per `acs_run` call in acs (a fresh `acs --runs 400` peaks
-# at 39.0 MB RSS at 32 runs, 48.3 MB at 400); they bound peak memory.
+# searches, and runs per start draw and `acs_run` call in acs (a fresh
+# `acs --runs 400` peaks at 39.3 MB RSS and `--runs 4000` at 51.5 MB, the
+# growth being the traces kept for every run); they bound peak memory.
 _BLOCK = 256
-_ACS_BLOCK = 32
+_ACS_BLOCK = 128
 
 
 def _blocks(values, size=_BLOCK):

@@ -23,6 +23,7 @@ __all__ = [
     "check_density_matrix",
     "haar_unitary",
     "random_spectrum",
+    "random_density",
     "random_density_fixed_purity",
 ]
 
@@ -68,6 +69,18 @@ def _square(M):
     return M
 
 
+def _hermitian(H, name="matrix"):
+    """H as a complex array, if it is a Hermitian matrix or a (..., n, n)
+    stack of them within HERMITICITY_TOL; else a MatrixError naming the first
+    non-finite or non-Hermitian matrix (NaN fails)."""
+    H = _square(np.asarray(_numbers(H, name), dtype=complex))
+    dev = np.abs(H - H.conj().swapaxes(-1, -2))
+    if dev.size and not dev.max() <= HERMITICITY_TOL:  # the worst entry; NaN fails too
+        dev = dev.max(axis=(-2, -1))
+        _require(dev <= HERMITICITY_TOL, "matrix is not Hermitian: max |H - H^dag| = {:.3e}", dev)
+    return H
+
+
 def eig_hermitian(H):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
@@ -75,12 +88,7 @@ def eig_hermitian(H):
     if any matrix is not Hermitian within HERMITICITY_TOL (NaN fails), naming
     the first such matrix's deviation.
     """
-    H = _square(np.asarray(_numbers(H, "matrix"), dtype=complex))
-    dev = np.abs(H - H.conj().swapaxes(-1, -2))
-    if dev.size and not dev.max() <= HERMITICITY_TOL:  # the worst entry; NaN fails too
-        dev = dev.max(axis=(-2, -1))
-        _require(dev <= HERMITICITY_TOL, "matrix is not Hermitian: max |H - H^dag| = {:.3e}", dev)
-    w, v = np.linalg.eigh(H)
+    w, v = np.linalg.eigh(_hermitian(H))
     return w, v
 
 
@@ -100,7 +108,7 @@ def partial_transpose_qubit(rho):
 def trace_norm(H):
     """Trace norm tr sqrt(H^dag H) of a Hermitian matrix (or of each matrix
     of a stack): sum |eigenvalues|."""
-    w, _ = eig_hermitian(H)
+    w = np.linalg.eigvalsh(_hermitian(H))
     norms = np.sum(np.abs(w), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
@@ -125,9 +133,9 @@ def purity(rho):
 
 def check_density_matrix(rho):
     """Validate Hermiticity, then trace 1, then positive semidefiniteness,
-    within TRACE_TOL and PSD_SLACK, each over the whole stack (one eigh)."""
-    rho = np.asarray(_numbers(rho, "density matrix"), dtype=complex)
-    w0 = eig_hermitian(rho)[0][..., 0]  # the smallest eigenvalues
+    within TRACE_TOL and PSD_SLACK, each over the whole stack (one eigvalsh)."""
+    rho = _hermitian(rho, "density matrix")
+    w0 = np.linalg.eigvalsh(rho)[..., 0]  # the smallest eigenvalues
     tr = np.trace(rho, axis1=-2, axis2=-1)
     _require(np.abs(tr - 1.0) <= TRACE_TOL, f"trace is {{}}, expected 1 within {TRACE_TOL}", tr)
     _require(w0 >= -PSD_SLACK, f"smallest eigenvalue {{:.3e}} below -{PSD_SLACK}", w0)
@@ -143,14 +151,11 @@ def _real_array(x, name):
     return np.asarray(arr, dtype=float)
 
 
-def _ginibre(dim, rng):
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-
-
-def _haar_from_ginibre(z):
-    """QR of each (..., dim, dim) Ginibre matrix with the R diagonal phases
-    folded back into Q."""
-    q, r = np.linalg.qr(z)
+def _haar(g):
+    """Haar unitaries from (..., 2, dim, dim) standard normals: the QR of each
+    complex Ginibre matrix (g[..., 0, :, :] + i g[..., 1, :, :]) / sqrt 2, with
+    the R diagonal phases folded back into Q."""
+    q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -163,7 +168,7 @@ def haar_unitary(dim, rng):
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return _haar_from_ginibre(_ginibre(dim, np.random.default_rng(rng)))
+    return _haar(np.random.default_rng(rng).standard_normal((2, dim, dim)))
 
 
 def _simplex_sample(rng, count=None):
@@ -186,6 +191,16 @@ def random_spectrum(rng, count=None):
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
+def _per_row(rng, n, row, rows):
+    """`rng` as a list of n seeds or Generators, one per row of a stack; a
+    ValueError naming the row kind unless it is a sequence of that length."""
+    if not isinstance(rng, (Sequence, np.ndarray)):
+        raise ValueError(f"rng must be a sequence of one seed or Generator per {row}, got {rng!r}")
+    if len(rng) != n:
+        raise ValueError(f"{len(rng)} rngs for {n} {rows}; need one per {row}")
+    return list(rng)
+
+
 def _per_purity(P, rng):
     """(scalar, purities, rngs) for the float-or-array purity argument of a
     seeded routine: P as a 1-D float array and one rng per purity.  A float P
@@ -196,11 +211,35 @@ def _per_purity(P, rng):
         return True, grid[None], [rng]
     if grid.ndim != 1:
         raise ValueError(f"purities must be a float or a 1-D array, got shape {grid.shape}")
-    if not isinstance(rng, (Sequence, np.ndarray)):
-        raise ValueError(f"rng must be a sequence of one seed or Generator per purity, got {rng!r}")
-    if len(rng) != len(grid):
-        raise ValueError(f"{len(rng)} rngs for {len(grid)} purities; need one per purity")
-    return False, grid, list(rng)
+    return False, grid, _per_row(rng, len(grid), "purity", "purities")
+
+
+def random_density(spectra, rng):
+    """Random 6x6 density matrix U diag(spectra) U^dag with U Haar-distributed.
+
+    `spectra` is a (6,) probability vector, in any order, with `rng` a seed or
+    Generator; or an (n, 6) stack of them with `rng` a sequence of one seed or
+    Generator per row, and the result is the (n, 6, 6) stack whose row i is the
+    matrix the single call with spectra[i] and rng i would give.  Each row
+    draws one Ginibre matrix from its own rng; the stack takes one QR and one
+    conjugation.  Entries must be finite and at least -PSD_SLACK, and each row
+    must sum to 1 within TRACE_TOL; a MatrixError names the first that is not.
+    """
+    lam = _real_array(spectra, "spectra")
+    if lam.ndim not in (1, 2) or lam.shape[-1] != 6:
+        raise ValueError(f"spectra must have shape (6,) or (n, 6), got {lam.shape}")
+    _require(np.isfinite(lam), "spectra entry {} is not finite", lam)
+    _require(lam >= -PSD_SLACK, f"spectra entry {{:.3e}} below -{PSD_SLACK}", lam)
+    sums = lam.sum(axis=-1)
+    message = f"spectra row sums to {{}}, not 1 within {TRACE_TOL}"
+    _require(np.abs(sums - 1.0) <= TRACE_TOL, message, sums)
+    rngs = [rng] if lam.ndim == 1 else _per_row(rng, len(lam), "row", "rows of spectra")
+    g = np.empty((len(rngs), 2, 6, 6))
+    for gi, r in zip(g, rngs):
+        np.random.default_rng(r).standard_normal(out=gi)
+    U = _haar(g)
+    rho = (U * lam.reshape(-1, 1, 6)) @ U.conj().swapaxes(-1, -2)
+    return rho[0] if lam.ndim == 1 else rho
 
 
 def random_density_fixed_purity(P, rng):
@@ -210,46 +249,46 @@ def random_density_fixed_purity(P, rng):
     to hit tr rho^2 = P exactly: toward the uniform vector when the draw is
     purer than P, toward the draw's dominant vertex when it is more mixed
     (rejection of too-mixed draws would almost never terminate for P near 1).
-    The spectrum is then conjugated by a Haar unitary, so the distribution is
-    unitarily invariant given the spectrum draw.
+    The spectrum is then conjugated by a Haar unitary (`random_density`, from
+    the same rng), so the distribution is unitarily invariant given the
+    spectrum draw.
 
     P is a float with `rng` a seed or Generator; or P is a 1-D array of
     purities with `rng` a sequence of one seed or Generator per purity, and
     the result is the (n, 6, 6) stack whose row i is the matrix the scalar
-    call with P[i] and rng i would give.  The stack takes one QR and one
-    conjugation.
+    call with P[i] and rng i would give.  Per row only the draws are made;
+    the interpolation, QR and conjugation are stacked.
     """
     scalar, grid, rngs = _per_purity(P, rng)
     inside = (1.0 / 6.0 < grid) & (grid < 1.0)
     if not inside.all():
         raise ValueError(f"purity {grid[np.argmin(inside)]} outside (1/6, 1)")
-    lam, z = np.zeros((len(grid), 6)), np.zeros((len(grid), 6, 6), dtype=complex)
-    for i, (p, r) in enumerate(zip(grid, rngs)):
-        r = np.random.default_rng(r)
-        lam[i] = _fixed_purity_spectrum(float(p), r)
-        z[i] = _ginibre(6, r)
-    U = _haar_from_ginibre(z)
-    rho = (U * lam[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    rngs = [np.random.default_rng(r) for r in rngs]
+    e = np.reshape([r.exponential(size=6) for r in rngs], (-1, 6))
+    rho = random_density(_fixed_purity_spectra(e / e.sum(axis=-1, keepdims=True), grid), rngs)
     return rho[0] if scalar else rho
 
 
-def _fixed_purity_spectrum(P, rng):
-    dim = 6
-    w = _simplex_sample(rng)
-    pw = float(np.sum(w * w))
-    if pw >= P:
-        # lam(t) = u + t (w - u); purity(t) = 1/6 + t^2 (pw - 1/6)
-        u = np.full(dim, 1.0 / dim)
-        t = np.sqrt((P - 1.0 / dim) / (pw - 1.0 / dim))
-        lam = u + t * (w - u)
-    else:
-        # lam(s) = (1-s) w + s e_max; purity is a strictly increasing
-        # quadratic in s on [0, 1] running from pw to 1.
-        e = np.zeros(dim)
-        e[int(np.argmax(w))] = 1.0
-        d = e - w
-        a2 = float(d @ d)
-        a1 = 2.0 * float(w @ d)
-        s = (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * (P - pw))) / (2.0 * a2)
-        lam = (1.0 - s) * w + s * e
+def _fixed_purity_spectra(w, P):
+    """Each simplex point w[i] of an (n, 6) stack moved along its purity-
+    monotone path to purity P[i].  Each branch works on its own rows only, and
+    both dot products go through `matmul` on (n, 1, 6) @ (n, 6, 1) stacks,
+    which rounds as the 1-D `@` of a single row does."""
+    pw = np.sum(w * w, axis=-1)
+    lam = np.empty_like(w)
+    # lam(t) = u + t (w - u); purity(t) = 1/6 + t^2 (pw - 1/6)
+    purer = pw >= P
+    t = np.sqrt((P[purer] - 1.0 / 6) / (pw[purer] - 1.0 / 6))
+    lam[purer] = 1.0 / 6 + t[:, None] * (w[purer] - 1.0 / 6)
+    # lam(s) = (1-s) w + s e_max; purity is a strictly increasing quadratic
+    # in s on [0, 1] running from pw to 1.
+    mixed = ~purer
+    wm = w[mixed]
+    e = np.zeros_like(wm)
+    e[np.arange(len(wm)), np.argmax(wm, axis=-1)] = 1.0
+    d = e - wm
+    a2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    a1 = 2.0 * (wm[:, None, :] @ d[:, :, None])[:, 0, 0]
+    s = ((-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * (P[mixed] - pw[mixed]))) / (2.0 * a2))[:, None]
+    lam[mixed] = (1.0 - s) * wm + s * e
     return lam

@@ -15,6 +15,8 @@ import itertools
 import numpy as np
 import scipy.linalg
 
+from qqmems.linalg import _simplex_sample
+
 
 def _det(H, x):
     return float(np.real(np.linalg.det(H - x * np.eye(H.shape[0]))))
@@ -170,3 +172,27 @@ def vector_subproblem_exact(a, P):
                         lam[i] = x
                     best = (value, lam)
         return best
+
+
+def fixed_purity_spectrum(P, rng):
+    """One simplex draw from rng moved to purity P, one row at a time: the
+    reference for `linalg._fixed_purity_spectra`."""
+    dim = 6
+    w = _simplex_sample(rng)
+    pw = float(np.sum(w * w))
+    if pw >= P:
+        # lam(t) = u + t (w - u); purity(t) = 1/6 + t^2 (pw - 1/6)
+        u = np.full(dim, 1.0 / dim)
+        t = np.sqrt((P - 1.0 / dim) / (pw - 1.0 / dim))
+        lam = u + t * (w - u)
+    else:
+        # lam(s) = (1-s) w + s e_max; purity is a strictly increasing
+        # quadratic in s on [0, 1] running from pw to 1.
+        e = np.zeros(dim)
+        e[int(np.argmax(w))] = 1.0
+        d = e - w
+        a2 = float(d @ d)
+        a1 = 2.0 * float(w @ d)
+        s = (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * (P - pw))) / (2.0 * a2)
+        lam = (1.0 - s) * w + s * e
+    return lam

@@ -144,6 +144,8 @@ class TestRecordedFamilyArtifacts:
             (["tgx3", "--p-steps", "10", "--seed", "1"], "tgx3_steps10_seed1.csv", None),
             (["acs", "--runs", "100", "--seed", "1"], "acs_runs100_seed1.csv",
              "acs_trace_runs100_seed1.csv"),
+            (["acs", "--runs", "400", "--seed", "1"], "acs_runs400_seed1.csv",
+             "acs_trace_runs400_seed1.csv"),
         ],
     )
     def test_stdout_matches_recorded_bytes(self, args, fixture, trace_fixture, tmp_path, capsys):
@@ -156,7 +158,9 @@ class TestRecordedFamilyArtifacts:
         # went from eigh rounding (|v| <= 1.83e-15) to 0.0.  acs was
         # re-recorded when the rho-step began to work on each objective less
         # its maximum, centred twice: 83 best values moved, by at most
-        # 6.7e-15, and 13 trace values, by at most 3.6e-15.
+        # 6.7e-15, and 13 trace values, by at most 3.6e-15.  The 400-run acs
+        # pair is the benchmark's command at seed 1; it crosses block
+        # boundaries of both 32 and 128 runs.
         trace = tmp_path / "trace.csv"
         if trace_fixture is not None:
             args = args + ["--trace-output", str(trace)]
@@ -341,7 +345,7 @@ class TestAcs:
                                  "--trace-output", os.devnull], capsys)
         assert code == EXIT_OK and stdout == "" and err == ""
 
-    def test_sweep_reaches_acs_run_in_blocks_of_32(self, capsys, monkeypatch):
+    def test_sweep_reaches_acs_run_in_blocks_of_acs_block(self, capsys, monkeypatch):
         sizes = []
 
         def recording(P, rho0):
@@ -349,8 +353,8 @@ class TestAcs:
             return qqmems.acs.acs_run(P, rho0)
 
         monkeypatch.setattr(qqmems.cli, "acs_run", recording)
-        code, _, _ = run(["acs", "--runs", "100", "--seed", "1", "-o", os.devnull], capsys)
-        assert code == EXIT_OK and sizes == [32, 32, 32, 4]
+        code, _, _ = run(["acs", "--runs", "300", "--seed", "1", "-o", os.devnull], capsys)
+        assert code == EXIT_OK and sizes == [128, 128, 44]
 
     def test_summary_and_trace_both_on_stdout(self, capsys):
         code, out, _ = run(["acs", "--runs", "2", "-o", "-", "--trace-output", "-"], capsys)

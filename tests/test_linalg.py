@@ -10,7 +10,9 @@ from qqmems.linalg import (
     haar_unitary,
     negativity,
     partial_transpose_qubit,
+    _fixed_purity_spectra,
     purity,
+    random_density,
     random_density_fixed_purity,
     random_spectrum,
     trace_norm,
@@ -18,7 +20,12 @@ from qqmems.linalg import (
 from qqmems.purity_mems import construct_rank2, n_x_p_deg
 from qqmems.xstate import XState, random_xstate
 
-from oracles import eigs_bisect_det, negativity_neg_eigs, trace_norm_variational
+from oracles import (
+    eigs_bisect_det,
+    fixed_purity_spectrum,
+    negativity_neg_eigs,
+    trace_norm_variational,
+)
 
 
 def random_hermitian(rng, dim=6, scale=1.0):
@@ -264,6 +271,10 @@ class TestHaarUnitary:
         with pytest.raises(ValueError, match=re.escape(match)):
             haar_unitary(dim, 0)
 
+    def test_dim_one_is_a_phase(self, rng):
+        U = haar_unitary(1, rng)
+        assert U.shape == (1, 1) and abs(abs(U[0, 0]) - 1.0) < 1e-15
+
     @pytest.mark.parametrize("seed", range(4))
     def test_phases_leave_a_positive_r_diagonal(self, seed):
         # U is the Q of the Ginibre draw's QR with R's diagonal made positive.
@@ -289,11 +300,108 @@ def test_a_seed_draws_what_its_generator_draws(draw):
     np.testing.assert_array_equal(draw(5), draw(np.random.default_rng(5)))
 
 
+def test_random_spectrum_of_count_zero_is_an_empty_stack():
+    assert random_spectrum(np.random.default_rng(0), count=0).shape == (0, 6)
+
+
 def test_random_spectrum_rejects_a_count_that_is_not_a_size():
     for count in (True, -1, 2.5, "3"):
         message = f"count must be None or an integer >= 0, got {count!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             random_spectrum(np.random.default_rng(0), count=count)
+
+
+# Spectra in any order, with zeros, ties and pure states among random ones.
+SPECTRA = np.vstack(
+    [
+        random_spectrum(np.random.default_rng(3), count=30),
+        np.eye(6)[[0, 5]],
+        np.full((1, 6), 1 / 6),
+        [[0.1, 0.4, 0.0, 0.3, 0.2, 0.0], [0.25, 0.0, 0.25, 0.0, 0.25, 0.25]],
+    ]
+)
+
+
+class TestRandomDensity:
+    def test_a_stack_equals_per_row_calls_bitwise(self):
+        seeds = list(range(len(SPECTRA)))
+        stack = random_density(SPECTRA, seeds)
+        assert stack.shape == (len(SPECTRA), 6, 6)
+        for lam, seed, rho in zip(SPECTRA, seeds, stack):
+            assert np.array_equal(rho, random_density(lam, np.random.default_rng(seed)))
+        assert random_density(np.zeros((0, 6)), []).shape == (0, 6, 6)
+
+    def test_states_pass_the_state_check_and_keep_their_spectrum(self):
+        stack = check_density_matrix(random_density(SPECTRA, list(range(len(SPECTRA)))))
+        assert np.abs(np.linalg.eigvalsh(stack) - np.sort(SPECTRA, axis=-1)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "spectra, rng, error, match",
+        [
+            (np.full(5, 0.2), 0, ValueError, "spectra must have shape (6,) or (n, 6), got (5,)"),
+            (SPECTRA[:6].reshape(2, 3, 6), [0] * 6, ValueError, "got (2, 3, 6)"),
+            (SPECTRA[:2].T, [0] * 6, ValueError, "got (6, 2)"),
+            ([[1, 0, 0, 0, 0, 0], [np.inf] * 6], [0, 1], MatrixError, "spectra entry inf is not finite"),
+            ([1.1, -0.1, 0, 0, 0, 0], 0, MatrixError, "spectra entry -1.000e-01 below -1e-12"),
+            ([0.5, 0.6, 0, 0, 0, 0], 0, MatrixError, "spectra row sums to 1.1, not 1 within 1e-12"),
+            (SPECTRA[:2], [0], ValueError, "1 rngs for 2 rows of spectra; need one per row"),
+            (SPECTRA[:2], 0, ValueError, "rng must be a sequence of one seed or Generator per row"),
+            (["1", "0", "0", "0", "0", "0"], 0, TypeError, "is not a real number"),
+        ],
+        ids=["short", "3d", "transposed", "inf", "negative", "sum", "rng_count", "rng_single", "str"],
+    )
+    def test_bad_input_is_rejected_naming_the_argument(self, spectra, rng, error, match):
+        with pytest.raises(error, match=re.escape(match)):
+            random_density(spectra, rng)
+
+    def test_a_failing_entry_is_located_in_its_stack(self):
+        spectra = SPECTRA[:4].copy()
+        spectra[2, 3] = -1e-9
+        with pytest.raises(MatrixError, match="below") as exc:
+            random_density(spectra, [0] * 4)
+        assert exc.value.index == (2, 3)
+
+
+class _Exponentials:
+    """Stands in for a Generator whose one exponential draw is e."""
+
+    def __init__(self, e):
+        self.e = e
+
+    def exponential(self, size):
+        return self.e
+
+
+class TestFixedPuritySpectra:
+    def test_the_stacked_kernel_equals_the_row_oracle_bitwise(self):
+        rng = np.random.default_rng(2024)
+        n = 20_000
+        e = rng.exponential(size=(n, 6))
+        P = rng.uniform(1 / 6, 1.0, n)
+        P[:1000] = 1 / 6 + rng.uniform(1e-16, 1e-12, 1000)
+        P[1000:2000] = 1.0 - rng.uniform(1e-16, 1e-12, 1000)
+        # ties for the dominant vertex: two equal largest entries, or six
+        top = e[2000:3000].max(axis=1) + 1.0
+        e[2000:3000, 1], e[2000:3000, 4] = top, top
+        e[3000:3100] = 1.0
+        P[3000:3100] = rng.uniform(0.2, 1.0, 100)
+        w = e / e.sum(axis=-1, keepdims=True)
+        pw = np.sum(w * w, axis=-1)
+        P[3100:3200] = pw[3100:3200]  # already at its purity: the first branch
+        lam = _fixed_purity_spectra(w, P)
+        ref = np.array([fixed_purity_spectrum(p, _Exponentials(row)) for p, row in zip(P, e)])
+        assert np.array_equal(lam, ref)
+        purer = pw >= P
+        assert purer[:1000].all() and not purer[1000:2000].any()
+        assert 1000 < purer.sum() < n - 1000 and not purer[2000:3100].all()
+        assert np.abs(np.sum(lam * lam, axis=-1) - P).max() < 1e-12
+
+    def test_a_fixed_purity_state_conjugates_the_oracle_spectrum(self):
+        # per row: the simplex draw, then the Ginibre draw, from one Generator
+        for seed, P in enumerate(np.linspace(0.17, 0.99, 40)):
+            g = np.random.default_rng(seed)
+            expected = random_density(fixed_purity_spectrum(P, g), g)
+            assert np.array_equal(random_density_fixed_purity(P, seed), expected)
 
 
 class TestRandomDensityFixedPurity:

@@ -59,6 +59,28 @@ def test_budget_exhausted_runs_report_failure():
     _assert_bitwise(lock, seq)
 
 
+@pytest.mark.parametrize("start, maxfev", [(2, 59), (2, 60), (2, 61), (2, 62), (11, 470)])
+def test_budget_running_out_mid_shrink_matches_scipy_bitwise(start, maxfev):
+    # Start 2 of _starts(4) shrinks once it has made 57 evaluations and its
+    # two trial points, so budgets of 59 to 62 end inside that shrink after 0
+    # to 3 of its 4 evaluations; start 11 shrinks after 466, and at 470 the
+    # vertex it moves last but cannot evaluate is below every other value.
+    # scipy leaves that vertex moved with its old value, one stale entry of
+    # its final simplex.
+    lock, seq = _run_both(4, dict(OPTIONS, maxfev=maxfev))
+    sim, fsim = seq[start].final_simplex
+    assert np.count_nonzero(rosen(sim) != fsim) == 1 and lock.nfev[start] == maxfev
+    _assert_bitwise(lock, seq)
+
+
+def test_a_completed_shrink_counts_toward_maxiter():
+    # Start 2's 34th iteration is a shrink; at maxiter 35 it must count for
+    # the iteration cap to stop the run where scipy stops.
+    lock, seq = _run_both(4, dict(OPTIONS, maxiter=35))
+    assert seq[2].nit == 35 and not seq[2].success
+    _assert_bitwise(lock, seq)
+
+
 def rosen_args(x, a, b):
     """Rosenbrock with minimum at (a, a^2, ...) and curvature b; a and b are
     scalars for one point or (K,) rows for a (K, N) stack."""
