@@ -21,7 +21,6 @@ __all__ = [
     "negativity",
     "purity",
     "check_density_matrix",
-    "haar_unitary",
     "random_spectrum",
     "random_density",
     "random_density_fixed_purity",
@@ -158,17 +157,6 @@ def _haar(g):
     q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(dim, rng):
-    """Haar-distributed random unitary: QR of a complex Ginibre matrix with
-    the R diagonal phases folded back into Q.  `dim` is an integer >= 1 and
-    `rng` a seed or Generator."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return _haar(np.random.default_rng(rng).standard_normal((2, dim, dim)))
 
 
 def _simplex_sample(rng, count=None):

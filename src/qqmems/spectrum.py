@@ -6,12 +6,10 @@ eigenvalues to X blocks yields the closed-form ceiling
     -lam_4 - lam_6 + sqrt((lam_4 - lam_6)^2 + (lam_1 - lam_5)^2),
 
 attained by an explicit X state.  The module also carries the brute-force
-index-pair enumeration used as an independent oracle for that assignment, and
-the three scalar inequalities underpinning it.
+index-pair enumeration used as an independent oracle for that assignment.
 """
 
 import itertools
-import math
 
 import numpy as np
 
@@ -24,11 +22,9 @@ __all__ = [
     "best_sequence_bruteforce",
     "n_x_lambda",
     "construct_spectrum_xmems",
-    "lemma1_check",
 ]
 
 OPTIMAL_SEQUENCE = (4, 6, 1, 5)
-LEMMA1_SLACK = 1e-12
 
 # All 90 quadruples (i, j, k, l), 0-based, i<j, k<l, pairs disjoint, in
 # lexicographic order: the column order of _pair_table.
@@ -141,26 +137,3 @@ def construct_spectrum_xmems(lam):
     b = np.stack([lj, ln, mid], axis=-1)
     r = np.stack([zero, zero, 0.5 * (lk - ll)], axis=-1)
     return XState(a=a, b=b, r=r)
-
-
-def lemma1_check(a, b, c):
-    """The three scalar inequalities behind the optimal-assignment proof.
-
-    All must hold for nonnegative a, b, c; returns a 3-tuple of booleans with
-    additive slack `LEMMA1_SLACK` on each comparison.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValueError(f"a, b, c must be finite, got {(a, b, c)}")
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("a, b, c must be nonnegative")
-    lhs1 = a + np.sqrt((a + b) ** 2 + (b + c) ** 2)
-    rhs1 = np.sqrt(b**2 + (a + b + c) ** 2)
-    lhs2 = np.sqrt((b + a) ** 2 + (c + a) ** 2)
-    rhs2 = np.sqrt(b**2 + c**2) + a
-    lhs3 = np.sqrt(b**2 + c**2) + a
-    rhs3 = np.sqrt((b + a) ** 2 + c**2)
-    return (
-        lhs1 >= rhs1 - LEMMA1_SLACK,
-        lhs2 >= rhs2 - LEMMA1_SLACK,
-        lhs3 >= rhs3 - LEMMA1_SLACK,
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_SLACK, TRACE_TOL, _numbers, _real_array, _simplex_sample
+from .linalg import PSD_SLACK, TRACE_TOL, _numbers, _real_array
 
 __all__ = [
     "XState",
@@ -22,8 +22,6 @@ __all__ = [
     "from_matrix",
     "x_spectra",
     "x_negativity",
-    "count_negative_pt_eigs",
-    "random_xstate",
 ]
 
 # Rows i_k, j_k: the (row, col) of block k's anti-diagonal entry r_k e^{-i phi_k}.
@@ -186,33 +184,3 @@ def x_negativity(x):
     neg = -_x_pt_minus_eigs(*_fields(x)).min(axis=-1)
     values = 2.0 * np.where(neg > 0.0, neg, 0.0)  # max(0.0, neg), keeping +0.0
     return float(values) if values.ndim == 0 else values
-
-
-def count_negative_pt_eigs(x):
-    """Number of partial-transpose eigenvalues below -1e-12 (always 0 or 1):
-    an int, or an array with one count per state of a stack.
-
-    Two simultaneous negatives would contradict the positivity constraints
-    r_1 <= sqrt(a_1 b_1), r_3 <= sqrt(a_3 b_3); a RuntimeError guards against
-    that.
-    """
-    eigs = _x_pt_minus_eigs(*_fields(x))
-    counts = np.sum(eigs < -1e-12, axis=-1)
-    if np.any(counts > 1):
-        first = eigs[counts > 1][0]
-        raise RuntimeError(f"two negative PT eigenvalues {first} for a valid X state")
-    return int(counts) if counts.ndim == 0 else counts
-
-
-def random_xstate(rng):
-    """Random valid X state: simplex diagonal, r_k a uniform fraction of its
-    positivity bound (with probability 0.1 exactly on the bound), uniform
-    phases.  `rng` is a seed or Generator."""
-    rng = np.random.default_rng(rng)
-    w = _simplex_sample(rng)
-    a, b = w[:3], w[3:]
-    frac = rng.uniform(0.0, 1.0, size=3)
-    frac[rng.uniform(size=3) < 0.1] = 1.0
-    r = frac * np.sqrt(a * b)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return XState(a=a, b=b, r=r, phi=phi)

@@ -6,7 +6,8 @@ projector maximization and from a matrix square root, negativities from the
 sum of negative partial-transpose eigenvalues, the ACS rho-step's optimum
 from every support in 60-digit decimal arithmetic.  The exceptions are the
 rho-step's candidate list and selection rule, which mirror the kernel's
-arithmetic on purpose.
+arithmetic on purpose.  The module also holds the checks and the random
+X-state ensemble that only the tests use.
 """
 
 import decimal
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from qqmems.linalg import _simplex_sample
+from qqmems.xstate import XState, _x_pt_minus_eigs
 
 
 def _det(H, x):
@@ -196,3 +198,48 @@ def fixed_purity_spectrum(P, rng):
         s = (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * (P - pw))) / (2.0 * a2)
         lam = (1.0 - s) * w + s * e
     return lam
+
+
+def sum_edges(tol):
+    """(inside, past): the largest d <= tol with 1 + d a float, and the next
+    such d.  Floats near 1 are eps apart, so a sum can sit exactly at 1 + tol
+    only if tol is a multiple of eps."""
+    eps = np.spacing(1.0)
+    k = np.floor(tol / eps)
+    return k * eps, (k + 1) * eps
+
+
+def random_xstates(rng, count=None):
+    """Random valid X state: simplex diagonal, r_k a uniform fraction of its
+    positivity bound (with probability 0.1 exactly on the bound), uniform
+    phases.  With `count`, a stack of `count` states: the exponentials, the
+    fractions, the boundary flags and then the phases are each drawn as one
+    (count, .) block.  `rng` is a seed or Generator."""
+    rng = np.random.default_rng(rng)
+    size = 3 if count is None else (count, 3)
+    w = _simplex_sample(rng, count)
+    a, b = w[..., :3], w[..., 3:]
+    frac = rng.uniform(0.0, 1.0, size=size)
+    frac[rng.uniform(size=size) < 0.1] = 1.0
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    return XState(a=a, b=b, r=frac * np.sqrt(a * b), phi=phi)
+
+
+def count_negative_pt_eigs(x):
+    """Number of partial-transpose eigenvalues of an X state below -1e-12,
+    or one count per state of a stack."""
+    return np.sum(_x_pt_minus_eigs(x.a, x.b, x.r) < -1e-12, axis=-1)
+
+
+def lemma1_check(a, b, c):
+    """The three scalar inequalities behind the optimal assignment, each with
+    additive slack 1e-12, for nonnegative a, b, c (arrays of one shape): a
+    3-tuple of boolean arrays."""
+    slack = 1e-12
+    lhs1 = a + np.sqrt((a + b) ** 2 + (b + c) ** 2)
+    rhs1 = np.sqrt(b**2 + (a + b + c) ** 2)
+    lhs2 = np.sqrt((b + a) ** 2 + (c + a) ** 2)
+    rhs2 = np.sqrt(b**2 + c**2) + a
+    lhs3 = np.sqrt(b**2 + c**2) + a
+    rhs3 = np.sqrt((b + a) ** 2 + c**2)
+    return lhs1 >= rhs1 - slack, lhs2 >= rhs2 - slack, lhs3 >= rhs3 - slack

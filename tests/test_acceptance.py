@@ -23,14 +23,14 @@ from qqmems.spectrum import (
     OPTIMAL_SEQUENCE,
     best_sequence_bruteforce,
     construct_spectrum_xmems,
-    lemma1_check,
     n_x_lambda,
     s_value,
 )
 from qqmems.tgx import maximize_tgx2, maximize_tgx3
-from qqmems.xstate import _x_pt_minus_eigs, random_xstate, x_negativity
+from qqmems.xstate import x_negativity
 
 from conftest import record_acceptance
+from oracles import count_negative_pt_eigs, lemma1_check, random_xstates
 
 SEED = 424242
 
@@ -40,21 +40,11 @@ def _check(number, ok, description):
     assert ok, line
 
 
-def _random_xstate_batch(rng, n, boundary_prob=0.1):
-    """Vectorized version of random_xstate's ensemble, as (n, 3) arrays a, b, r."""
-    w = rng.exponential(size=(n, 6))
-    w /= w.sum(axis=1, keepdims=True)
-    frac = rng.uniform(0.0, 1.0, (n, 3))
-    frac[rng.uniform(size=(n, 3)) < boundary_prob] = 1.0
-    a, b = w[:, :3], w[:, 3:]
-    return a, b, frac * np.sqrt(a * b)
-
-
 def test_criterion_01_closed_form_negativity_equivalence():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(10_000):
-        x = random_xstate(rng)
+        x = random_xstates(rng)
         worst = max(worst, abs(x_negativity(x) - negativity(x.to_matrix())))
     _check(1, worst <= 1e-10,
            f"closed-form vs trace-norm negativity, 10^4 X states, worst |diff| = {worst:.2e} (<= 1e-10)")
@@ -62,9 +52,7 @@ def test_criterion_01_closed_form_negativity_equivalence():
 
 def test_criterion_02_at_most_one_negative_pt_eigenvalue():
     rng = np.random.default_rng(SEED + 1)
-    eigs = _x_pt_minus_eigs(*_random_xstate_batch(rng, 100_000))
-    counts = np.sum(eigs < -1e-12, axis=1)
-    worst = int(counts.max())
+    worst = int(count_negative_pt_eigs(random_xstates(rng, 100_000)).max())
     _check(2, worst <= 1,
            f"partial transpose of 10^5 X states never has 2 eigenvalues < -1e-12 (max count {worst})")
 
@@ -76,7 +64,7 @@ def test_criterion_03_optimal_assignment_oracle_and_inequalities():
     closed = np.array([s_value(lam, OPTIMAL_SEQUENCE) for lam in spectra])
     worst = float(np.max(np.abs(brute - closed)))
     triples = rng.exponential(size=(100_000, 3))
-    lemma_ok = all(all(lemma1_check(a, b, c)) for a, b, c in triples)
+    lemma_ok = all(ok.all() for ok in lemma1_check(*triples.T))
     _check(3, worst <= 1e-12 and lemma_ok,
            f"90-sequence enumeration equals the (4,6,1,5) value for 10^4 spectra "
            f"(worst |diff| = {worst:.2e} <= 1e-12); 10^5 inequality triples hold with slack 1e-12")

@@ -7,10 +7,10 @@ from qqmems.linalg import (
     MatrixError,
     check_density_matrix,
     eig_hermitian,
-    haar_unitary,
     negativity,
     partial_transpose_qubit,
     _fixed_purity_spectra,
+    _haar,
     purity,
     random_density,
     random_density_fixed_purity,
@@ -18,12 +18,13 @@ from qqmems.linalg import (
     trace_norm,
 )
 from qqmems.purity_mems import construct_rank2, n_x_p_deg
-from qqmems.xstate import XState, random_xstate
+from qqmems.xstate import XState
 
 from oracles import (
     eigs_bisect_det,
     fixed_purity_spectrum,
     negativity_neg_eigs,
+    sum_edges,
     trace_norm_variational,
 )
 
@@ -65,6 +66,25 @@ class TestEigHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             eig_hermitian(np.zeros((2, 3)))
+
+
+def off_hermitian(dev):
+    """The maximally mixed state with one entry dev above the diagonal and
+    none below it: max |H - H^dag| = dev."""
+    H = np.eye(6) / 6
+    H[0, 1] = dev
+    return H
+
+
+SUM_IN, SUM_PAST = sum_edges(1e-12)
+BELOW = np.nextafter(-1e-12, -1)  # one float past -PSD_SLACK
+# A state check's inputs at each tolerance edge: the largest trace within
+# TRACE_TOL, an eigenvalue at -PSD_SLACK, a deviation at HERMITICITY_TOL.
+STATE_EDGES = [
+    np.diag([0.5 + SUM_IN, 0.5, 0, 0, 0, 0]),
+    np.diag([0.5 + 1e-12, 0.5, 0, 0, 0, -1e-12]),
+    off_hermitian(1e-12),
+]
 
 
 class TestStacks:
@@ -134,6 +154,10 @@ class TestStacks:
             (np.full((6, 6), np.nan), "density matrix has a non-finite entry: max |entry| = nan"),
             (np.eye(6) / 5, "trace is (1.2+0j), expected 1 within 1e-12"),
             (np.diag([0.5, 0.5, 0.25, 0, 0, -0.25]), "smallest eigenvalue -2.500e-01 below -1e-12"),
+            # one float past each tolerance edge
+            (off_hermitian(np.nextafter(1e-12, 1)), "matrix is not Hermitian: max |H - H^dag| = 1.000e-12"),
+            (np.diag([0.5 + SUM_PAST, 0.5, 0, 0, 0, 0]), "trace is (1.000000000001+0j), expected 1"),
+            (np.diag([0.5 + 1e-12, 0.5, 0, 0, 0, BELOW]), "smallest eigenvalue -1.000e-12 below -1e-12"),
         ],
     )
     def test_failing_stack_names_its_first_failing_matrix(self, bad, message):
@@ -143,6 +167,19 @@ class TestStacks:
         with pytest.raises(MatrixError, match=re.escape(message)) as exc:
             check_density_matrix(bad)
         assert exc.value.index == ()
+
+    @pytest.mark.parametrize("edge", range(len(STATE_EDGES)))
+    def test_state_checks_accept_each_tolerance_edge(self, edge):
+        rho = STATE_EDGES[edge]
+        assert np.array_equal(check_density_matrix(rho), rho)
+        assert np.array_equal(check_density_matrix(np.stack([np.eye(6) / 6, rho])[1]), rho)
+
+    def test_hermiticity_edge_is_not_named_before_a_failing_matrix(self):
+        stack = np.stack([off_hermitian(1e-12), off_hermitian(np.nextafter(1e-12, 1))])
+        eig_hermitian(stack[0])
+        with pytest.raises(MatrixError, match="not Hermitian") as exc:
+            eig_hermitian(stack)
+        assert exc.value.index == (1,)
 
     def test_state_checks_run_hermiticity_then_trace_then_psd_over_the_stack(self):
         stack = np.stack(
@@ -250,35 +287,22 @@ class TestPurity:
 
 
 class TestHaarUnitary:
+    # The Haar kernel behind random_density, fed (2, dim, dim) standard normals.
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_unitarity(self, dim, rng):
-        U = haar_unitary(dim, rng)
+        U = _haar(rng.standard_normal((2, dim, dim)))
         np.testing.assert_allclose(U.conj().T @ U, np.eye(dim), atol=1e-11)
         assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-11
         np.testing.assert_allclose(np.linalg.norm(U, axis=0), np.ones(dim), atol=1e-11)
 
-    @pytest.mark.parametrize(
-        "dim, match",
-        [
-            (True, "dim must be an integer, got True"),
-            ("3", "dim must be an integer, got '3'"),
-            (3.0, "dim must be an integer, got 3.0"),
-            (0, "dim must be >= 1, got 0"),
-            (-2, "dim must be >= 1, got -2"),
-        ],
-    )
-    def test_rejects_a_dim_that_is_not_a_positive_integer(self, dim, match):
-        with pytest.raises(ValueError, match=re.escape(match)):
-            haar_unitary(dim, 0)
-
     def test_dim_one_is_a_phase(self, rng):
-        U = haar_unitary(1, rng)
+        U = _haar(rng.standard_normal((2, 1, 1)))
         assert U.shape == (1, 1) and abs(abs(U[0, 0]) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("seed", range(4))
     def test_phases_leave_a_positive_r_diagonal(self, seed):
         # U is the Q of the Ginibre draw's QR with R's diagonal made positive.
-        U = haar_unitary(6, np.random.default_rng(seed))
+        U = _haar(np.random.default_rng(seed).standard_normal((2, 6, 6)))
         g = np.random.default_rng(seed)
         z = (g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))) / np.sqrt(2.0)
         R = U.conj().T @ z
@@ -291,10 +315,9 @@ class TestHaarUnitary:
     [
         lambda rng: random_spectrum(rng),
         lambda rng: random_spectrum(rng, count=4),
-        lambda rng: haar_unitary(3, rng),
-        lambda rng: random_xstate(rng).to_matrix(),
+        lambda rng: random_density([0.3, 0.25, 0.2, 0.15, 0.07, 0.03], rng),
     ],
-    ids=["random_spectrum", "random_spectrum_count", "haar_unitary", "random_xstate"],
+    ids=["random_spectrum", "random_spectrum_count", "random_density"],
 )
 def test_a_seed_draws_what_its_generator_draws(draw):
     np.testing.assert_array_equal(draw(5), draw(np.random.default_rng(5)))

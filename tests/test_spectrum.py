@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qqmems.linalg import eig_hermitian, negativity, random_spectrum
 from qqmems.spectrum import (
@@ -10,16 +9,31 @@ from qqmems.spectrum import (
     all_sequences,
     best_sequence_bruteforce,
     construct_spectrum_xmems,
-    lemma1_check,
     n_x_lambda,
     s_value,
     validate_spectrum,
 )
 
+from oracles import sum_edges
+
+SUM_IN, SUM_PAST = sum_edges(1e-12)
+BELOW = np.nextafter(-1e-12, -1)  # one float past -PSD_SLACK
+
 
 class TestValidateSpectrum:
     def test_accepts_descending_simplex(self):
         validate_spectrum([0.4, 0.3, 0.2, 0.1, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [0.5, 0.5, 1e-12, 0, 0, -1e-12],  # an entry at -PSD_SLACK
+            [0.5, 0.5 - 1e-12, 0, 1e-12, 0, 0],  # a rise of PSD_SLACK
+            [0.5 + SUM_IN, 0.5, 0, 0, 0, 0],  # the largest sum within TRACE_TOL
+        ],
+    )
+    def test_accepts_each_tolerance_edge(self, lam):
+        validate_spectrum(lam)
 
     @pytest.mark.parametrize(
         "lam,msg",
@@ -28,6 +42,10 @@ class TestValidateSpectrum:
             ([0.5, 0.4, 0.2, -0.1, 0, 0], "nonnegative"),
             ([0.4, 0.3, 0.2, 0.0, 0, 0], "sums"),
             ([0.5, 0.5], "shape"),
+            # one float past each tolerance edge
+            ([0.5, 0.5, 1e-12, 0, 0, BELOW], "nonnegative"),
+            ([0.5, 0.5 - 1e-12, 0, np.nextafter(1e-12, 1), 0, 0], "descending"),
+            ([0.5 + SUM_PAST, 0.5, 0, 0, 0, 0], "sums"),
         ],
     )
     def test_rejections(self, lam, msg):
@@ -118,24 +136,3 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"sums to {lams[2].sum()}"):
             construct_spectrum_xmems(lams)
 
-
-class TestLemma1:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.floats(0.0, 10.0, allow_nan=False),
-        st.floats(0.0, 10.0, allow_nan=False),
-        st.floats(0.0, 10.0, allow_nan=False),
-    )
-    def test_all_three_inequalities_hold(self, a, b, c):
-        assert all(lemma1_check(a, b, c))
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            lemma1_check(-1.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "args", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), (np.float64("nan"), 1.0, 1.0)]
-    )
-    def test_rejects_non_finite_arguments(self, args):
-        with pytest.raises(ValueError, match="must be finite"):
-            lemma1_check(*args)

@@ -12,10 +12,14 @@ from qqmems.tgx import (
     TgxParams,
     maximize_tgx2,
     maximize_tgx3,
+    _tgx3_consts,
+    _tgx3_weights,
     tgx_matrix,
     tgx_negativity,
 )
 from qqmems.xstate import XState
+
+from oracles import sum_edges
 
 
 def random_tgx2(rng):
@@ -37,6 +41,16 @@ class TestParams:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="expected 1"):
             TgxParams((0, 0, 0), (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("p", [(0.5, 0.5), (0.5, 0.25, 0.25)])
+    def test_sum_tolerance_edges(self, p, sign):
+        # the largest sum within TRACE_TOL of 1, on either side, and one float past it
+        inside, past = sum_edges(1e-12)
+        theta = (0.0,) * len(p)
+        TgxParams(theta, (p[0] + sign * inside,) + p[1:])
+        with pytest.raises(ValueError, match="expected 1"):
+            TgxParams(theta, (p[0] + sign * past,) + p[1:])
 
     @pytest.mark.parametrize(
         "theta, p",
@@ -214,6 +228,38 @@ class TestMaximizeTgx2:
             for t2 in np.linspace(0, np.pi, 200)
         )
         assert res.best_value >= best_grid - 1e-6
+
+
+def arc_weights(P, s):
+    """The rank-3 probabilities (3, n) at each purity of P, at arc coordinate s."""
+    g, alpha = _tgx3_consts(P)
+    x = np.zeros((len(P), 4))
+    x[:, 3] = s
+    return np.array(_tgx3_weights(x, g, alpha))
+
+
+class TestArc:
+    # The arc is cut, below pi/3, where g > 1 - 3e-12, that is P > 1/2 - 1e-12;
+    # LOW ends with an uncut purity just short of the cut.
+    LOW = np.append(np.linspace(1 / 3, 0.5 - 1e-9, 1001), 0.5 - 1.3e-12)
+    HIGH = np.append(np.linspace(0.5, 1 - 1e-9, 1001)[1:], np.nextafter(0.5, 1))
+
+    def test_uncut_arc_ends_at_the_neighbouring_vertices(self):
+        # beta = +-pi/3 reaches the points where p1 meets p2, and p1 meets p3.
+        p = arc_weights(self.LOW, np.pi / 2)
+        assert np.abs(p[0] - p[1]).max() <= 1e-15
+        p = arc_weights(self.LOW, -np.pi / 2)
+        assert np.abs(p[0] - p[2]).max() <= 1e-15
+
+    def test_cut_arc_ends_at_the_probability_floor(self):
+        for s in (np.pi / 2, -np.pi / 2):
+            assert np.abs(arc_weights(self.HIGH, s).min(axis=0) - 1e-12).max() <= 1e-15
+        # beta = alpha u on 1,001 evenly spaced u in [-1, 1]
+        for s in np.arcsin(np.linspace(-1.0, 1.0, 1001)):
+            assert arc_weights(self.HIGH, s).min() >= 1e-12 - 1e-15
+
+    def test_a_purity_above_p_max_is_searched_at_p_max(self):
+        assert maximize_tgx3(1 - 1e-10, restarts=1, rng=0).P == 1 - 1e-9
 
 
 class TestMaximizeTgx3:

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qqmems.xstate
 from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, partial_transpose_qubit
 from qqmems.xstate import (
     XState,
     XStateError,
-    count_negative_pt_eigs,
     from_matrix,
-    random_xstate,
     x_negativity,
     x_spectra,
 )
 
-from oracles import negativity_neg_eigs
+from oracles import count_negative_pt_eigs, negativity_neg_eigs, random_xstates, sum_edges
+
+SUM_IN, SUM_PAST = sum_edges(1e-12)
+BELOW = np.nextafter(-1e-12, -1)  # one float past -PSD_SLACK
+BOUND = np.sqrt(0.2 * 0.2) + 1e-12  # block 1's r at its positivity bound plus PSD_SLACK
 
 
 def xstate_strategy():
@@ -59,11 +60,24 @@ class TestValidation:
         b = np.array([0.2, 0.1, 0.2])
         XState(a=a, b=b, r=np.sqrt(a * b))
 
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            ([0.5, 0.5 + 1e-12, -1e-12], [0, 0, 0], [0, 0, 0]),  # a_3 at -PSD_SLACK
+            ([0.5 + 1e-12, 0.5, 0], [0, 0, -1e-12], [0, 0, 0]),  # b_3 at -PSD_SLACK
+            ([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0, -1e-12, 0]),  # r_2 at -PSD_SLACK
+            ([0.5 + SUM_IN, 0.5, 0], [0, 0, 0], [0, 0, 0]),  # the largest sum within TRACE_TOL
+            ([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [BOUND, 0, 0]),  # r at sqrt(a b) + PSD_SLACK
+        ],
+    )
+    def test_accepts_each_tolerance_edge(self, a, b, r):
+        XState(a=a, b=b, r=r)
+
 
 class TestStackedStates:
     @staticmethod
     def _stack(rng, n):
-        states = [random_xstate(rng) for _ in range(n)]
+        states = [random_xstates(rng) for _ in range(n)]
         # A product state: its PT minus eigenvalues are exactly 0, and its
         # negativity must come out +0.0, not -0.0.
         states.append(XState(a=[0.5, 0, 0], b=[0, 0, 0.5], r=[0, 0, 0]))
@@ -81,7 +95,6 @@ class TestStackedStates:
         states, stack = self._stack(rng, 2000)
         for fn in (
             x_negativity,
-            count_negative_pt_eigs,
             lambda x: x_spectra(x)[0],
             lambda x: x_spectra(x)[1],
         ):
@@ -92,7 +105,6 @@ class TestStackedStates:
         assert 0 < count_negative_pt_eigs(stack).sum() < len(states)
         assert not np.signbit(x_negativity(stack)).any()  # never -0.0
         assert isinstance(x_negativity(states[0]), float)
-        assert isinstance(count_negative_pt_eigs(states[0]), int)
 
     def test_a_stack_has_no_single_record(self, rng):
         _, stack = self._stack(rng, 2)
@@ -113,6 +125,12 @@ class TestStackedStates:
             (([-0.1, 0.3, 0.3], [0.2, 0.2, 0.1], [0, 0, 0]), "nonnegative"),
             (([0.2, 0.2, 0.2], [0.2, 0.2, 0.2], [0, 0, 0]), "normalization"),
             (([0.1, 0.2, 0.2], [0.1, 0.2, 0.2], [0, 0.21, 0]), "block 2: r = 0.21"),
+            # one float past each tolerance edge
+            (([0.5, 0.5 + 1e-12, BELOW], [0, 0, 0], [0, 0, 0]), "nonnegative"),
+            (([0.5 + 1e-12, 0.5, 0], [0, 0, BELOW], [0, 0, 0]), "nonnegative"),
+            (([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0, BELOW, 0]), "nonnegative"),
+            (([0.5 + SUM_PAST, 0.5, 0], [0, 0, 0], [0, 0, 0]), "normalization"),
+            (([0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [np.nextafter(BOUND, 1), 0, 0]), "block 1"),
         ],
     )
     def test_validator_rejects_what_xstate_rejects(self, row, msg):
@@ -148,13 +166,20 @@ class TestRoundTrips:
         with pytest.raises(XStateError, match=r"\(0, 2\)"):
             from_matrix(m)
 
+    def test_from_matrix_tolerates_off_pattern_entries_up_to_1e_12(self):
+        m = np.eye(6, dtype=complex) / 6
+        m[0, 2] = m[2, 0] = 1e-12
+        from_matrix(m)
+        m[0, 2] = m[2, 0] = np.nextafter(1e-12, 1)
+        with pytest.raises(XStateError, match=r"\(0, 2\)"):
+            from_matrix(m)
+
     def test_from_matrix_rejects_wrong_shape(self):
         with pytest.raises(XStateError, match="6x6"):
             from_matrix(np.eye(4))
 
     def test_to_matrix_is_valid_density_matrix(self, rng):
-        for _ in range(100):
-            check_density_matrix(random_xstate(rng).to_matrix())
+        check_density_matrix(random_xstates(rng, 100).to_matrix())
 
 
 class TestSpectra:
@@ -176,7 +201,7 @@ class TestSpectra:
     def test_phase_invariance(self, rng):
         # Neither spectrum depends on the anti-diagonal phases.
         for _ in range(50):
-            x = random_xstate(rng)
+            x = random_xstates(rng)
             y = XState(a=x.a, b=x.b, r=x.r, phi=rng.uniform(0, 2 * np.pi, 3))
             assert x_negativity(x) == pytest.approx(x_negativity(y), abs=1e-15)
             np.testing.assert_allclose(
@@ -185,12 +210,10 @@ class TestSpectra:
             assert abs(negativity(y.to_matrix()) - x_negativity(x)) < 1e-10
 
     def test_at_most_one_negative_pt_eigenvalue(self, rng):
-        counts = {0: 0, 1: 0}
-        for _ in range(2000):
-            counts[count_negative_pt_eigs(random_xstate(rng))] += 1
-        assert counts[1] > 0  # both outcomes occur
+        counts = np.bincount(count_negative_pt_eigs(random_xstates(rng, 2000)))
+        assert len(counts) == 2 and counts.min() > 0  # both outcomes occur, no other
 
-    @pytest.mark.parametrize("fn", [x_spectra, x_negativity, count_negative_pt_eigs])
+    @pytest.mark.parametrize("fn", [x_spectra, x_negativity])
     def test_closed_forms_reject_other_input_by_type(self, fn):
         with pytest.raises(TypeError, match="expected an XState, got ndarray"):
             fn(np.eye(6) / 6)
@@ -200,9 +223,3 @@ class TestSpectra:
         assert x_negativity(x) == 0.0
         assert count_negative_pt_eigs(x) == 0
 
-
-def test_two_negative_pt_eigenvalues_are_an_internal_error(monkeypatch):
-    # a valid X state cannot have them; the guard reports a broken formula
-    monkeypatch.setattr(qqmems.xstate, "_x_pt_minus_eigs", lambda a, b, r: np.array([-0.1, -0.2]))
-    with pytest.raises(RuntimeError, match="two negative PT eigenvalues"):
-        count_negative_pt_eigs(random_xstate(0))
