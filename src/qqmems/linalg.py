@@ -135,7 +135,7 @@ def check_density_matrix(rho):
     within TRACE_TOL and PSD_SLACK, each over the whole stack (one eigvalsh)."""
     rho = _hermitian(rho, "density matrix")
     w0 = np.linalg.eigvalsh(rho)[..., 0]  # the smallest eigenvalues
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real  # _hermitian bounded the imaginary parts
     _require(np.abs(tr - 1.0) <= TRACE_TOL, f"trace is {{}}, expected 1 within {TRACE_TOL}", tr)
     _require(w0 >= -PSD_SLACK, f"smallest eigenvalue {{:.3e}} below -{PSD_SLACK}", w0)
     return rho

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .linalg import PSD_SLACK, TRACE_TOL, _real_array
-from .xstate import XState, _x_block_eigs
+from .xstate import XState, _block_low
 
 __all__ = [
     "validate_spectrum",
@@ -46,7 +46,7 @@ def _pair_table(lams, quads=_PAIR_QUADRUPLES):
     mixed maximally in block 3: r_3 = (lam_k - lam_l)/2 moves to block 1.
     """
     li, lj, lk, ll = (lams[:, quads[:, c]] for c in range(4))
-    return -2.0 * _x_block_eigs(li, lj, 0.5 * (lk - ll))[..., 0]
+    return -2.0 * _block_low(li, lj, 0.5 * (lk - ll))
 
 
 def validate_spectrum(lam):

@@ -3,10 +3,11 @@
 The TGX ("true-generalized X") families are non-X sparse candidates: mixtures
 of p-weighted pure states c|0b> + s|1b'> on complementary index pairs.  A
 state is a `TgxParams(theta, p)` record of k = 2 or 3 angles and weights;
-`tgx_matrix` builds its density matrix and `tgx_negativity` evaluates the
-printed closed form of its rank-k family.  Maximizing the negativity at fixed
-purity shows a strict gap over the rank-2 X ceiling and numerical coincidence
-with the rank-3 X ceiling.
+`tgx_matrix` builds its density matrix.  Its partial transpose is three 2x2
+blocks, and `tgx_negativity` evaluates the X-state block formula on them; the
+paper's printed rank-2 and rank-3 formulas are the same expression.
+Maximizing the negativity at fixed purity shows a strict gap over the rank-2
+X ceiling and numerical coincidence with the rank-3 X ceiling.
 """
 
 from dataclasses import dataclass, asdict
@@ -16,7 +17,7 @@ import numpy as np
 from ._nelder_mead import nelder_mead
 from .linalg import TRACE_TOL, _per_purity, _real_array
 from .purity_mems import FAMILIES, DomainError, _f, _g
-from .xstate import _pair_blocks
+from .xstate import _block_low, _pair_blocks
 
 __all__ = [
     "P_MAX",
@@ -80,64 +81,39 @@ def tgx_matrix(q):
     return _pair_blocks(_PAIRS[:, : len(p)], p * c * c, p * s * s, p * s * c)
 
 
-# Powers go through ``np.float_power`` (libm ``pow`` on scalars and arrays
-# alike), not ``**``, which takes SIMD or ``x * x`` paths on float64 arrays:
-# so the batched search and the scalar tgx_negativity round alike.
+def _tgx_formula(theta, p):
+    """Negativity of TGX states given as (..., k) arrays theta and p, k = 2 or 3.
 
-
-def _tgx2_formula(theta1, theta2, p1, p2):
-    """Printed negativity formula for the rank-2 TGX family (scalars or arrays)."""
-    c1 = np.cos(theta1)
-    s1 = np.sin(theta1)
-    c2 = np.cos(theta2)
-    s2 = np.sin(theta2)
-    s2t1 = 2.0 * s1 * c1
-    s2t2 = 2.0 * s2 * c2
-    return (
-        -p1 * c1 * c1
-        - p2 * s2 * s2
-        + np.sqrt(p1 * p1 * np.float_power(c1, 4) + p2 * p2 * s2t2 * s2t2)
-        + np.sqrt(p2 * p2 * np.float_power(s2, 4) + p1 * p1 * s2t1 * s2t1)
-    )
-
-
-def _tgx3_formula(theta1, theta2, theta3, p1, p2, p3):
-    """Printed negativity formula for the rank-3 TGX family (scalars or arrays).
-
-    Sums |sigma| - sigma over the three candidate-negative PT eigenvalues,
-    with (i, j, k) running over cyclic permutations of (1, 2, 3).
+    rho^Gamma is three 2x2 blocks: block i has p_j sin^2 theta_j and
+    p_l cos^2 theta_l on its diagonal, with j, l = i+1, i+2 mod 3, and
+    p_i sin theta_i cos theta_i off it; each negative lower eigenvalue
+    counts twice.  At k = 2 the missing third state weighs 0, so block 3 has
+    no off-diagonal entry and only blocks 1 and 2 are evaluated.
     """
-    th = (theta1, theta2, theta3)
-    p = (p1, p2, p3)
+    s, c = np.sin(theta), np.cos(theta)
+    ps = p * s
+    u, v, r = ps * s, p * c * c, ps * c
+    k = np.shape(p)[-1]
+    # columns of u and v, with the missing third state's zeros at k = 2
+    u, v = ([w[..., i] for i in range(k)] + [0.0] * (3 - k) for w in (u, v))
     total = 0.0
-    for k in range(3):
-        i = (k + 1) % 3
-        j = (k + 2) % 3
-        si = np.sin(th[i])
-        cj = np.cos(th[j])
-        u = p[i] * si * si
-        v = p[j] * cj * cj
-        s2k = np.sin(2.0 * th[k])
-        sigma = 0.5 * (u + v) - 0.5 * np.sqrt(p[k] * p[k] * s2k * s2k + np.float_power(u - v, 2))
-        total += abs(sigma) - sigma
-    return total
-
-
-_FORMULAS = {2: _tgx2_formula, 3: _tgx3_formula}
+    for i in range(k):
+        total = total + np.minimum(_block_low(u[(i + 1) % 3], v[(i + 2) % 3], r[..., i]), 0.0)
+    return -2.0 * total
 
 
 def tgx_negativity(q):
-    """Closed-form negativity of the TGX state of a TgxParams record: the
-    printed formula of its rank-k family."""
+    """Closed-form negativity of the TGX state of a TgxParams record, from
+    the three 2x2 blocks of its partial transpose."""
     q = _checked(q)
-    return float(_FORMULAS[len(q.p)](*q.theta, *q.p))
+    return float(_tgx_formula(np.array(q.theta), np.array(q.p)))
 
 
 @dataclass
 class MaximizationResult:
     """Best state found by a multistart search at the searched purity P (<= P_MAX).
 
-    ``best_value`` is the printed formula at ``best_params``; callers that
+    ``best_value`` is `tgx_negativity` at ``best_params``; callers that
     need it checked compare it with the trace-norm negativity of the state.
     ``converged`` is the status of the winning Nelder-Mead run;
     ``restarts_converged`` counts the ``restarts_used`` runs that met
@@ -169,8 +145,8 @@ def _maximize(k, P, restarts, rng, consts, weights):
     Each start draws k angles uniform in [0, pi), and for k = 3 then the arc
     coordinate uniform in [-pi, pi), from its purity's rng.  ``consts(P)``
     gives the per-purity constants of the family, a tuple of (n,) arrays;
-    ``weights(x, *consts)`` the k probabilities at the points x, one entry per
-    p_k.  Every start of every purity runs in one lockstep Nelder-Mead batch.
+    ``weights(x, *consts)`` the (..., k) probabilities at the points x.
+    Every start of every purity runs in one lockstep Nelder-Mead batch.
     """
     scalar, grid, rngs = _per_purity(P, rng)
     FAMILIES[f"rank{k}"].check(grid)
@@ -188,10 +164,9 @@ def _maximize(k, P, restarts, rng, consts, weights):
         if k == 3:
             x = np.column_stack([x, r.uniform(-np.pi, np.pi, size=restarts)])
         starts.append(x)
-    formula = _FORMULAS[k]
 
     def objective(x, *args):
-        return -formula(*x[:, :k].T, *weights(x, *args))
+        return -_tgx_formula(x[:, :k], weights(x, *args))
 
     args = [np.repeat(v, restarts) for v in c]
     res = nelder_mead(objective, np.concatenate(starts), **_NM_OPTIONS, args=args)
@@ -221,7 +196,7 @@ def _tgx2_consts(P):
 
 
 def _tgx2_weights(x, p1, p2):
-    return p1, p2
+    return np.stack([p1, p2], axis=-1)
 
 
 def maximize_tgx2(P, restarts=32, rng=None):
@@ -250,7 +225,7 @@ def _tgx3_consts(P):
 
 def _tgx3_weights(x, g, alpha):
     beta = (alpha * np.sin(x[..., 3]))[..., None]
-    return (1.0 / 3.0 + g[..., None] / 3.0 * np.cos(beta - _ARC_PHASES)).T
+    return 1.0 / 3.0 + g[..., None] / 3.0 * np.cos(beta - _ARC_PHASES)
 
 
 def maximize_tgx3(P, restarts=32, rng=None):

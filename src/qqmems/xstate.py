@@ -139,38 +139,31 @@ def _fields(x):
     return x.a, x.b, x.r
 
 
-def _x_block_eigs(a, b, r, transpose=False):
-    """(..., 3, 2) eigenvalues (minus, plus) of the 2x2 blocks of X states
-    given as (..., 3) arrays, or of their partial transposes:
-    (a_k + b_k)/2 -+ sqrt(r^2 + d_k^2) with d_k = (b_k - a_k)/2 and r = r_k,
-    or r = r_{4-k} with transpose=True (the partial transpose swaps r_1 and
-    r_3).  Phases drop out.  Without transpose the formula is elementwise,
-    so a, b, r may be any arrays of one shape, one block per entry."""
-    if transpose:
-        r = r[..., ::-1]
+def _block_low(a, b, r):
+    """Lower eigenvalue (a + b)/2 - sqrt(r^2 + ((b - a)/2)^2) of the 2x2
+    Hermitian block [[a, r], [r*, b]] with |off-diagonal| r, elementwise on
+    arrays or scalars of one shape."""
     d = 0.5 * (b - a)
-    mean = 0.5 * (a + b)
-    half = np.sqrt(r * r + d * d)
-    return np.stack([mean - half, mean + half], axis=-1)
+    return 0.5 * (a + b) - np.sqrt(r * r + d * d)
 
 
 def _x_pt_minus_eigs(a, b, r):
     """(..., 2) possibly-negative PT eigenvalues of X states given as (..., 3)
-    arrays, the minus branches of blocks 1 and 3; all other PT eigenvalues
-    are nonnegative."""
-    return _x_block_eigs(a, b, r, transpose=True)[..., ::2, 0]
+    arrays, the lower eigenvalues of blocks 1 and 3 (the partial transpose
+    swaps r_1 and r_3); all other PT eigenvalues are nonnegative."""
+    return _block_low(a[..., ::2], b[..., ::2], r[..., ::-2])
 
 
 def x_spectra(x):
     """Eigenvalues of an X state (or of each state of a stack) and of its
     partial transpose, in closed form: (state_values, pt_values), each
     state's six eigenvalues in ascending order, two (6,) arrays for one
-    state or two (..., 6) arrays for a stack."""
+    state or two (..., 6) arrays for a stack.  Block k gives its lower
+    eigenvalue and the block trace a_k + b_k minus it; in the partial
+    transpose r_1 and r_3 trade blocks.  Phases drop out."""
     a, b, r = _fields(x)
-    return tuple(
-        np.sort(eigs.reshape(eigs.shape[:-2] + (6,)), axis=-1)
-        for eigs in (_x_block_eigs(a, b, r), _x_block_eigs(a, b, r, transpose=True))
-    )
+    lows = (_block_low(a, b, r), _block_low(a, b, r[..., ::-1]))
+    return tuple(np.sort(np.concatenate([low, a + b - low], axis=-1), axis=-1) for low in lows)
 
 
 def x_negativity(x):

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths under test: eigenvalues come from
 bisection on the characteristic determinant, trace norms from a variational
 projector maximization and from a matrix square root, negativities from the
-sum of negative partial-transpose eigenvalues, the ACS rho-step's optimum
-from every support in 60-digit decimal arithmetic.  The exceptions are the
+sum of negative partial-transpose eigenvalues and, for TGX states, from the
+paper's printed rank-2 and rank-3 formulas, the ACS rho-step's optimum from
+every support in 60-digit decimal arithmetic.  The exceptions are the
 rho-step's candidate list and selection rule, which mirror the kernel's
 arithmetic on purpose.  The module also holds the checks and the random
 X-state ensemble that only the tests use.
@@ -85,6 +86,44 @@ def negativity_neg_eigs(rho):
     pt = rho.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
     w = np.linalg.eigvalsh(pt)
     return float(2.0 * np.sum(np.maximum(0.0, -w)))
+
+
+def tgx2_formula(theta1, theta2, p1, p2):
+    """Printed negativity formula for the rank-2 TGX family (scalars or arrays)."""
+    c1 = np.cos(theta1)
+    s1 = np.sin(theta1)
+    c2 = np.cos(theta2)
+    s2 = np.sin(theta2)
+    s2t1 = 2.0 * s1 * c1
+    s2t2 = 2.0 * s2 * c2
+    return (
+        -p1 * c1 * c1
+        - p2 * s2 * s2
+        + np.sqrt(p1 * p1 * np.float_power(c1, 4) + p2 * p2 * s2t2 * s2t2)
+        + np.sqrt(p2 * p2 * np.float_power(s2, 4) + p1 * p1 * s2t1 * s2t1)
+    )
+
+
+def tgx3_formula(theta1, theta2, theta3, p1, p2, p3):
+    """Printed negativity formula for the rank-3 TGX family (scalars or arrays).
+
+    Sums |sigma| - sigma over the three candidate-negative PT eigenvalues,
+    with (i, j, k) running over cyclic permutations of (1, 2, 3).
+    """
+    th = (theta1, theta2, theta3)
+    p = (p1, p2, p3)
+    total = 0.0
+    for k in range(3):
+        i = (k + 1) % 3
+        j = (k + 2) % 3
+        si = np.sin(th[i])
+        cj = np.cos(th[j])
+        u = p[i] * si * si
+        v = p[j] * cj * cj
+        s2k = np.sin(2.0 * th[k])
+        sigma = 0.5 * (u + v) - 0.5 * np.sqrt(p[k] * p[k] * s2k * s2k + np.float_power(u - v, 2))
+        total += abs(sigma) - sigma
+    return total
 
 
 def vector_subproblem_candidates(a, P):

@@ -512,7 +512,7 @@ class TestStackedAcsRun:
     @pytest.mark.parametrize(
         "bad,match",
         [
-            (np.eye(6) / 5, "trace is (1.2"),
+            (np.eye(6) / 5, "trace is 1.2"),
             (random_density_fixed_purity(0.6, 1), "exceeds bound 0.3"),
         ],
     )

@@ -1,12 +1,13 @@
 """Equivalence of the array formulas with the scalar closed forms.
 
 The X-block eigenvalues (qqmems.xstate), the 90-pair table (qqmems.spectrum)
-and the TGX negativity formulas (qqmems.tgx) evaluate whole batches; each test
+and the TGX block formula (qqmems.tgx) evaluate whole batches; each test
 compares a batch against the textbook formula evaluated one scalar row at a
 time, and against the independent oracles where one applies.
 """
 
 import numpy as np
+import pytest
 
 from qqmems.cli import _BLOCK, main
 from qqmems.linalg import negativity, partial_transpose_qubit, random_spectrum
@@ -28,10 +29,10 @@ from qqmems.spectrum import (
     n_x_lambda,
     s_value,
 )
-from qqmems.tgx import _tgx2_formula, _tgx3_formula
+from qqmems.tgx import _tgx_formula
 from qqmems.xstate import XState, _x_pt_minus_eigs, x_negativity
 
-from oracles import negativity_neg_eigs
+from oracles import negativity_neg_eigs, tgx2_formula, tgx3_formula
 
 
 def _random_params(rng, n):
@@ -200,13 +201,23 @@ def test_batched_purity_curves_equal_scalar_calls():
         assert np.array_equal(fn(P[inside]), np.array([fn(float(p)) for p in P[inside]]))
 
 
-def test_scalar_tgx_formulas_agree(rng):
-    # The TGX formulas evaluated on arrays equal their scalar calls bitwise:
-    # powers go through np.float_power, since `**` rounds differently on
-    # arrays and on scalars.  2000 rows, as a `**` swap changes about 1.6%.
+@pytest.mark.parametrize("k", [2, 3])
+def test_stacked_tgx_formula_equals_its_scalar_calls_bitwise(rng, k):
+    th = rng.uniform(0, np.pi, (2000, k))
+    p = rng.dirichlet(np.ones(k), 2000)
+    out = _tgx_formula(th, p)
+    assert out.shape == (2000,)
+    assert np.array_equal(out, [_tgx_formula(t, q) for t, q in zip(th, p)])
+    # strided columns, as the search passes its points
+    x = np.column_stack([th, p])
+    assert np.array_equal(_tgx_formula(x[:, :k], x[:, k:]), out)
+
+
+def test_printed_tgx_formulas_agree_with_the_block_formula(rng):
     th = rng.uniform(0, np.pi, (2000, 3))
     p = rng.dirichlet(np.ones(3), 2000)
-    out3 = _tgx3_formula(*th.T, *p.T)
-    out2 = _tgx2_formula(th[:, 0], th[:, 1], p[:, 0], 1 - p[:, 0])
-    assert np.array_equal(out3, [_tgx3_formula(*t, *q) for t, q in zip(th, p)])
-    assert np.array_equal(out2, [_tgx2_formula(t[0], t[1], q[0], 1 - q[0]) for t, q in zip(th, p)])
+    out3 = _tgx_formula(th, p)
+    assert np.abs(tgx3_formula(*th.T, *p.T) - out3).max() <= 1e-15
+    p2 = np.column_stack([p[:, 0], 1 - p[:, 0]])
+    out2 = _tgx_formula(th[:, :2], p2)
+    assert np.abs(tgx2_formula(*th[:, :2].T, *p2.T) - out2).max() <= 1e-15

@@ -81,3 +81,30 @@ def test_lemma1_proof_rejects_false_steps():
     assert proof_failures(lhs - 2 * a, rhs - 2 * a, product, X, Y)[-1] == (
         "X, Y, lhs and rhs are nonnegative"
     )
+
+
+def partial_transpose(M):
+    """The qubit partial transpose of a 6x6 sympy matrix in the m = 3a + b
+    basis: out[(a,b),(a',b')] = in[(a',b),(a,b')]."""
+    return sympy.Matrix(6, 6, lambda i, j: M[3 * (j // 3) + i % 3, 3 * (i // 3) + j % 3])
+
+
+def projector(*vectors):
+    """The projector onto the span of orthogonal 6-vectors of norm sqrt(3)."""
+    return sum((sympy.Matrix(v) * sympy.Matrix(v).T for v in vectors), sympy.zeros(6)) / 3
+
+
+def test_two_thirds_minus_the_partial_transpose_of_p_w_is_a_rank_2_projector():
+    # W: the support of the TGX2 optimum at P = 1/2, (|00> + sqrt2|12>)/sqrt3
+    # and (sqrt2|01> + |10>)/sqrt3.  So rho(t) = (1 - t)I/6 + (t/2)P_W has
+    # rho(t)^Gamma = (1 + t)I/6 - (t/2)Q, with eigenvalue (1 - 2t)/6 twice
+    # and (1 + t)/6 four times.
+    r2 = sympy.sqrt(2)
+    p_w = projector([1, 0, 0, 0, 0, r2], [0, r2, 0, 1, 0, 0])
+    assert p_w * p_w == p_w and p_w.trace() == 2
+    q = sympy.Rational(2, 3) * sympy.eye(6) - partial_transpose(p_w)
+    assert sympy.simplify(q * q - q) == sympy.zeros(6)
+    assert q.trace() == 2
+    # Q projects onto W' = span{(|00> - sqrt2|11>)/sqrt3, (sqrt2|02> - |10>)/sqrt3}.
+    assert q == projector([1, 0, 0, 0, -r2, 0], [0, 0, r2, -1, 0, 0])
+    assert partial_transpose(partial_transpose(p_w)) == p_w != partial_transpose(p_w)

@@ -152,11 +152,11 @@ class TestStacks:
         [
             (np.triu(np.ones((6, 6))) / 6, "matrix is not Hermitian: max |H - H^dag| = 1.667e-01"),
             (np.full((6, 6), np.nan), "density matrix has a non-finite entry: max |entry| = nan"),
-            (np.eye(6) / 5, "trace is (1.2+0j), expected 1 within 1e-12"),
+            (np.eye(6) / 5, "trace is 1.2, expected 1 within 1e-12"),
             (np.diag([0.5, 0.5, 0.25, 0, 0, -0.25]), "smallest eigenvalue -2.500e-01 below -1e-12"),
             # one float past each tolerance edge
             (off_hermitian(np.nextafter(1e-12, 1)), "matrix is not Hermitian: max |H - H^dag| = 1.000e-12"),
-            (np.diag([0.5 + SUM_PAST, 0.5, 0, 0, 0, 0]), "trace is (1.000000000001+0j), expected 1"),
+            (np.diag([0.5 + SUM_PAST, 0.5, 0, 0, 0, 0]), "trace is 1.000000000001, expected 1"),
             (np.diag([0.5 + 1e-12, 0.5, 0, 0, 0, BELOW]), "smallest eigenvalue -1.000e-12 below -1e-12"),
         ],
     )
@@ -173,6 +173,14 @@ class TestStacks:
         rho = STATE_EDGES[edge]
         assert np.array_equal(check_density_matrix(rho), rho)
         assert np.array_equal(check_density_matrix(np.stack([np.eye(6) / 6, rho])[1]), rho)
+
+    def test_state_checks_accept_an_imaginary_diagonal_within_hermiticity(self):
+        # |H - H^dag| = 8e-13 on the diagonal: the trace is 1 + 2.4e-12j, and
+        # only its real part is a trace to check.
+        rho = np.eye(6) / 6 + np.diag([4e-13j] * 6)
+        eig_hermitian(rho)
+        assert np.array_equal(check_density_matrix(rho), rho)
+        assert np.array_equal(check_density_matrix(np.stack([np.eye(6) / 6, rho]))[1], rho)
 
     def test_hermiticity_edge_is_not_named_before_a_failing_matrix(self):
         stack = np.stack([off_hermitian(1e-12), off_hermitian(np.nextafter(1e-12, 1))])

@@ -120,3 +120,25 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SPREAD = 1.05 - 1.0  # the initial simplex spread from x0 = [1.0], 0.050000000000000044
+
+
+@pytest.mark.parametrize(
+    "fun,tolerance,nfev,success",
+    [
+        (lambda x: np.zeros(len(x)), {"xatol": SPREAD}, 2, True),
+        (lambda x: np.zeros(len(x)), {"xatol": np.nextafter(SPREAD, 0)}, 5, True),
+        (lambda x: x[:, 0], {"fatol": SPREAD}, 2, True),
+        (lambda x: x[:, 0], {"fatol": np.nextafter(SPREAD, 0)}, 100, False),
+    ],
+)
+def test_stopping_tolerances_are_inclusive(fun, tolerance, nfev, success):
+    # A spread exactly at xatol or fatol stops before the first iteration;
+    # one float below, the search goes on.  The other tolerance never binds.
+    options = dict({"xatol": 1.0, "fatol": 1.0, "maxiter": 1000, "maxfev": 100}, **tolerance)
+    lock = nelder_mead(fun, np.array([[1.0]]), **options)
+    seq = minimize(lambda x: fun(x[None])[0], [1.0], method="Nelder-Mead", options=options)
+    assert (lock.nfev[0], lock.success[0]) == (seq.nfev, seq.success) == (nfev, success)
+    assert np.array_equal(lock.x[0], seq.x) and lock.fun[0] == seq.fun

@@ -167,6 +167,25 @@ class TestAllStatesBelowThreeEighths:
         assert (negativity(final) - n_x_p_deg(P[:400])).max() <= 1e-12
 
 
+def test_b2_is_attained_on_a_quarter_to_a_half():
+    # W = span{(|00> + sqrt2|12>)/sqrt3, (sqrt2|01> + |10>)/sqrt3}, the support
+    # of the TGX2 optimum at P = 1/2.  rho(t) = (1 - t)I/6 + (t/2)P_W has
+    # purity 1/6 + t^2/3, and its partial transpose (1 + t)I/6 - (t/2)Q, with
+    # Q a rank-2 projector (tests/test_exact.py), has two negative eigenvalues
+    # for t > 1/2: N = B_2(P) = (2/3)(sqrt(12P - 2) - 1).
+    P = np.linspace(0.25, 0.5, 5001)[1:]
+    w = np.zeros((2, 6))
+    w[0, [0, 5]] = 1.0, np.sqrt(2.0)
+    w[1, [1, 3]] = np.sqrt(2.0), 1.0
+    p_w = w.T @ w / 3.0
+    t = np.sqrt(3.0 * (P - 1.0 / 6.0))[:, None, None]
+    rho = check_density_matrix((1.0 - t) * np.eye(6) / 6.0 + 0.5 * t * p_w)
+    assert np.abs(negativity(rho) - _pt_spectrum_bound(P, 2)).max() <= 1e-14
+    assert np.abs(purity(rho) - P).max() <= 1e-15
+    pt_eigs = np.linalg.eigvalsh(partial_transpose_qubit(rho))
+    assert np.all(np.sum(pt_eigs < -1e-12, axis=-1) == 2)
+
+
 class TestHierarchy:
     def test_ordering_wherever_defined(self):
         for P in np.linspace(0.21, 0.999, 1000):

@@ -235,7 +235,7 @@ def arc_weights(P, s):
     g, alpha = _tgx3_consts(P)
     x = np.zeros((len(P), 4))
     x[:, 3] = s
-    return np.array(_tgx3_weights(x, g, alpha))
+    return _tgx3_weights(x, g, alpha).T
 
 
 class TestArc:
