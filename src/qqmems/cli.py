@@ -181,17 +181,15 @@ def _validated(values, matrices, tol, label):
     return values
 
 
-# Rows per stacked evaluation in curves, gap, certify, prop1 and the TGX
-# searches, and runs per start draw and `acs_run` call in acs (a fresh
-# `acs --runs 400` peaks at 39.3 MB RSS and `--runs 4000` at 51.5 MB, the
-# growth being the traces kept for every run); they bound peak memory.
+# Rows per stacked evaluation in every command: each block is evaluated,
+# gated and formatted before the next, so only the rows outlive it and the
+# working set does not grow with the grid, the spectra count or the runs.
 _BLOCK = 256
-_ACS_BLOCK = 128
 
 
-def _blocks(values, size=_BLOCK):
-    for start in range(0, len(values), size):
-        yield values[start : start + size]
+def _blocks(values):
+    for start in range(0, len(values), _BLOCK):
+        yield values[start : start + _BLOCK]
 
 
 def _gated_curves(P, families, tol):
@@ -295,37 +293,36 @@ def cmd_acs(cfg):
     rng = np.random.default_rng(cfg.seed)
     purities = np.sort(rng.uniform(p_min, p_max, size=cfg.runs))
     seeds = [int(rng.integers(0, 2**31 - 1)) for _ in purities]
-    runs = []
-    for P, block_seeds in zip(_blocks(purities, _ACS_BLOCK), _blocks(seeds, _ACS_BLOCK)):
-        runs += acs_run(P, random_density_fixed_purity(P, block_seeds))
-    best = np.array([run.best_value for run in runs])
-    states = np.reshape([run.final_state for run in runs], (-1, 6, 6))
+    rows, trace_rows = [], []
+    for P, block_seeds in zip(_blocks(purities), _blocks(seeds)):
+        runs = acs_run(P, random_density_fixed_purity(P, block_seeds))
+        states = np.stack([run.final_state for run in runs])
 
-    def label(i):
-        return f"acs@{runs[i].P}"
+        def label(i):
+            return f"acs@{runs[i].P}"
 
-    try:
-        check_density_matrix(states)
-    except MatrixError as exc:
-        raise CheckError(f"{label(*exc.index)}: final state: {exc}")
-    excess = purity(states) - purities
-    if not np.all(excess <= cfg.tolerance):
-        i = int(np.argmin(excess <= cfg.tolerance))
-        raise CheckError(f"{label(i)}: final state has purity above its bound by {excess[i]:.3e}")
-    _validated(best, states, cfg.tolerance, label)
-    ref = FAMILIES["deg"].curve(purities)
-    rows = [
-        (run.P, seed, run.best_value, n, dev, run.rounds_used, run.status)
-        for run, seed, n, dev in zip(runs, seeds, ref, best - ref)
-    ]
+        try:
+            check_density_matrix(states)
+        except MatrixError as exc:
+            raise CheckError(f"{label(*exc.index)}: final state: {exc}")
+        excess = purity(states) - P
+        if not np.all(excess <= cfg.tolerance):
+            i = int(np.argmin(excess <= cfg.tolerance))
+            raise CheckError(f"{label(i)}: final state has purity above its bound by {excess[i]:.3e}")
+        best = _validated(np.array([run.best_value for run in runs]), states, cfg.tolerance, label)
+        if not rows:  # the trace: the first four runs, round by round
+            trace_rows = [
+                (i, run.P, r, v) for i, run in enumerate(runs[:4]) for r, v in enumerate(run.rounds)
+            ]
+        ref = deg.curve(P)
+        rows += [
+            (run.P, seed, run.best_value, n, dev, run.rounds_used, run.status)
+            for run, seed, n, dev in zip(runs, block_seeds, ref, best - ref)
+        ]
     tables = [
         (cfg.output, ["P", "seed", "best_value", "n_deg_reference", "deviation", "rounds", "status"], rows)
     ]
     if cfg.trace_output is not None:
-        trace_rows = []
-        for idx, run in enumerate(runs[:4]):
-            for rnd, val in enumerate(run.rounds):
-                trace_rows.append((idx, run.P, rnd, val))
         tables.append((cfg.trace_output, ["run_index", "P", "round", "value"], trace_rows))
     _write_csv(*tables)
     return EXIT_OK

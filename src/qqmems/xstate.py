@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_SLACK, TRACE_TOL, _numbers, _real_array
+from .linalg import PSD_SLACK, TRACE_TOL, _hermitian, _numbers, _real_array
 
 __all__ = [
     "XState",
@@ -102,12 +102,14 @@ class XState:
 def from_matrix(rho):
     """Recover X-state parameters from a density matrix with X sparsity.
 
-    Raises XStateError listing offending entries if the matrix has an entry
-    above 1e-12 in magnitude outside the X pattern.
+    Raises XStateError if the matrix is not 6x6, MatrixError if it is not
+    Hermitian within HERMITICITY_TOL, and XStateError listing offending entries
+    if it has an entry above 1e-12 in magnitude outside the X pattern.
     """
     rho = np.asarray(_numbers(rho, "matrix"), dtype=complex)
     if rho.shape != (6, 6):
         raise XStateError(f"expected a 6x6 matrix, got shape {rho.shape}")
+    rho = _hermitian(rho)
     bad = [(int(i), int(j)) for i, j in np.argwhere((np.abs(rho) > 1e-12) & ~_X_PATTERN)]
     if bad:
         raise XStateError(f"matrix is not in X form; nonzero off-pattern entries at {bad}")

@@ -1,7 +1,9 @@
 import argparse
 import csv
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from qqmems.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    CheckError,
+    _validated,
     build_parser,
     main,
 )
@@ -108,6 +112,15 @@ class TestBatchedGate:
         # the first gated cell of the grid, by name and purity
         assert "Ndeg@0.200000001: closed-form value" in err
         assert out == ""
+
+    def test_deviation_equal_to_the_tolerance_passes(self, monkeypatch):
+        # 2**-40 off an oracle of exactly 0: within a tolerance of 2**-40, not
+        # within one float less
+        monkeypatch.setattr(qqmems.cli, "negativity", lambda m: np.zeros(len(m)))
+        value, states, tol = np.array([2.0**-40]), np.zeros((1, 6, 6)), 2.0**-40
+        assert _validated(value, states, tol, str) is value
+        with pytest.raises(CheckError, match=r"^0: closed-form value"):
+            _validated(value, states, np.nextafter(tol, 0), str)
 
     def test_first_failing_row_in_emission_order(self, capsys):
         code, _, err = run(["curves", "--p-min", "0.6", "--p-max", "0.9", "--p-steps", "7",
@@ -348,7 +361,7 @@ class TestAcs:
                                  "--trace-output", os.devnull], capsys)
         assert code == EXIT_OK and stdout == "" and err == ""
 
-    def test_sweep_reaches_acs_run_in_blocks_of_acs_block(self, capsys, monkeypatch):
+    def test_sweep_reaches_acs_run_in_blocks_of_block(self, capsys, monkeypatch):
         sizes = []
 
         def recording(P, rho0):
@@ -357,7 +370,40 @@ class TestAcs:
 
         monkeypatch.setattr(qqmems.cli, "acs_run", recording)
         code, _, _ = run(["acs", "--runs", "300", "--seed", "1", "-o", os.devnull], capsys)
-        assert code == EXIT_OK and sizes == [128, 128, 44]
+        assert code == EXIT_OK and sizes == [256, 44]
+
+    def test_sweep_lets_go_of_each_block(self, capsys, monkeypatch):
+        # live traces of each earlier block whenever a block reaches acs_run:
+        # the one before is still bound to the loop, none older survive
+        blocks, alive = [], []
+
+        def recording(P, rho0):
+            gc.collect()
+            alive.append([sum(ref() is not None for ref in refs) for refs in blocks])
+            traces = qqmems.acs.acs_run(P, rho0)
+            blocks.append([weakref.ref(trace) for trace in traces])
+            return traces
+
+        monkeypatch.setattr(qqmems.cli, "acs_run", recording)
+        code, _, _ = run(["acs", "--runs", "600", "--seed", "1", "-o", os.devnull,
+                          "--trace-output", os.devnull], capsys)
+        assert code == EXIT_OK and alive == [[], [256], [0, 256]]
+
+    def test_purity_exactly_at_its_bound_passes_a_zero_tolerance(self, capsys, monkeypatch):
+        # every final state reads the block's own bounds as its purity, so each
+        # excess is exactly 0; the closed-form gate may still fail at tolerance 0
+        bounds, draw = [], qqmems.cli.random_density_fixed_purity
+
+        def remembering(P, seeds):
+            bounds.append(P)
+            return draw(P, seeds)
+
+        monkeypatch.setattr(qqmems.cli, "random_density_fixed_purity", remembering)
+        monkeypatch.setattr(qqmems.cli, "purity", lambda states: bounds[-1])
+        code, _, err = run(["acs", "--runs", "3", "--seed", "1", "-o", os.devnull,
+                            "--tolerance", "0"], capsys)
+        assert len(bounds) == 1 and "purity above its bound" not in err
+        assert code == EXIT_OK or (code == EXIT_CHECK and ": closed-form value " in err)
 
     def test_summary_and_trace_both_on_stdout(self, capsys):
         code, out, _ = run(["acs", "--runs", "2", "-o", "-", "--trace-output", "-"], capsys)
@@ -422,6 +468,12 @@ class TestProp1:
         text = out.read_text()
         assert "violations (|brute-force - closed form| > 1e-12): 0" in text
         assert "(4, 6, 1, 5)" in text
+
+    def test_zero_count_tests_nothing(self, capsys):
+        code, out, _ = run(["prop1", "--count", "0"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("spectra tested: 0\n")
+        assert "violations (|brute-force - closed form| > 1e-12): 0" in out
 
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -498,6 +550,9 @@ class TestConfigAndErrors:
             (["curves", "--p-steps", "0"], "p_steps must be >= 1, got 0"),
             (["curves", "--p-min", "0.6", "--p-max", "0.5", "--p-steps", "1"],
              "purity grid needs p_min <= p_max"),
+            (["curves", "--p-min", "0.5", "--p-max", "0.5", "--p-steps", "3"],
+             "purity grid needs p_min < p_max, got [0.5, 0.5]"),
+            (["curves", "--p-max", "1", "--p-steps", "2"], "purity grid upper end 1.0 must be < 1"),
             (["acs", "--runs", "-1"], "runs must be >= 0, got -1"),
             (["prop1", "--count", "-1"], "count must be >= 0, got -1"),
             (["state", "--family", "spectrum"], "requires --spectrum"),
@@ -526,6 +581,11 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError, match="internal bug"):
             main(args)
         assert "usage error" not in capsys.readouterr().err
+
+    def test_zero_tolerance_is_not_a_usage_error(self, capsys):
+        code, _, err = run(["state", "--family", "rank2", "--p", "0.75", "--tolerance", "0"],
+                           capsys)
+        assert code != EXIT_USAGE and "usage error" not in err
 
     def test_each_subcommand_takes_the_flags_it_reads(self):
         grid = {"--p-min", "--p-max", "--p-steps", "--tolerance"}

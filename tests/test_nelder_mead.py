@@ -59,6 +59,15 @@ def test_budget_exhausted_runs_report_failure():
     _assert_bitwise(lock, seq)
 
 
+@pytest.mark.parametrize("maxfev", [1, 4])
+def test_budget_below_the_initial_simplex_matches_scipy_bitwise(maxfev):
+    # n + 1 = 5 vertices, of which only the first maxfev are evaluated; the
+    # rest keep the value inf, as in scipy, and no start takes a step
+    lock, seq = _run_both(4, dict(OPTIONS, maxfev=maxfev))
+    assert (lock.nfev == maxfev).all() and not lock.success.any()
+    _assert_bitwise(lock, seq)
+
+
 @pytest.mark.parametrize("start, maxfev", [(2, 59), (2, 60), (2, 61), (2, 62), (11, 470)])
 def test_budget_running_out_mid_shrink_matches_scipy_bitwise(start, maxfev):
     # Start 2 of _starts(4) shrinks once it has made 57 evaluations and its

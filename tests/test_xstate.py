@@ -1,8 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqmems.linalg import check_density_matrix, eig_hermitian, negativity, partial_transpose_qubit
+from qqmems.linalg import (
+    HERMITICITY_TOL,
+    MatrixError,
+    check_density_matrix,
+    eig_hermitian,
+    negativity,
+    partial_transpose_qubit,
+)
+from qqmems.purity_mems import construct_deg
 from qqmems.xstate import (
     XState,
     XStateError,
@@ -177,6 +187,31 @@ class TestRoundTrips:
     def test_from_matrix_rejects_wrong_shape(self):
         with pytest.raises(XStateError, match="6x6"):
             from_matrix(np.eye(4))
+        with pytest.raises(XStateError, match="6x6"):
+            from_matrix(np.ones((6, 5)))
+
+    def test_from_matrix_rejects_non_hermitian_matrix(self):
+        # the same MatrixError as check_density_matrix and negativity, where a
+        # non-Hermitian input used to read a coherence or drop a diagonal part
+        one_sided = construct_deg(0.5).to_matrix()
+        one_sided[3, 2] = 0
+        imaginary = construct_deg(0.5).to_matrix()
+        imaginary[2, 2] += 0.3j
+        for m, dev in ((one_sided, "3.333e-01"), (imaginary, "6.000e-01")):
+            msg = f"matrix is not Hermitian: max |H - H^dag| = {dev}"
+            for check in (from_matrix, check_density_matrix, negativity):
+                with pytest.raises(MatrixError, match=re.escape(msg)):
+                    check(m)
+
+    def test_from_matrix_tolerates_asymmetry_up_to_hermiticity_tol(self):
+        # an imaginary diagonal part b gives max |H - H^dag| = 2b exactly
+        rho = construct_deg(0.5).to_matrix()
+        m = rho.copy()
+        m[2, 2] += 0.5j * HERMITICITY_TOL
+        np.testing.assert_allclose(from_matrix(m).to_matrix(), rho, atol=1e-15)
+        m[2, 2] = rho[2, 2] + 1j * np.nextafter(0.5 * HERMITICITY_TOL, 1)
+        with pytest.raises(MatrixError, match="not Hermitian"):
+            from_matrix(m)
 
     def test_to_matrix_is_valid_density_matrix(self, rng):
         check_density_matrix(random_xstates(rng, 100).to_matrix())
